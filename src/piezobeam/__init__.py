@@ -23,7 +23,6 @@ from .solver import (
     cfl_timestep,
     init_history,
     run,
-    sample_delayed_velocity,
     step_explicit,
     step_implicit,
 )

@@ -1,11 +1,13 @@
 """Energy and Lyapunov diagnostics along simulated trajectories.
 
-Spatial integrals use the trapezoid rule on the solver grid; derivatives use
-staggered midpoint differences (second order, and consistent with the discrete
-stiffness form, so the measured energy of the undamped semi-discrete system is
-conserved up to time-integration error only).  The delay-energy double
-integral is a trapezoid over stored history snapshots with an exponential
-kernel and a partial cell at the moving lower endpoint.
+Spatial integrals are dot products with the grid's trapezoid weight vector;
+derivatives use staggered midpoint differences (second order, and consistent
+with the discrete stiffness form, so the measured energy of the undamped
+semi-discrete system is conserved up to time-integration error only).  The
+delay-free parts are the state's cached solver._core_energy.  The
+delay-energy double integral is a trapezoid over the history's cached square
+integrals with an exponential kernel and a partial cell at the moving lower
+endpoint.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, MultiplierSearchError, UndefinedRatioError
+from .solver import trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,9 @@ class EnergyReport:
                 + self.coupling + self.delay_term)
 
 
-def _dx_of(state, params):
-    return params.length / (len(state.v) - 1)
+def _weights_of(state, params):
+    n = len(state.v)
+    return trapezoid_weights(n, params.length / (n - 1))
 
 
 def energy(state, history, params, certificate, delay, weights=None):
@@ -48,50 +52,42 @@ def energy(state, history, params, certificate, delay, weights=None):
     The delay term weight is xi_bar * delta1(t); an invalid certificate
     (non-finite xi_bar) contributes no delay energy.
     """
-    dx = _dx_of(state, params)
     xi_bar = certificate.xi_bar if math.isfinite(certificate.xi_bar) else 0.0
     lam = certificate.lam if math.isfinite(certificate.lam) else 0.0
     d1 = float(weights.delta1(state.t)) if weights is not None else 1.0
     xi_t = xi_bar * d1
 
-    dvm = np.diff(state.v) / dx
-    dpm = np.diff(state.p) / dx
-    kinetic_v = 0.5 * params.rho * float(np.trapezoid(state.vt**2, dx=dx))
-    kinetic_p = 0.5 * params.mu * float(np.trapezoid(state.pt**2, dx=dx))
-    elastic = 0.5 * params.alpha1 * float(np.sum(dvm**2)) * dx
-    coupling = 0.5 * params.beta * float(
-        np.sum((params.gamma * dvm - dpm)**2)) * dx
+    core = state.core_energy(params)
 
     tau_t = float(delay.tau(state.t))
-    int_vt2 = float(np.trapezoid(state.vt**2, dx=dx))
     int_vt2_delayed = history.square_integral_at(state.t - tau_t)
     kernel = history.weighted_square_integral(state.t, tau_t, lam)
     delay_term = 0.5 * xi_t * kernel
 
-    return EnergyReport(state.t, kinetic_v, kinetic_p, elastic, coupling,
-                        delay_term, int_vt2, int_vt2_delayed, kernel)
+    return EnergyReport(state.t, core.kinetic_v, core.kinetic_p, core.elastic,
+                        core.coupling, delay_term, core.int_vt2,
+                        int_vt2_delayed, kernel)
 
 
 def lyapunov_k1(state, params):
     """rho * int v_t v + gamma mu * int p_t v."""
-    dx = _dx_of(state, params)
-    return float(params.rho * np.trapezoid(state.vt * state.v, dx=dx)
-                 + params.gamma * params.mu * np.trapezoid(state.pt * state.v, dx=dx))
+    wv = _weights_of(state, params) * state.v
+    return float(params.rho * np.dot(state.vt, wv)
+                 + params.gamma * params.mu * np.dot(state.pt, wv))
 
 
 def lyapunov_k2(state, params):
     """rho * int v_t (gamma v - p) + gamma mu * int p_t (gamma v - p)."""
-    dx = _dx_of(state, params)
-    w = params.gamma * state.v - state.p
-    return float(params.rho * np.trapezoid(state.vt * w, dx=dx)
-                 + params.gamma * params.mu * np.trapezoid(state.pt * w, dx=dx))
+    wu = _weights_of(state, params) * (params.gamma * state.v - state.p)
+    return float(params.rho * np.dot(state.vt, wu)
+                 + params.gamma * params.mu * np.dot(state.pt, wu))
 
 
 def lyapunov_k3(state, params):
     """rho * int v_t v + mu * int p_t p."""
-    dx = _dx_of(state, params)
-    return float(params.rho * np.trapezoid(state.vt * state.v, dx=dx)
-                 + params.mu * np.trapezoid(state.pt * state.p, dx=dx))
+    w = _weights_of(state, params)
+    return float(params.rho * np.dot(state.vt, w * state.v)
+                 + params.mu * np.dot(state.pt, w * state.p))
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,6 @@ class DivergenceError(PiezobeamError):
         self.step = step
 
 
-class SolverError(PiezobeamError):
-    """The implicit linear system could not be solved."""
-
-
 class MultiplierSearchError(PiezobeamError):
     """The doubling search for Lyapunov multipliers did not terminate."""
 

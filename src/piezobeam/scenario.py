@@ -46,6 +46,11 @@ class Scenario:
             raise ConfigError(f"unknown integrator {self.integrator!r}")
         if self.n < 3:
             raise ConfigError(f"numerics n must be >= 3, got {self.n}")
+        if not 0 < self.cfl_safety <= 1:
+            raise ConfigError(
+                f"numerics cfl_safety must be in (0, 1], got {self.cfl_safety}")
+        if self.dt is not None and not self.dt > 0:
+            raise ConfigError(f"numerics dt_s must be > 0, got {self.dt}")
         if not self.horizon >= 0:
             raise ConfigError("horizon must be >= 0")
         if self.output_stride < 1 or self.field_stride < 1:

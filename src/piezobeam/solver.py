@@ -2,8 +2,11 @@
 
 Spatial layout: uniform grid on [0, L], Dirichlet at x=0 for both fields,
 zero-slope (Neumann) closure at x=L.  The delayed velocity v_t(x, t - tau(t))
-is realized by a time-stamped history ring buffer with linear interpolation,
-not by discretizing the auxiliary transport variable on a second axis.
+is realized by a time-stamped history buffer (a preallocated ring of rows)
+with linear interpolation, not by discretizing the auxiliary transport
+variable on a second axis.  Spatial integrals are dot products with one
+trapezoid weight vector per grid; each state caches its delay-free energy
+parts, so the blow-up guard and the energy record share one evaluation.
 
 Two integrators: an explicit central-difference (velocity-Verlet style) scheme
 with semi-implicit treatment of the instantaneous damping, and a backward-Euler
@@ -13,9 +16,10 @@ delay.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -51,19 +55,46 @@ class Grid:
         return np.linspace(0.0, self.length, self.n)
 
 
+@functools.lru_cache(maxsize=16)
+def trapezoid_weights(n, dx):
+    """Read-only trapezoid weights on n nodes: ``w @ f`` integrates f."""
+    w = np.full(n, float(dx))
+    w[0] = w[-1] = 0.5 * dx
+    w.flags.writeable = False
+    return w
+
+
+class CoreEnergy(NamedTuple):
+    """Delay-free energy parts of one state; int_vt2 is int v_t^2 dx."""
+
+    kinetic_v: float
+    kinetic_p: float
+    elastic: float
+    coupling: float
+    int_vt2: float
+
+    @property
+    def total(self):
+        return self.kinetic_v + self.kinetic_p + self.elastic + self.coupling
+
+
 @dataclass
 class SimState:
-    """Displacement and velocity fields at time t."""
+    """Displacement and velocity fields at time t; never modified in place."""
 
     t: float
     v: np.ndarray
     vt: np.ndarray
     p: np.ndarray
     pt: np.ndarray
+    _core: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
-    def copy(self):
-        return SimState(self.t, self.v.copy(), self.vt.copy(),
-                        self.p.copy(), self.pt.copy())
+    def core_energy(self, params):
+        """Delay-free energy parts under params, computed once."""
+        if self._core is None or self._core[0] is not params:
+            self._core = (params, _core_energy(self, params))
+        return self._core[1]
 
     def scale(self):
         return max(
@@ -80,6 +111,9 @@ class SpatialOperator:
 
     Node 0 is Dirichlet (row zeroed); node n-1 uses a mirror ghost node
     (u_n = u_{n-2}), which imposes the zero-slope condition to second order.
+    The two flux conditions at x=L are equivalent to v_x(L) = p_x(L) = 0
+    because the reduced stiffness alpha1 is positive, so the closure imposes
+    plain zero slope on both fields.
     """
 
     def __init__(self, params, grid):
@@ -106,24 +140,18 @@ class SpatialOperator:
         return acc_v, acc_p
 
 
-def build_operator(params, grid):
-    """Coupled stencil with the boundary closures baked in.
-
-    The two flux conditions at x=L are equivalent to v_x(L) = p_x(L) = 0
-    because the reduced stiffness alpha1 is positive, so the closure imposes
-    plain zero slope on both fields.
-    """
-    if grid.n < 3:
-        raise GridError(f"grid needs at least 3 nodes, got n={grid.n}")
-    return SpatialOperator(params, grid)
+build_operator = SpatialOperator
 
 
 class HistoryBuffer:
-    """Ring of (timestamp, v_t snapshot) pairs for delayed sampling.
+    """Time-stamped v_t snapshots for delayed sampling.
 
-    Timestamps are equispaced with gap dt.  Each snapshot caches its spatial
-    integral of v_t^2 (trapezoid) so the exponentially weighted delay-energy
-    integral costs O(tau/dt) scalars per evaluation instead of O(n * tau/dt).
+    Timestamps are equispaced with gap dt.  Snapshots fill a preallocated
+    ring of cap rows, the most the span holds between evictions.  Timestamps
+    and each snapshot's cached int v_t^2 sit in flat arrays of 2*cap entries
+    (entry f pairs with ring row f % cap), shifted down by cap once per cap
+    pushes, so every delay window is one contiguous slice.  The last
+    interpolated query is kept until a push could change it.
     """
 
     def __init__(self, dt, span, dx):
@@ -132,74 +160,107 @@ class HistoryBuffer:
         self.dt = dt
         self.span = span
         self.dx = dx
-        self.times = deque()
-        self.snaps = deque()
-        self.sq_integrals = deque()
+        # evict keeps the stamps newer than span + dt/2 and one before them;
+        # one more arrives between evictions
+        self._cap = int((span + 0.5 * dt) / dt + 1e-6) + 3
+        self._ring = None
+        self._times = np.empty(2 * self._cap)
+        self._sq = np.empty(2 * self._cap)
+        self._lo = self._len = 0  # flat index of the oldest entry; count
+        self._memo_t = self._memo = self._memo_sq = None
 
-    def push(self, t, vt):
-        if self.times and not t > self.times[-1]:
+    def _row(self, i):
+        return self._ring[(self._lo + i) % self._cap]
+
+    def _square_integral(self, row):
+        return float(np.dot(row * trapezoid_weights(len(row), self.dx), row))
+
+    def push(self, t, vt, sq_integral=None):
+        """Append the snapshot at t; sq_integral is its int v_t^2 if known."""
+        if self._len and not t > self.newest_time:
             raise ConfigError("history timestamps must be strictly increasing")
-        self.times.append(float(t))
-        snap = np.array(vt, dtype=float, copy=True)
-        self.snaps.append(snap)
-        self.sq_integrals.append(float(np.trapezoid(snap**2, dx=self.dx)))
+        if self._len == self._cap:
+            raise ConfigError(f"history holds at most {self._cap} snapshots "
+                              "between evictions")
+        if self._ring is None:
+            self._ring = np.empty((self._cap, len(vt)))
+        if self._lo + self._len == 2 * self._cap:
+            self._times[:self._cap] = self._times[self._cap:]
+            self._sq[:self._cap] = self._sq[self._cap:]
+            self._lo -= self._cap
+        # an interpolant at or before the old newest stamp keeps its bracket
+        if self._memo_t is not None and self._memo_t > self.newest_time:
+            self._memo_t = None
+        row = self._row(self._len)
+        row[:] = vt
+        end = self._lo + self._len
+        self._times[end] = t
+        self._sq[end] = (self._square_integral(row) if sq_integral is None
+                         else sq_integral)
+        self._len += 1
 
     def evict(self, t_now):
         cutoff = t_now - self.span - 0.5 * self.dt
-        while len(self.times) > 2 and self.times[1] <= cutoff:
-            self.times.popleft()
-            self.snaps.popleft()
-            self.sq_integrals.popleft()
+        while self._len > 2 and self._times[self._lo + 1] <= cutoff:
+            self._lo += 1
+            self._len -= 1
+
+    @property
+    def times(self):
+        return self._times[self._lo:self._lo + self._len].copy()
+
+    @property
+    def snaps(self):
+        """Stored snapshots, oldest first, as a (count, n) copy."""
+        return self._ring[(self._lo + np.arange(self._len)) % self._cap]
 
     @property
     def newest_time(self):
-        return self.times[-1]
+        return float(self._times[self._lo + self._len - 1])
 
     @property
     def newest(self):
-        return self.snaps[-1]
+        return self._row(self._len - 1).copy()
 
-    def _bracket(self, t_query):
-        t0 = self.times[0]
+    def sample(self, t_query):
+        """Linear interpolation in time, elementwise in x; exact at stored stamps.
+
+        The result is read-only: later queries at t_query share it.
+        """
+        t0 = float(self._times[self._lo])
         eps = 1e-9 * self.dt
         if t_query < t0 - eps:
             raise HistoryUnderrunError(
                 f"query t={t_query:.9g} precedes history start {t0:.9g}; "
-                "buffer span is too short for the configured delay"
-            )
-        if t_query > self.times[-1] + eps:
+                "buffer span is too short for the configured delay")
+        if t_query > self.newest_time + eps:
             raise HistoryUnderrunError(
                 f"query t={t_query:.9g} is ahead of newest snapshot "
-                f"{self.times[-1]:.9g}"
-            )
-        pos = (t_query - t0) / self.dt
-        i = int(math.floor(pos))
-        i = max(0, min(i, len(self.times) - 2))
-        w = (t_query - self.times[i]) / (self.times[i + 1] - self.times[i])
-        return i, min(max(w, 0.0), 1.0)
-
-    def sample(self, t_query):
-        """Linear interpolation in time, elementwise in x; exact at stored stamps."""
-        if len(self.times) == 1:
-            i, w = 0, 0.0
-            t0 = self.times[0]
-            eps = 1e-9 * self.dt
-            if abs(t_query - t0) > eps:
-                raise HistoryUnderrunError(
-                    f"single-snapshot history cannot interpolate at t={t_query:.9g}"
-                )
-            return self.snaps[0].copy()
-        i, w = self._bracket(t_query)
-        if w == 0.0:
-            return self.snaps[i].copy()
-        if w == 1.0:
-            return self.snaps[i + 1].copy()
-        return (1.0 - w) * self.snaps[i] + w * self.snaps[i + 1]
+                f"{self.newest_time:.9g}")
+        if t_query == self._memo_t:
+            return self._memo
+        if self._len == 1:
+            snap = self._row(0).copy()
+        else:
+            pos = (t_query - t0) / self.dt
+            i = max(0, min(int(math.floor(pos)), self._len - 2))
+            t_i = float(self._times[self._lo + i])
+            w = (t_query - t_i) / (float(self._times[self._lo + i + 1]) - t_i)
+            w = min(max(w, 0.0), 1.0)
+            if w == 0.0 or w == 1.0:
+                snap = self._row(i + int(w)).copy()
+            else:
+                snap = (1.0 - w) * self._row(i) + w * self._row(i + 1)
+        snap.flags.writeable = False
+        self._memo_t, self._memo, self._memo_sq = t_query, snap, None
+        return snap
 
     def square_integral_at(self, t_query):
         """Trapezoid of the interpolated snapshot squared."""
         snap = self.sample(t_query)
-        return float(np.trapezoid(snap**2, dx=self.dx))
+        if self._memo_sq is None:
+            self._memo_sq = self._square_integral(snap)
+        return self._memo_sq
 
     def weighted_square_integral(self, t, tau_t, lam):
         """Double integral over [t - tau_t, t] of exp(lam*(s-t)) * int v_t^2 dx ds.
@@ -208,39 +269,31 @@ class HistoryBuffer:
         cell at the lower endpoint using the interpolated snapshot there.
         """
         t_lo = t - tau_t
-        times = np.asarray(self.times)
+        times = self._times[self._lo:self._lo + self._len]
         eps = 1e-9 * self.dt
         if t_lo < times[0] - eps:
             raise HistoryUnderrunError(
-                f"delay-energy window start {t_lo:.9g} precedes history start"
-            )
-        mask = (times >= t_lo - eps) & (times <= t + eps)
-        ts = times[mask]
-        vals = np.asarray(self.sq_integrals)[mask]
-        weights = np.exp(lam * (ts - t))
-        total = float(np.trapezoid(vals * weights, ts)) if len(ts) > 1 else 0.0
+                f"delay-energy window start {t_lo:.9g} precedes history start")
+        a = int(np.searchsorted(times, t_lo - eps, side="left"))
+        b = int(np.searchsorted(times, t + eps, side="right"))
+        ts = times[a:b]
+        f = self._sq[self._lo + a:self._lo + b] * np.exp(lam * (ts - t))
+        total = (0.5 * float(np.dot(ts[1:] - ts[:-1], f[1:] + f[:-1]))
+                 if len(ts) > 1 else 0.0)
         # partial cell between t_lo and the first stored stamp in the window
         if len(ts) > 0 and ts[0] > t_lo + eps:
             f_lo = self.square_integral_at(t_lo) * math.exp(lam * (t_lo - t))
-            f_first = vals[0] * weights[0]
-            total += 0.5 * (f_lo + f_first) * (ts[0] - t_lo)
+            total += 0.5 * (f_lo + float(f[0])) * (float(ts[0]) - t_lo)
         return total
 
 
-def sample_delayed_velocity(history, query_time):
-    """Delayed velocity snapshot at query_time via linear interpolation."""
-    return history.sample(query_time)
-
-
-def init_history(grid, delay, g0, dt, span=None):
+def init_history(grid, delay, g0, dt):
     """Pre-fill a history buffer from the initial-history function g0(x, s).
 
     Snapshots at s_k = -k*dt down past -tau_bar; the newest entry (s=0)
     matches the initial velocity when g0(., 0) does.
     """
-    if span is None:
-        span = delay.tau_bar + 2.0 * dt
-    buf = HistoryBuffer(dt, span, grid.dx)
+    buf = HistoryBuffer(dt, delay.tau_bar + 2.0 * dt, grid.dx)
     k_max = int(math.ceil((delay.tau_bar + dt) / dt))
     x = grid.x
     for k in range(k_max, -1, -1):
@@ -265,12 +318,7 @@ def cfl_timestep(params, grid, delay=None, safety=0.5):
     """
     if not 0 < safety <= 1:
         raise ConfigError(f"cfl safety must be in (0, 1], got {safety}")
-    m = np.array([
-        [params.alpha / params.rho, -params.gamma * params.beta / params.rho],
-        [-params.gamma * params.beta / params.mu, params.beta / params.mu],
-    ])
-    c_max = math.sqrt(float(np.max(np.real(np.linalg.eigvals(m)))))
-    dt = safety * grid.dx / c_max
+    dt = safety * grid.dx / wave_speed(params)
     if delay is not None:
         dt = min(dt, delay.tau0 / 4.0)
     return dt
@@ -285,22 +333,24 @@ def wave_speed(params):
     return math.sqrt(float(np.max(np.real(np.linalg.eigvals(m)))))
 
 
-def _core_energy(state, operator):
-    """Delay-free quadratic form used by the blow-up guard."""
-    pr = operator.params
-    dx = operator.grid.dx
-    dvm = np.diff(state.v) / dx
-    dpm = np.diff(state.p) / dx
-    return float(
-        0.5 * pr.rho * np.trapezoid(state.vt**2, dx=dx)
-        + 0.5 * pr.mu * np.trapezoid(state.pt**2, dx=dx)
-        + 0.5 * pr.alpha1 * np.sum(dvm**2) * dx
-        + 0.5 * pr.beta * np.sum((pr.gamma * dvm - dpm)**2) * dx
-    )
+def _core_energy(state, params):
+    """Delay-free quadratic form by parts; read through SimState.core_energy."""
+    dx = params.length / (len(state.v) - 1)
+    w = trapezoid_weights(len(state.v), dx)
+    dv = state.v[1:] - state.v[:-1]
+    dp = state.p[1:] - state.p[:-1]
+    shear = params.gamma * dv - dp
+    int_vt2 = float(np.dot(state.vt * w, state.vt))
+    return CoreEnergy(
+        0.5 * params.rho * int_vt2,
+        0.5 * params.mu * float(np.dot(state.pt * w, state.pt)),
+        0.5 * params.alpha1 * float(np.dot(dv, dv)) / dx,
+        0.5 * params.beta * float(np.dot(shear, shear)) / dx,
+        int_vt2)
 
 
 def _check_blowup(e_before, e_after, step_label):
-    if not np.isfinite(e_after) or (e_before > 1e-300 and e_after > 10.0 * e_before):
+    if not math.isfinite(e_after) or (e_before > 1e-300 and e_after > 10.0 * e_before):
         raise DivergenceError(
             f"energy blow-up guard tripped during {step_label} "
             f"({e_before:.3e} -> {e_after:.3e}); time step too large",
@@ -322,7 +372,7 @@ def step_explicit(state, history, operator, weights, delay, dt):
     d1_mid = float(weights.delta1(t + 0.5 * dt))
     d2_now = float(weights.delta2(t))
 
-    e0 = _core_energy(state, operator)
+    e0 = state.core_energy(pr).total
 
     acc_v0, acc_p0 = operator.apply(state.v, state.p)
     total_v0 = acc_v0 - (d1_now * state.vt + d2_now * z) / pr.rho
@@ -344,14 +394,15 @@ def step_explicit(state, history, operator, weights, delay, dt):
     pt_new[0] = 0.0
 
     new = SimState(t + dt, v_new, vt_new, p_new, pt_new)
-    _check_blowup(e0, _core_energy(new, operator), "explicit step")
-    history.push(new.t, vt_new)
+    core = new.core_energy(pr)
+    _check_blowup(e0, core.total, "explicit step")
+    history.push(new.t, vt_new, core.int_vt2)
     history.evict(new.t)
     return new
 
 
 def _implicit_matrix(operator, weights, dt, t_new):
-    """Banded matrix of the backward-Euler resolvent step, interleaved (v,p)."""
+    """Banded backward-Euler matrix, interleaved (v,p); the next call reuses it."""
     pr = operator.params
     n = operator.grid.n
     dx2 = operator.grid.dx**2
@@ -391,10 +442,13 @@ def _implicit_matrix(operator, weights, dt, t_new):
             put(np.array([row]), np.array([row]), 3.0)
             put(np.array([row]), np.array([row - step]), -4.0)
             put(np.array([row]), np.array([row - 2 * step]), 1.0)
-        operator._implicit_cache = (dt, ab)
+        operator._implicit_cache = (dt, ab, np.empty_like(ab))
         cache = operator._implicit_cache
 
-    ab = cache[1].copy()
+    # refilled in place: a fresh copy per step at large n let malloc return
+    # and re-fault its pages every step
+    ab = cache[2]
+    ab[...] = cache[1]
     d1 = float(weights.delta1(t_new))
     i = np.arange(1, n - 1)
     ab[nb, 2 * i] += d1 / dt
@@ -434,9 +488,10 @@ def step_implicit(state, history, operator, weights, delay, dt):
     pt_new[0] = 0.0
 
     new = SimState(t_new, v_new, vt_new, p_new, pt_new)
-    _check_blowup(_core_energy(state, operator),
-                  _core_energy(new, operator), "implicit step")
-    history.push(t_new, vt_new)
+    e0 = state.core_energy(pr).total
+    core = new.core_energy(pr)
+    _check_blowup(e0, core.total, "implicit step")
+    history.push(t_new, vt_new, core.int_vt2)
     history.evict(t_new)
     return new
 
@@ -501,8 +556,6 @@ def run(scenario, collect_fields=True):
 
     dt0 = cfl_timestep(scenario.beam, grid, scenario.delay, scenario.cfl_safety)
     if scenario.dt is not None:
-        if not scenario.dt > 0:
-            raise ConfigError("numerics dt override must be > 0")
         dt0 = min(scenario.dt, scenario.delay.tau0 / 4.0)
     n_steps = max(0, int(math.ceil(scenario.horizon / dt0 - 1e-12)))
     dt = scenario.horizon / n_steps if n_steps else dt0

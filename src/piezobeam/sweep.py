@@ -38,6 +38,10 @@ class SweepSpec:
         for path, values in self.axes:
             if not len(values):
                 raise SweepSpecError(f"axis {path!r} has no values")
+            if path in ("numerics.n", "numerics.horizon_s"):  # see expand
+                raise SweepSpecError(
+                    f"axis {path!r} would be overwritten by the sweep's "
+                    "n / horizon_s")
 
     @property
     def size(self):
@@ -66,7 +70,7 @@ class SweepRecord:
     h2: float = math.nan
     r_squared: float = math.nan
     energy_ratio: float = math.nan
-    status: str = "ok"
+    status: str = "ok"  # ok | infeasible | diverged | error
 
 
 def _set_path(cfg, path, value):
@@ -111,6 +115,8 @@ def _run_one(item):
         traj = run(scenario, collect_fields=False)
     except DivergenceError:
         return SweepRecord(combo, True, status="diverged")
+    except PiezobeamError as exc:
+        return SweepRecord(combo, True, [str(exc)], status="error")
     rec = SweepRecord(combo, True)
     e0 = traj.records[0].energy.total
     e_end = traj.records[-1].energy.total

@@ -56,6 +56,15 @@ class TestCheck:
         assert code == EXIT_INFEASIBLE
         assert "delay_weight_ratio" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key,value", [("cfl_safety", 1.5),
+                                           ("dt_s", 0.0)])
+    def test_bad_numerics_exit_1(self, tmp_path, capsys, key, value):
+        cfg = load_config("certified-decay")
+        cfg["numerics"][key] = value
+        code = main(["check", "--config", _write_cfg(tmp_path, cfg)])
+        assert code == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path):
         code = main(["check", "--config", str(tmp_path / "missing.json")])
         assert code == EXIT_USAGE

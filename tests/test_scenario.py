@@ -67,3 +67,21 @@ def test_fundamental_mode_shape(certified_scenario):
     x = np.linspace(0.0, 1.0, 201)
     v0, *_ = initial_fields(certified_scenario, x)
     assert np.max(np.abs(v0 - np.sin(math.pi * x / 2.0))) < 1e-15
+
+
+@pytest.mark.parametrize("key,value", [
+    ("cfl_safety", 0.0), ("cfl_safety", -0.5), ("cfl_safety", 1.5),
+    ("dt_s", 0.0), ("dt_s", -0.01),
+])
+def test_bad_numerics_rejected_at_load(key, value):
+    cfg = load_config("certified-decay")
+    cfg["numerics"][key] = value
+    with pytest.raises(ConfigError, match=key):
+        Scenario.from_dict(cfg)
+
+
+def test_numerics_bounds_inclusive():
+    cfg = load_config("certified-decay")
+    cfg["numerics"].update(cfl_safety=1.0, dt_s=1e-3)
+    sc = Scenario.from_dict(cfg)
+    assert (sc.cfl_safety, sc.dt) == (1.0, 1e-3)

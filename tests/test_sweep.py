@@ -3,7 +3,8 @@
 import pytest
 
 from piezobeam import SweepSpec, execute, expand
-from piezobeam.errors import SweepSpecError
+from piezobeam import sweep
+from piezobeam.errors import ConfigError, HistoryUnderrunError, SweepSpecError
 from piezobeam.scenario import load_config
 
 
@@ -42,6 +43,14 @@ def test_empty_axes_rejected():
 def test_empty_axis_values_rejected():
     with pytest.raises(SweepSpecError):
         SweepSpec(_base(), axes=(("weights.beta0", ()),))
+
+
+@pytest.mark.parametrize("path", ["numerics.n", "numerics.horizon_s"])
+def test_spec_owned_axes_rejected(path):
+    # expand() sets these from spec.n / spec.horizon, so an axis would be
+    # silently overwritten and report points that never ran
+    with pytest.raises(SweepSpecError, match=path):
+        SweepSpec(_base(), axes=((path, (2, 31)),))
 
 
 def test_bad_path_names_path():
@@ -117,3 +126,18 @@ class TestExecute:
         for rec, (_, cfg) in zip(small_records, expand(small_spec)):
             cert = Scenario.from_dict(cfg).build_certificate()
             assert cert.valid == rec.valid
+
+
+@pytest.mark.parametrize("error", [HistoryUnderrunError, ConfigError])
+def test_run_failure_recorded_as_error_row(monkeypatch, error):
+    def failing_run(scenario, collect_fields=True):
+        raise error(f"failed at beta0={scenario.weights.beta0}")
+
+    monkeypatch.setattr(sweep, "run", failing_run)
+    spec = SweepSpec(_base(), axes=(("weights.beta0", (0.3, 0.5)),), n=31,
+                     horizon=1.0)
+    records = execute(spec)
+    assert [r.status for r in records] == ["error", "error"]
+    assert [r.violated for r in records] == [["failed at beta0=0.3"],
+                                             ["failed at beta0=0.5"]]
+    assert all(r.valid for r in records)
