@@ -21,7 +21,7 @@ print(f"integrating: n={scenario.n}, horizon={scenario.horizon}, "
       f"{scenario.integrator} stepper")
 traj = run(scenario, collect_fields=False)
 e = traj.energies
-print(f"  dt={traj.dt:.5f}, {len(traj.records)} records")
+print(f"  dt={traj.dt:.5f}, {len(traj)} records")
 print(f"  E(0)={e[0]:.6f} -> E(T)={e[-1]:.3e}  (ratio {e[-1] / e[0]:.3e})")
 print()
 

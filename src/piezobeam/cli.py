@@ -9,6 +9,7 @@ reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -16,9 +17,8 @@ import sys
 
 from . import diagnostics
 from .errors import ConfigError, DivergenceError, PiezobeamError
-from .params import validate_assumptions
 from .scenario import Scenario, load_config
-from .solver import run
+from .solver import COLUMNS, run
 from .sweep import SweepSpec, execute
 
 EXIT_OK = 0
@@ -26,11 +26,6 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFICATION = 3
 EXIT_DIVERGED = 4
-
-TRAJECTORY_COLUMNS = (
-    "t", "E", "kinetic_v", "kinetic_p", "elastic", "coupling", "delay_term",
-    "K1", "K2", "K3", "L", "int_vt2", "int_vt2_delayed",
-)
 
 
 def _fmt(x):
@@ -56,10 +51,8 @@ def _print_certificate(cert):
 def cmd_check(args):
     scenario = Scenario.from_dict(load_config(args.config))
     report = scenario.build_certificate()
-    rep = validate_assumptions(
-        scenario.delay, scenario.weights, horizon=max(scenario.horizon, 1.0))
     print("assumption checks:")
-    for c in rep.checks:
+    for c in report.assumptions.checks:
         status = "pass" if c.passed else "FAIL"
         print(f"  {c.name}: margin={_fmt(c.margin)} at t={_fmt(c.worst_t)} "
               f"[{status}]")
@@ -67,19 +60,10 @@ def cmd_check(args):
     return EXIT_OK if report.valid else EXIT_INFEASIBLE
 
 
-def _trajectory_rows(traj):
-    for r in traj.records:
-        e = r.energy
-        yield tuple(_fmt(v) for v in (
-            r.t, e.total, e.kinetic_v, e.kinetic_p, e.elastic, e.coupling,
-            e.delay_term, r.k1, r.k2, r.k3, r.lyap, e.int_vt2,
-            e.int_vt2_delayed))
-
-
 def _write_outputs(traj, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), TRAJECTORY_COLUMNS,
-               _trajectory_rows(traj))
+    rows = (map(_fmt, row) for row in traj.data[:, :-1].tolist())
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), COLUMNS[:-1], rows)
     for snap in traj.fields:
         rows = (tuple(_fmt(v) for v in (snap.x[i], snap.v[i], snap.vt[i],
                                         snap.p[i], snap.pt[i]))
@@ -129,7 +113,7 @@ def cmd_simulate(args):
     if fit is not None:
         print(f"fitted decay: H2={_fmt(fit['H2'])} r2={_fmt(fit['r_squared'])}")
     print(f"wrote {args.out}/trajectory.csv "
-          f"({len(traj.records)} records, {len(traj.fields)} field snapshots)")
+          f"({len(traj)} records, {len(traj.fields)} field snapshots)")
     return EXIT_OK
 
 
@@ -137,8 +121,7 @@ def cmd_sweep(args):
     cfg = load_config(args.config)
     spec = SweepSpec.from_dict(cfg)
     if args.threads:
-        spec = SweepSpec(spec.base, spec.axes, spec.n, spec.horizon,
-                         workers=args.threads)
+        spec = dataclasses.replace(spec, workers=args.threads)
     records = execute(spec)
     header = tuple(path for path, _ in spec.axes) + (
         "valid", "status", "H2", "r_squared", "energy_ratio", "violated")

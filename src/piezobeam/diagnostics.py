@@ -100,6 +100,10 @@ class Multipliers:
     n3: float
     c_prime: float
 
+    def combine(self, e, k1, k2, k3):
+        """L = N*E + N1*K1 + N2*K2 + N3*K3, on floats or arrays."""
+        return self.n * e + self.n1 * k1 + self.n2 * k2 + self.n3 * k3
+
     def as_dict(self):
         return {"N": self.n, "N1": self.n1, "N2": self.n2, "N3": self.n3,
                 "c_prime": self.c_prime}
@@ -224,49 +228,37 @@ def energy_dissipation_check(trajectory, certificate, c_tol=10.0):
     right-hand side averaged over the pair and a resolution-scaled tolerance
     c_tol * (dt^2 + dx^2) * max(E(0), 1).
     """
-    recs = trajectory.records
-    if len(recs) < 2:
+    if len(trajectory) < 2:
         return DissipationReport(0, 0, -math.inf, math.nan, 0.0)
     cmin = certificate.c if math.isfinite(certificate.c) else 0.0
     cmin = max(cmin, 0.0)
-    scale = max(recs[0].energy.total, 1.0)
+    t, e = trajectory.times, trajectory.energies
+    scale = max(float(e[0]), 1.0)
     tol = c_tol * (trajectory.dt**2 + trajectory.dx**2) * scale
 
-    n_violations = 0
-    worst_margin = -math.inf
-    worst_t = math.nan
-    for a, b in zip(recs[:-1], recs[1:]):
-        dt_pair = b.t - a.t
-        lhs = (b.energy.total - a.energy.total) / dt_pair
-        damping = 0.5 * ((a.energy.int_vt2 + a.energy.int_vt2_delayed)
-                         + (b.energy.int_vt2 + b.energy.int_vt2_delayed))
-        kernel = 0.5 * (a.energy.delay_kernel_integral
-                        + b.energy.delay_kernel_integral)
-        rhs = -cmin * damping - cmin * kernel
-        margin = lhs - rhs - tol
-        if margin > 0:
-            n_violations += 1
-        if margin > worst_margin:
-            worst_margin = margin
-            worst_t = b.t
-    return DissipationReport(len(recs) - 1, n_violations, worst_margin,
-                             worst_t, tol)
+    lhs = (e[1:] - e[:-1]) / (t[1:] - t[:-1])
+    vt2 = trajectory.column("int_vt2") + trajectory.column("int_vt2_delayed")
+    damping = 0.5 * (vt2[:-1] + vt2[1:])
+    kern = trajectory.column("kernel")
+    kernel = 0.5 * (kern[:-1] + kern[1:])
+    rhs = -cmin * damping - cmin * kernel
+    margin = lhs - rhs - tol
+    worst = int(np.argmax(margin))
+    return DissipationReport(len(margin), int(np.count_nonzero(margin > 0)),
+                             float(margin[worst]), float(t[worst + 1]), tol)
 
 
 def lyapunov_equivalence(trajectory, multipliers):
     """Empirical equivalence ratios (b1, b2) of the combined functional vs E."""
-    ratios = []
-    for r in trajectory.records:
-        e = r.energy.total
-        if e > 0:
-            lyap = (multipliers.n * e + multipliers.n1 * r.k1
-                    + multipliers.n2 * r.k2 + multipliers.n3 * r.k3)
-            ratios.append(lyap / e)
-    if not ratios:
+    e = trajectory.energies
+    pos = e > 0
+    if not pos.any():
         raise UndefinedRatioError(
             "trajectory has no positive-energy samples; equivalence ratios "
             "are undefined")
-    return min(ratios), max(ratios)
+    k1, k2, k3 = (trajectory.column(k)[pos] for k in ("K1", "K2", "K3"))
+    ratios = multipliers.combine(e[pos], k1, k2, k3) / e[pos]
+    return float(ratios.min()), float(ratios.max())
 
 
 @dataclass(frozen=True)
@@ -289,19 +281,19 @@ def fit_decay_rate(trajectory, window_fraction=0.5):
     Only samples with E > 0 enter the fit; H2 is minus the slope (negative
     H2 means growth).
     """
-    recs = trajectory.records
-    if not recs:
+    if not len(trajectory):
         raise InsufficientDataError("empty trajectory")
-    e0 = recs[0].energy.total
-    t_end = recs[-1].t
-    t_lo = t_end - window_fraction * (t_end - recs[0].t)
-    pts = [(r.t, r.energy.total) for r in recs
-           if r.t >= t_lo and r.energy.total > 0]
-    if len(pts) < 10:
+    t, e = trajectory.times, trajectory.energies
+    e0 = float(e[0])
+    t_end = float(t[-1])
+    t_lo = t_end - window_fraction * (t_end - float(t[0]))
+    keep = (t >= t_lo) & (e > 0)
+    n_keep = int(np.count_nonzero(keep))
+    if n_keep < 10:
         raise InsufficientDataError(
-            f"need >= 10 positive-energy samples in the window, got {len(pts)}")
-    ts = np.array([p[0] for p in pts])
-    log_e = np.log([p[1] for p in pts])
+            f"need >= 10 positive-energy samples in the window, got {n_keep}")
+    ts = t[keep]
+    log_e = np.log(e[keep])
     slope, intercept = np.polyfit(ts, log_e, 1)
     resid = log_e - (slope * ts + intercept)
     ss_res = float(np.sum(resid**2))

@@ -148,7 +148,11 @@ class DelayProfile:
         return np.interp(t, tt, dvals)
 
     def critical_times(self, horizon):
-        """Analytic extrema of tau and tau' inside [0, horizon] (sinusoid only)."""
+        """Extrema of tau and tau' inside [0, horizon]: a table's vertices or
+        a sinusoid's analytic peaks."""
+        if self.kind == "table":
+            tt = np.asarray(self.table_t)
+            return tt[(tt >= 0.0) & (tt <= horizon)]
         if self.kind != "sinusoid" or self.omega == 0.0:
             return np.array([])
         # tau extrema at omega*t = pi/2 + k*pi; tau' extrema at omega*t = k*pi
@@ -408,7 +412,10 @@ def dissipation_constants(delta0, beta0, d, xi_bar, lam, tau_bar):
 
 @dataclass(frozen=True)
 class StabilityCertificate:
-    """Decay certificate: delay-energy weight, kernel rate, and dissipation constants."""
+    """Decay certificate: delay-energy weight, kernel rate, and dissipation constants.
+
+    assumptions is the sampled AssumptionReport the certificate was built on.
+    """
 
     xi_bar: float
     lam: float
@@ -417,6 +424,8 @@ class StabilityCertificate:
     c3: float
     valid: bool
     diagnostics: tuple = ()
+    assumptions: AssumptionReport | None = field(default=None, compare=False,
+                                                 repr=False)
 
     @property
     def c(self):
@@ -457,7 +466,7 @@ def build_certificate(delay, weights, horizon=40.0, samples=DEFAULT_SAMPLES,
         diagnostics.append(str(exc))
         return StabilityCertificate(
             math.nan, math.nan, math.nan, math.nan, math.nan,
-            valid=False, diagnostics=tuple(diagnostics),
+            valid=False, diagnostics=tuple(diagnostics), assumptions=report,
         )
 
     cons = dissipation_constants(weights.delta0, beta0, d, xi, rate, delay.tau_bar)
@@ -468,5 +477,5 @@ def build_certificate(delay, weights, horizon=40.0, samples=DEFAULT_SAMPLES,
     valid = report.passed and cons.all_positive
     return StabilityCertificate(
         xi, rate, cons.c1, cons.c2, cons.c3,
-        valid=valid, diagnostics=tuple(diagnostics),
+        valid=valid, diagnostics=tuple(diagnostics), assumptions=report,
     )

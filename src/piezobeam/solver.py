@@ -499,14 +499,11 @@ def step_implicit(state, history, operator, weights, delay, dt):
 STEPPERS = {"explicit": step_explicit, "implicit": step_implicit}
 
 
-@dataclass
-class TrajectoryRecord:
-    t: float
-    energy: "object"  # diagnostics.EnergyReport
-    k1: float
-    k2: float
-    k3: float
-    lyap: float
+# trajectory.csv columns, then the delay-kernel integral
+COLUMNS = (
+    "t", "E", "kinetic_v", "kinetic_p", "elastic", "coupling", "delay_term",
+    "K1", "K2", "K3", "L", "int_vt2", "int_vt2_delayed", "kernel",
+)
 
 
 @dataclass
@@ -522,22 +519,30 @@ class FieldSnapshot:
 
 @dataclass
 class Trajectory:
+    """Recorded diagnostics: one row of data per record, columns as COLUMNS."""
+
     scenario: "object"
     certificate: "object"
     multipliers: "object"
     dt: float
     dx: float
-    records: list = field(default_factory=list)
+    data: np.ndarray
     fields: list = field(default_factory=list)
     status: str = "ok"
 
+    def __len__(self):
+        return len(self.data)
+
+    def column(self, name):
+        return self.data[:, COLUMNS.index(name)]
+
     @property
     def times(self):
-        return np.array([r.t for r in self.records])
+        return self.column("t")
 
     @property
     def energies(self):
-        return np.array([r.energy.total for r in self.records])
+        return self.column("E")
 
 
 def run(scenario, collect_fields=True):
@@ -570,45 +575,51 @@ def run(scenario, collect_fields=True):
         multipliers = diagnostics.select_multipliers(
             scenario.beam, scenario.weights, certificate)
 
-    traj = Trajectory(scenario, certificate, multipliers, dt, grid.dx)
+    stride = scenario.output_stride
+    n_rows = n_steps // stride + 1 + (n_steps % stride > 0)
+    traj = Trajectory(scenario, certificate, multipliers, dt, grid.dx,
+                      np.empty((n_rows, len(COLUMNS))))
+    filled = 0
 
-    def record(step_index, st, final=False):
+    def record(k, st):
+        nonlocal filled
         rep = diagnostics.energy(st, history, scenario.beam, certificate,
                                  scenario.delay, weights=scenario.weights)
         k1 = diagnostics.lyapunov_k1(st, scenario.beam)
         k2 = diagnostics.lyapunov_k2(st, scenario.beam)
         k3 = diagnostics.lyapunov_k3(st, scenario.beam)
-        lyap = math.nan
-        if multipliers is not None:
-            m = multipliers
-            lyap = m.n * rep.total + m.n1 * k1 + m.n2 * k2 + m.n3 * k3
-        traj.records.append(TrajectoryRecord(st.t, rep, k1, k2, k3, lyap))
-        if collect_fields and (step_index % scenario.field_stride == 0 or final):
+        lyap = (math.nan if multipliers is None
+                else multipliers.combine(rep.total, k1, k2, k3))
+        traj.data[filled] = (
+            st.t, rep.total, rep.kinetic_v, rep.kinetic_p, rep.elastic,
+            rep.coupling, rep.delay_term, k1, k2, k3, lyap, rep.int_vt2,
+            rep.int_vt2_delayed, rep.delay_kernel_integral)
+        filled += 1
+        if collect_fields and (k % scenario.field_stride == 0 or k == n_steps):
             traj.fields.append(FieldSnapshot(
                 len(traj.fields), st.t, x.copy(), st.v.copy(), st.vt.copy(),
                 st.p.copy(), st.pt.copy()))
+        return rep.total
+
+    def diverged(message, k):
+        traj.status = "diverged"
+        traj.data = traj.data[:filled]
+        err = DivergenceError(message, step=k)
+        err.trajectory = traj
+        return err
 
     stepper = STEPPERS[scenario.integrator]
-    record(0, state)
-    e_prev = traj.records[0].energy.total
+    e_prev = record(0, state)
     for k in range(1, n_steps + 1):
         try:
             state = stepper(state, history, operator, scenario.weights,
                             scenario.delay, dt)
         except DivergenceError as exc:
-            traj.status = "diverged"
-            err = DivergenceError(f"{exc} (step {k})", step=k)
-            err.trajectory = traj
-            raise err from exc
-        if k % scenario.output_stride == 0 or k == n_steps:
-            record(k, state, final=(k == n_steps))
-            e_now = traj.records[-1].energy.total
+            raise diverged(f"{exc} (step {k})", k) from exc
+        if k % stride == 0 or k == n_steps:
+            e_now = record(k, state)
             if e_prev > 1e-300 and e_now > 10.0 * e_prev:
-                traj.status = "diverged"
-                err = DivergenceError(
-                    f"energy grew {e_now / e_prev:.2f}x between records "
-                    f"(step {k})", step=k)
-                err.trajectory = traj
-                raise err
+                raise diverged(f"energy grew {e_now / e_prev:.2f}x between "
+                               f"records (step {k})", k)
             e_prev = e_now
     return traj

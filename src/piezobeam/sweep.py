@@ -118,9 +118,8 @@ def _run_one(item):
     except PiezobeamError as exc:
         return SweepRecord(combo, True, [str(exc)], status="error")
     rec = SweepRecord(combo, True)
-    e0 = traj.records[0].energy.total
-    e_end = traj.records[-1].energy.total
-    rec.energy_ratio = e_end / e0 if e0 > 0 else math.nan
+    e = traj.energies
+    rec.energy_ratio = float(e[-1] / e[0]) if e[0] > 0 else math.nan
     try:
         fit = fit_decay_rate(traj)
         rec.h2 = fit.h2

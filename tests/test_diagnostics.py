@@ -25,7 +25,6 @@ from piezobeam import (
     select_multipliers,
 )
 from piezobeam.diagnostics import (
-    EnergyReport,
     Multipliers,
     default_poincare_constant,
     multiplier_inequalities,
@@ -35,7 +34,7 @@ from piezobeam.errors import (
     MultiplierSearchError,
     UndefinedRatioError,
 )
-from piezobeam.solver import Trajectory, TrajectoryRecord
+from piezobeam.solver import COLUMNS, Trajectory
 
 BEAM = BeamParams(rho=1.0, alpha=2.0, gamma=1.0, mu=1.0, beta=1.0, length=1.0)
 NO_DELAY = DelayProfile(kind="constant", mean=0.5, tau0=0.4, tau_bar=0.6)
@@ -203,12 +202,12 @@ class TestSelectMultipliers:
 
 
 def _fake_trajectory(ts, energies, k1=0.0, k2=0.0, k3=0.0):
-    recs = []
-    for t, e in zip(ts, energies):
-        rep = EnergyReport(t, e, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        recs.append(TrajectoryRecord(t, rep, k1, k2, k3, math.nan))
+    data = np.zeros((len(ts), len(COLUMNS)))
+    for name, col in (("t", ts), ("E", energies), ("K1", k1), ("K2", k2),
+                      ("K3", k3), ("L", math.nan)):
+        data[:, COLUMNS.index(name)] = col
     return Trajectory(None, None, None, dt=ts[1] - ts[0] if len(ts) > 1 else 1.0,
-                      dx=0.01, records=recs)
+                      dx=0.01, data=data)
 
 
 class TestDecayFit:
@@ -273,5 +272,5 @@ class TestDissipationCheck:
         sc = undamped_scenario.with_overrides(horizon=2.0)
         traj = run(sc, collect_fields=False)
         rep = energy_dissipation_check(traj, traj.certificate)
-        assert rep.n_pairs == len(traj.records) - 1
+        assert rep.n_pairs == len(traj) - 1
         assert rep.n_violations == 0

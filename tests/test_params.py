@@ -235,3 +235,17 @@ def test_weight_profiles_cosine_derivative():
         assert abs(fd1 - w.delta1_prime(t)) < 1e-7
         fd2 = (w.delta2(t + h) - w.delta2(t - h)) / (2 * h)
         assert abs(fd2 - w.delta2_prime(t)) < 1e-7
+
+
+def test_table_delay_vertex_sampled():
+    # the vertex t=20 falls between the 4096 uniform samples on [0, 40], and
+    # tau exceeds tau_bar only there
+    delay = DelayProfile.from_table([0.0, 20.0, 40.0], [0.5, 0.6 + 1e-7, 0.5],
+                                    tau0=0.4, tau_bar=0.6, d=0.19)
+    cert = build_certificate(delay, WeightProfiles())
+    assert not cert.valid
+    assert "delay_upper_bound" in cert.diagnostics
+    upper = cert.assumptions["delay_upper_bound"]
+    assert upper.worst_t == 20.0
+    assert upper.margin == pytest.approx(-1e-7, rel=1e-6)
+    assert cert.assumptions == validate_assumptions(delay, WeightProfiles())

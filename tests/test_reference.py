@@ -1,15 +1,19 @@
-"""Equivalence of the dot-product quadratures and contiguous history buffer
-with reference implementations.
+"""Equivalence of the dot-product quadratures, contiguous history buffer and
+column-wise certificate checks with reference implementations.
 
 The reference functions below are the plain ``np.trapezoid`` / ``np.diff``
-formulas for the energy parts and K1-K3, and a deque-of-arrays history
-buffer with the same eviction, bracketing and delay-kernel rules.  The
-package computes the same quantities as dot products with one trapezoid
-weight vector and keeps its history in preallocated contiguous storage.
-Interpolation arithmetic is unchanged, so samples agree bitwise; sums run in
-a different order, so integrals agree to a float64 roundoff tolerance.
+formulas for the energy parts and K1-K3, a deque-of-arrays history buffer
+with the same eviction, bracketing and delay-kernel rules, and per-record
+loops for the dissipation check, the equivalence ratios and the decay fit.
+The package computes the same quantities as dot products with one trapezoid
+weight vector, keeps its history in preallocated contiguous storage and
+runs the checks as array expressions over the trajectory's columns.
+Interpolation and check arithmetic is unchanged, so samples and check
+results agree bitwise; quadrature sums run in a different order, so
+integrals agree to a float64 roundoff tolerance.
 """
 
+import dataclasses
 import math
 from collections import deque
 
@@ -21,12 +25,17 @@ from piezobeam import (
     HistoryBuffer,
     SimState,
     build_operator,
+    energy_dissipation_check,
+    fit_decay_rate,
     init_history,
+    load_scenario,
+    lyapunov_equivalence,
     run,
     step_explicit,
     step_implicit,
 )
 from piezobeam import solver
+from piezobeam.diagnostics import DecayFit, DissipationReport, Multipliers
 from piezobeam.errors import ConfigError, HistoryUnderrunError
 from piezobeam.scenario import initial_fields
 
@@ -134,17 +143,18 @@ def test_run_matches_reference(certified_scenario):
 
     e_ref = []
     k_err = []
-    for k, rec in enumerate(traj.records):
+    ks = np.column_stack([traj.column(name) for name in ("K1", "K2", "K3")])
+    for k, (t, k_got) in enumerate(zip(traj.times, ks)):
         if k:
             state = step_explicit(state, history, op, sc.weights, sc.delay,
                                   traj.dt)
             ref.push(state.t, state.vt)
             ref.evict(state.t)
-        assert rec.t == state.t
+        assert t == state.t
         e_ref.append(ref_energy_total(state, ref, sc.beam, cert, sc.delay,
                                       sc.weights, grid.dx))
         k_err.append(max(abs(got - want) for got, want in zip(
-            (rec.k1, rec.k2, rec.k3), ref_lyapunov(state, sc.beam, grid.dx))))
+            k_got, ref_lyapunov(state, sc.beam, grid.dx))))
     assert len(e_ref) == int(round(2.0 / traj.dt)) + 1
 
     e_ref = np.array(e_ref)
@@ -231,3 +241,121 @@ def test_guard_energy_carried_forward(certified_scenario, monkeypatch,
         assert calls[-1] is state
         assert state.core_energy(sc.beam) == fresh(state, sc.beam)
         assert len(calls) == k + 1
+
+
+def ref_records(traj):
+    """One dict per record, keyed by column name."""
+    return [dict(zip(solver.COLUMNS, row)) for row in traj.data.tolist()]
+
+
+def ref_energy_dissipation_check(traj, certificate, c_tol=10.0):
+    recs = ref_records(traj)
+    if len(recs) < 2:
+        return DissipationReport(0, 0, -math.inf, math.nan, 0.0)
+    cmin = certificate.c if math.isfinite(certificate.c) else 0.0
+    cmin = max(cmin, 0.0)
+    scale = max(recs[0]["E"], 1.0)
+    tol = c_tol * (traj.dt**2 + traj.dx**2) * scale
+
+    n_violations = 0
+    worst_margin = -math.inf
+    worst_t = math.nan
+    for a, b in zip(recs[:-1], recs[1:]):
+        dt_pair = b["t"] - a["t"]
+        lhs = (b["E"] - a["E"]) / dt_pair
+        damping = 0.5 * ((a["int_vt2"] + a["int_vt2_delayed"])
+                         + (b["int_vt2"] + b["int_vt2_delayed"]))
+        kernel = 0.5 * (a["kernel"] + b["kernel"])
+        rhs = -cmin * damping - cmin * kernel
+        margin = lhs - rhs - tol
+        if margin > 0:
+            n_violations += 1
+        if margin > worst_margin:
+            worst_margin = margin
+            worst_t = b["t"]
+    return DissipationReport(len(recs) - 1, n_violations, worst_margin,
+                             worst_t, tol)
+
+
+def ref_lyapunov_equivalence(traj, multipliers):
+    ratios = []
+    for r in ref_records(traj):
+        e = r["E"]
+        if e > 0:
+            lyap = (multipliers.n * e + multipliers.n1 * r["K1"]
+                    + multipliers.n2 * r["K2"] + multipliers.n3 * r["K3"])
+            ratios.append(lyap / e)
+    return min(ratios), max(ratios)
+
+
+def ref_fit_decay_rate(traj, window_fraction=0.5):
+    recs = ref_records(traj)
+    e0 = recs[0]["E"]
+    t_end = recs[-1]["t"]
+    t_lo = t_end - window_fraction * (t_end - recs[0]["t"])
+    pts = [(r["t"], r["E"]) for r in recs if r["t"] >= t_lo and r["E"] > 0]
+    ts = np.array([p[0] for p in pts])
+    log_e = np.log([p[1] for p in pts])
+    slope, intercept = np.polyfit(ts, log_e, 1)
+    resid = log_e - (slope * ts + intercept)
+    ss_res = float(np.sum(resid**2))
+    ss_tot = float(np.sum((log_e - log_e.mean())**2))
+    r2 = 1.0 if ss_tot < 1e-300 else 1.0 - ss_res / ss_tot
+    h1 = math.exp(intercept) / e0 if e0 > 0 else math.nan
+    return DecayFit(h1, -float(slope), r2, (float(t_lo), float(t_end)))
+
+
+@pytest.fixture(scope="module", params=["certified-decay", "undamped"])
+def short_run(request):
+    sc = load_scenario(request.param).with_overrides(n=101, horizon=2.0)
+    return run(sc, collect_fields=False)
+
+
+def windows(traj, width, step=1):
+    """The run plus its sub-runs of width consecutive records, so that a
+    check's extreme value is taken at every record in turn."""
+    yield traj
+    for i in range(0, len(traj) - width + 1, step):
+        yield dataclasses.replace(traj, data=traj.data[i:i + width])
+
+
+# repr is exact for floats and tells a numpy scalar from a float, so equal
+# reprs mean bitwise-equal results of the same types
+
+
+@pytest.mark.parametrize("c_tol", [10.0, 0.0])
+def test_dissipation_check_matches_reference(short_run, c_tol):
+    cert = short_run.certificate
+    for traj in windows(short_run, 3):
+        got = energy_dissipation_check(traj, cert, c_tol)
+        assert repr(got) == repr(ref_energy_dissipation_check(traj, cert,
+                                                              c_tol))
+
+
+def test_dissipation_check_tie_reports_first_pair(certified_scenario):
+    # equal margins on every pair: the first pair is the worst one
+    data = np.zeros((5, len(solver.COLUMNS)))
+    data[:, 0] = 0.1 * np.arange(5)
+    traj = solver.Trajectory(None, None, None, dt=0.1, dx=0.01, data=data)
+    cert = certified_scenario.build_certificate()
+    got = energy_dissipation_check(traj, cert)
+    assert repr(got) == repr(ref_energy_dissipation_check(traj, cert))
+    assert got.worst_t == 0.1
+
+
+def test_equivalence_matches_reference(short_run):
+    mult = short_run.multipliers or Multipliers(8.0, 2.0, 1.0, 4.0, 0.4)
+    for traj in windows(short_run, 1):
+        got = lyapunov_equivalence(traj, mult)
+        assert repr(got) == repr(ref_lyapunov_equivalence(traj, mult))
+    if short_run.multipliers is not None:
+        lyap = [mult.n * r["E"] + mult.n1 * r["K1"] + mult.n2 * r["K2"]
+                + mult.n3 * r["K3"] for r in ref_records(short_run)]
+        assert short_run.column("L").tobytes() == np.array(lyap).tobytes()
+
+
+@pytest.mark.parametrize("window_fraction", [0.5, 0.9])
+def test_decay_fit_matches_reference(short_run, window_fraction):
+    for traj in windows(short_run, 60, step=29):
+        got = fit_decay_rate(traj, window_fraction)
+        assert repr(got) == repr(ref_fit_decay_rate(traj, window_fraction))

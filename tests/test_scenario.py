@@ -4,10 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from piezobeam import Scenario, load_scenario
+from piezobeam import (
+    BeamParams,
+    DelayProfile,
+    Scenario,
+    WeightProfiles,
+    load_scenario,
+)
 from piezobeam.errors import ConfigError
-from piezobeam.scenario import SCENARIO_PRESETS, initial_fields, load_config
+from piezobeam.scenario import (
+    INITIAL_PRESETS,
+    SCENARIO_PRESETS,
+    initial_fields,
+    load_config,
+)
+
+POS = st.floats(0.01, 100.0)
+REAL = st.floats(-100.0, 100.0)
 
 
 @pytest.mark.parametrize("name", SCENARIO_PRESETS)
@@ -26,6 +42,56 @@ def test_round_trip_table_delay():
     }
     sc = Scenario.from_dict(cfg)
     assert Scenario.from_dict(sc.to_dict()) == sc
+
+
+@st.composite
+def beams(draw):
+    gamma, beta = draw(st.floats(0.0, 3.0)), draw(POS)
+    # alpha1 = alpha - gamma^2 beta stays positive
+    return BeamParams(rho=draw(POS), alpha=gamma**2 * beta + draw(POS),
+                      gamma=gamma, mu=draw(POS), beta=beta, length=draw(POS))
+
+
+@st.composite
+def delays(draw):
+    bounds = dict(tau0=draw(POS), tau_bar=draw(POS), d=draw(REAL))
+    kind = draw(st.sampled_from(["constant", "sinusoid", "table"]))
+    if kind == "constant":
+        return DelayProfile(kind="constant", mean=draw(POS), **bounds)
+    if kind == "sinusoid":
+        return DelayProfile(kind="sinusoid", mean=draw(POS),
+                            amplitude=draw(REAL), omega=draw(REAL), **bounds)
+    times = draw(st.lists(POS, min_size=2, max_size=6, unique=True))
+    values = draw(st.lists(POS, min_size=len(times), max_size=len(times)))
+    return DelayProfile.from_table(sorted(times), values, **bounds)
+
+
+@st.composite
+def weight_profiles(draw):
+    kw = dict(delta0=draw(POS), beta0=draw(POS), M1=draw(POS), M2=draw(POS),
+              d1_kind=draw(st.sampled_from(["constant", "exp_floor"])),
+              d1_floor=draw(POS),
+              d2_kind=draw(st.sampled_from(["zero", "constant", "cosine"])))
+    if kw["d1_kind"] == "exp_floor":
+        kw.update(d1_excess=draw(REAL), d1_rate=draw(POS))
+    if kw["d2_kind"] == "constant":
+        kw.update(d2_value=draw(REAL))
+    elif kw["d2_kind"] == "cosine":
+        kw.update(d2_ratio=draw(REAL), d2_omega=draw(REAL))
+    return WeightProfiles(**kw)
+
+
+@given(st.builds(
+    Scenario, beam=beams(), delay=delays(), weights=weight_profiles(),
+    initial_preset=st.sampled_from(INITIAL_PRESETS),
+    initial_amplitude=REAL, n=st.integers(3, 4001),
+    cfl_safety=st.floats(0.01, 1.0),
+    integrator=st.sampled_from(["explicit", "implicit"]),
+    horizon=st.floats(0.0, 100.0), output_stride=st.integers(1, 50),
+    field_stride=st.integers(1, 5000), dt=st.none() | POS,
+    xi_bar_override=st.none() | POS, lambda_override=st.none() | POS))
+def test_round_trip_generated(scenario):
+    assert Scenario.from_dict(scenario.to_dict()) == scenario
 
 
 def test_missing_file_raises(tmp_path):

@@ -296,8 +296,20 @@ class TestRun:
     def test_zero_horizon_single_record(self, certified_scenario):
         traj = run(certified_scenario.with_overrides(horizon=0.0),
                    collect_fields=False)
-        assert len(traj.records) == 1
-        assert traj.records[0].t == 0.0
+        assert len(traj) == 1
+        assert traj.times[0] == 0.0
+
+    def test_divergence_keeps_filled_rows(self, certified_scenario):
+        sc = certified_scenario.with_overrides(horizon=5.0, n=51, dt=0.1,
+                                               output_stride=2)
+        with pytest.raises(DivergenceError) as info:
+            run(sc, collect_fields=False)
+        traj = info.value.trajectory
+        # records at steps 0, 2, 4, 6 precede the guard trip at step 7
+        assert info.value.step == 7
+        assert traj.status == "diverged"
+        assert np.array_equal(traj.times, [0.0, 0.2, 0.4, 0.6])
+        assert np.all(np.isfinite(traj.energies))
 
     def test_deterministic(self, certified_scenario):
         sc = certified_scenario.with_overrides(horizon=2.0, n=101)
