@@ -201,7 +201,9 @@ def build_parser():
     p = sub.add_parser("sweep", help="run a parameter sweep and write a CSV table")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=0)
+    p.add_argument("--threads", type=int, default=0,
+                   help="number of worker processes (default: the sweep "
+                        "config's workers)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="summarize a simulate output directory")

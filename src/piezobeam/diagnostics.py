@@ -1,5 +1,6 @@
 """Energy and Lyapunov diagnostics along simulated trajectories.
 
+energy() is the one record function: it returns a whole trajectory row.
 Spatial integrals are dot products with the grid's trapezoid weight vector;
 derivatives use staggered midpoint differences (second order, and consistent
 with the discrete stiffness form, so the measured energy of the undamped
@@ -18,74 +19,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, MultiplierSearchError, UndefinedRatioError
-from .solver import trapezoid_weights
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Componentwise energy at one time; total is the sum of the five terms."""
+def energy(state, history, operator, delay, weights, certificate, multipliers):
+    """The trajectory row at the state's time, in solver.COLUMNS order.
 
-    t: float
-    kinetic_v: float
-    kinetic_p: float
-    elastic: float
-    coupling: float
-    delay_term: float
-    int_vt2: float
-    int_vt2_delayed: float
-    delay_kernel_integral: float
-
-    @property
-    def total(self):
-        return (self.kinetic_v + self.kinetic_p + self.elastic
-                + self.coupling + self.delay_term)
-
-
-def _weights_of(state, params):
-    n = len(state.v)
-    return trapezoid_weights(n, params.length / (n - 1))
-
-
-def energy(state, history, params, certificate, delay, weights=None):
-    """Delay-augmented energy of the current state.
-
-    The delay term weight is xi_bar * delta1(t); an invalid certificate
-    (non-finite xi_bar) contributes no delay energy.
+    E adds to the delay-free energy a delay term of weight xi_bar * delta1(t);
+    an invalid certificate (non-finite xi_bar) contributes no delay energy.
+    L = N*E + N1*K1 + N2*K2 + N3*K3 is NaN when multipliers is None.
     """
     xi_bar = certificate.xi_bar if math.isfinite(certificate.xi_bar) else 0.0
     lam = certificate.lam if math.isfinite(certificate.lam) else 0.0
-    d1 = float(weights.delta1(state.t)) if weights is not None else 1.0
-    xi_t = xi_bar * d1
+    t = state.t
+    xi_t = xi_bar * float(weights.delta1(t))
+    core = state.core_energy(operator)
 
-    core = state.core_energy(params)
-
-    tau_t = float(delay.tau(state.t))
-    int_vt2_delayed = history.square_integral_at(state.t - tau_t)
-    kernel = history.weighted_square_integral(state.t, tau_t, lam)
+    tau_t = float(delay.tau(t))
+    int_vt2_delayed = history.square_integral_at(t - tau_t)
+    kernel = history.weighted_square_integral(t, tau_t, lam)
     delay_term = 0.5 * xi_t * kernel
+    e = core.total + delay_term
 
-    return EnergyReport(state.t, core.kinetic_v, core.kinetic_p, core.elastic,
-                        core.coupling, delay_term, core.int_vt2,
-                        int_vt2_delayed, kernel)
+    params, w = operator.params, operator.grid.weights
+    k1 = lyapunov_k1(state, params, w)
+    k2 = lyapunov_k2(state, params, w)
+    k3 = lyapunov_k3(state, params, w)
+    lyap = (math.nan if multipliers is None
+            else multipliers.combine(e, k1, k2, k3))
+    return (t, e, *core[:4], delay_term, k1, k2, k3, lyap, core.int_vt2,
+            int_vt2_delayed, kernel)
 
 
-def lyapunov_k1(state, params):
-    """rho * int v_t v + gamma mu * int p_t v."""
-    wv = _weights_of(state, params) * state.v
+def lyapunov_k1(state, params, w):
+    """rho * int v_t v + gamma mu * int p_t v; w is the grid's weight vector."""
+    wv = w * state.v
     return float(params.rho * np.dot(state.vt, wv)
                  + params.gamma * params.mu * np.dot(state.pt, wv))
 
 
-def lyapunov_k2(state, params):
+def lyapunov_k2(state, params, w):
     """rho * int v_t (gamma v - p) + gamma mu * int p_t (gamma v - p)."""
-    wu = _weights_of(state, params) * (params.gamma * state.v - state.p)
+    wu = w * (params.gamma * state.v - state.p)
     return float(params.rho * np.dot(state.vt, wu)
                  + params.gamma * params.mu * np.dot(state.pt, wu))
 
 
-def lyapunov_k3(state, params):
+def lyapunov_k3(state, params, w):
     """rho * int v_t v + mu * int p_t p."""
-    w = _weights_of(state, params)
     return float(params.rho * np.dot(state.vt, w * state.v)
                  + params.mu * np.dot(state.pt, w * state.p))
 

@@ -63,8 +63,9 @@ class DelayProfile:
     Kinds:
       constant:  tau(t) = mean
       sinusoid:  tau(t) = mean + amplitude * sin(omega * t)
-      table:     linear interpolation of (table_t, table_tau); derivatives by
-                 second-order central differences on the table grid
+      table:     linear interpolation of (table_t, table_tau), table_t
+                 strictly increasing; tau' is the slope of the segment
+                 holding t (right-continuous, 0 outside the table), tau'' = 0
 
     Declared bounds (tau0, tau_bar, d) are what the certificate uses; they are
     checked against the sampled profile by validate_assumptions.
@@ -85,6 +86,8 @@ class DelayProfile:
             raise ValueError(f"unknown delay profile kind {self.kind!r}")
         if self.kind == "table" and len(self.table_t) < 2:
             raise ValueError("table delay profile needs at least 2 samples")
+        if self.kind == "table" and not np.all(np.diff(self.table_t) > 0):
+            raise ValueError("table delay times must be strictly increasing")
 
     @staticmethod
     def constant(value, tau0=None, tau_bar=None):
@@ -133,19 +136,17 @@ class DelayProfile:
             return np.zeros(t.shape) if t.ndim else 0.0
         if self.kind == "sinusoid":
             return self.amplitude * self.omega * np.cos(self.omega * t)
-        tt = np.asarray(self.table_t)
-        dvals = np.gradient(np.asarray(self.table_tau), tt)
-        return np.interp(t, tt, dvals)
+        # entry k is the slope right of vertex k-1: 0 before and after the table
+        slopes = np.concatenate(
+            ([0.0], np.diff(self.table_tau) / np.diff(self.table_t), [0.0]))
+        out = slopes[np.searchsorted(self.table_t, t, side="right")]
+        return out if t.ndim else float(out)
 
     def tau_second(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
+        if self.kind != "sinusoid":
             return np.zeros(t.shape) if t.ndim else 0.0
-        if self.kind == "sinusoid":
-            return -self.amplitude * self.omega**2 * np.sin(self.omega * t)
-        tt = np.asarray(self.table_t)
-        dvals = np.gradient(np.gradient(np.asarray(self.table_tau), tt), tt)
-        return np.interp(t, tt, dvals)
+        return -self.amplitude * self.omega**2 * np.sin(self.omega * t)
 
     def critical_times(self, horizon):
         """Extrema of tau and tau' inside [0, horizon]: a table's vertices or
@@ -389,10 +390,6 @@ class DissipationConstants:
     @property
     def all_positive(self):
         return all(self.flags)
-
-    @property
-    def minimum(self):
-        return min(self.c1, self.c2, self.c3)
 
 
 def dissipation_constants(delta0, beta0, d, xi_bar, lam, tau_bar):

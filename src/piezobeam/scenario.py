@@ -44,6 +44,11 @@ class Scenario:
             raise ConfigError(f"unknown initial preset {self.initial_preset!r}")
         if self.integrator not in ("explicit", "implicit"):
             raise ConfigError(f"unknown integrator {self.integrator!r}")
+        for name in ("n", "output_stride", "field_stride"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"numerics {name} must be an integer, "
+                                  f"got {value!r}")
         if self.n < 3:
             raise ConfigError(f"numerics n must be >= 3, got {self.n}")
         if not 0 < self.cfl_safety <= 1:

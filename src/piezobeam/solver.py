@@ -4,9 +4,11 @@ Spatial layout: uniform grid on [0, L], Dirichlet at x=0 for both fields,
 zero-slope (Neumann) closure at x=L.  The delayed velocity v_t(x, t - tau(t))
 is realized by a time-stamped history buffer (a preallocated ring of rows)
 with linear interpolation, not by discretizing the auxiliary transport
-variable on a second axis.  Spatial integrals are dot products with one
-trapezoid weight vector per grid; each state caches its delay-free energy
-parts, so the blow-up guard and the energy record share one evaluation.
+variable on a second axis.  The Grid owns the spacing and one read-only
+trapezoid weight vector, so every spatial integral is a dot product with it;
+each state caches its delay-free energy parts, so the blow-up guard and the
+record (diagnostics.energy, one call per trajectory row) share one
+evaluation.
 
 Two integrators: an explicit central-difference (velocity-Verlet style) scheme
 with semi-implicit treatment of the instantaneous damping, and a backward-Euler
@@ -16,14 +18,15 @@ delay.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
 
+from . import diagnostics
 from .errors import (
     ConfigError,
     DivergenceError,
@@ -31,6 +34,7 @@ from .errors import (
     HistoryUnderrunError,
     ProfileEvaluationError,
 )
+from .scenario import initial_fields
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,12 @@ class Grid:
     def x(self):
         return np.linspace(0.0, self.length, self.n)
 
+    @cached_property
+    def weights(self):
+        """Trapezoid weights, built once per grid."""
+        return trapezoid_weights(self.n, self.dx)
 
-@functools.lru_cache(maxsize=16)
+
 def trapezoid_weights(n, dx):
     """Read-only trapezoid weights on n nodes: ``w @ f`` integrates f."""
     w = np.full(n, float(dx))
@@ -90,10 +98,10 @@ class SimState:
     _core: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
 
-    def core_energy(self, params):
-        """Delay-free energy parts under params, computed once."""
-        if self._core is None or self._core[0] is not params:
-            self._core = (params, _core_energy(self, params))
+    def core_energy(self, operator):
+        """Delay-free energy parts on operator's grid, computed once."""
+        if self._core is None or self._core[0] is not operator:
+            self._core = (operator, _core_energy(self, operator))
         return self._core[1]
 
     def scale(self):
@@ -163,7 +171,7 @@ class HistoryBuffer:
         # evict keeps the stamps newer than span + dt/2 and one before them;
         # one more arrives between evictions
         self._cap = int((span + 0.5 * dt) / dt + 1e-6) + 3
-        self._ring = None
+        self._ring = self._w = None
         self._times = np.empty(2 * self._cap)
         self._sq = np.empty(2 * self._cap)
         self._lo = self._len = 0  # flat index of the oldest entry; count
@@ -173,7 +181,7 @@ class HistoryBuffer:
         return self._ring[(self._lo + i) % self._cap]
 
     def _square_integral(self, row):
-        return float(np.dot(row * trapezoid_weights(len(row), self.dx), row))
+        return float(np.dot(row * self._w, row))
 
     def push(self, t, vt, sq_integral=None):
         """Append the snapshot at t; sq_integral is its int v_t^2 if known."""
@@ -184,6 +192,7 @@ class HistoryBuffer:
                               "between evictions")
         if self._ring is None:
             self._ring = np.empty((self._cap, len(vt)))
+            self._w = trapezoid_weights(len(vt), self.dx)
         if self._lo + self._len == 2 * self._cap:
             self._times[:self._cap] = self._times[self._cap:]
             self._sq[:self._cap] = self._sq[self._cap:]
@@ -333,10 +342,9 @@ def wave_speed(params):
     return math.sqrt(float(np.max(np.real(np.linalg.eigvals(m)))))
 
 
-def _core_energy(state, params):
+def _core_energy(state, operator):
     """Delay-free quadratic form by parts; read through SimState.core_energy."""
-    dx = params.length / (len(state.v) - 1)
-    w = trapezoid_weights(len(state.v), dx)
+    params, dx, w = operator.params, operator.grid.dx, operator.grid.weights
     dv = state.v[1:] - state.v[:-1]
     dp = state.p[1:] - state.p[:-1]
     shear = params.gamma * dv - dp
@@ -372,7 +380,7 @@ def step_explicit(state, history, operator, weights, delay, dt):
     d1_mid = float(weights.delta1(t + 0.5 * dt))
     d2_now = float(weights.delta2(t))
 
-    e0 = state.core_energy(pr).total
+    e0 = state.core_energy(operator).total
 
     acc_v0, acc_p0 = operator.apply(state.v, state.p)
     total_v0 = acc_v0 - (d1_now * state.vt + d2_now * z) / pr.rho
@@ -394,7 +402,7 @@ def step_explicit(state, history, operator, weights, delay, dt):
     pt_new[0] = 0.0
 
     new = SimState(t + dt, v_new, vt_new, p_new, pt_new)
-    core = new.core_energy(pr)
+    core = new.core_energy(operator)
     _check_blowup(e0, core.total, "explicit step")
     history.push(new.t, vt_new, core.int_vt2)
     history.evict(new.t)
@@ -488,8 +496,8 @@ def step_implicit(state, history, operator, weights, delay, dt):
     pt_new[0] = 0.0
 
     new = SimState(t_new, v_new, vt_new, p_new, pt_new)
-    e0 = state.core_energy(pr).total
-    core = new.core_energy(pr)
+    e0 = state.core_energy(operator).total
+    core = new.core_energy(operator)
     _check_blowup(e0, core.total, "implicit step")
     history.push(t_new, vt_new, core.int_vt2)
     history.evict(t_new)
@@ -552,9 +560,6 @@ def run(scenario, collect_fields=True):
     integer number of steps hits the horizon exactly), no randomness.
     Divergence raises DivergenceError with the partial trajectory attached.
     """
-    from . import diagnostics
-    from .scenario import initial_fields
-
     grid = Grid(scenario.n, scenario.beam.length)
     operator = build_operator(scenario.beam, grid)
     certificate = scenario.build_certificate()
@@ -583,43 +588,27 @@ def run(scenario, collect_fields=True):
 
     def record(k, st):
         nonlocal filled
-        rep = diagnostics.energy(st, history, scenario.beam, certificate,
-                                 scenario.delay, weights=scenario.weights)
-        k1 = diagnostics.lyapunov_k1(st, scenario.beam)
-        k2 = diagnostics.lyapunov_k2(st, scenario.beam)
-        k3 = diagnostics.lyapunov_k3(st, scenario.beam)
-        lyap = (math.nan if multipliers is None
-                else multipliers.combine(rep.total, k1, k2, k3))
-        traj.data[filled] = (
-            st.t, rep.total, rep.kinetic_v, rep.kinetic_p, rep.elastic,
-            rep.coupling, rep.delay_term, k1, k2, k3, lyap, rep.int_vt2,
-            rep.int_vt2_delayed, rep.delay_kernel_integral)
+        traj.data[filled] = diagnostics.energy(
+            st, history, operator, scenario.delay, scenario.weights,
+            certificate, multipliers)
         filled += 1
         if collect_fields and (k % scenario.field_stride == 0 or k == n_steps):
             traj.fields.append(FieldSnapshot(
                 len(traj.fields), st.t, x.copy(), st.v.copy(), st.vt.copy(),
                 st.p.copy(), st.pt.copy()))
-        return rep.total
-
-    def diverged(message, k):
-        traj.status = "diverged"
-        traj.data = traj.data[:filled]
-        err = DivergenceError(message, step=k)
-        err.trajectory = traj
-        return err
 
     stepper = STEPPERS[scenario.integrator]
-    e_prev = record(0, state)
+    record(0, state)
     for k in range(1, n_steps + 1):
         try:
             state = stepper(state, history, operator, scenario.weights,
                             scenario.delay, dt)
         except DivergenceError as exc:
-            raise diverged(f"{exc} (step {k})", k) from exc
+            traj.status = "diverged"
+            traj.data = traj.data[:filled]
+            err = DivergenceError(f"{exc} (step {k})", step=k)
+            err.trajectory = traj
+            raise err from exc
         if k % stride == 0 or k == n_steps:
-            e_now = record(k, state)
-            if e_prev > 1e-300 and e_now > 10.0 * e_prev:
-                raise diverged(f"energy grew {e_now / e_prev:.2f}x between "
-                               f"records (step {k})", k)
-            e_prev = e_now
+            record(k, state)
     return traj

@@ -57,7 +57,9 @@ class TestCheck:
         assert "delay_weight_ratio" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key,value", [("cfl_safety", 1.5),
-                                           ("dt_s", 0.0)])
+                                           ("dt_s", 0.0), ("n", 50.5),
+                                           ("n", "101"),
+                                           ("output_stride", 2.5)])
     def test_bad_numerics_exit_1(self, tmp_path, capsys, key, value):
         cfg = load_config("certified-decay")
         cfg["numerics"][key] = value

@@ -14,6 +14,7 @@ from piezobeam import (
     SimState,
     StabilityCertificate,
     WeightProfiles,
+    build_operator,
     energy,
     energy_dissipation_check,
     fit_decay_rate,
@@ -51,14 +52,21 @@ def _zero_hist(grid, dt=0.01):
     return init_history(grid, NO_DELAY, lambda x, s: np.zeros_like(x), dt)
 
 
+def _row(state, hist, beam=BEAM):
+    """energy() of state with delta1 = 1, keyed by column name."""
+    op = build_operator(beam, Grid(len(state.v), beam.length))
+    return dict(zip(COLUMNS, energy(state, hist, op, NO_DELAY,
+                                    WeightProfiles(), NULL_CERT, None)))
+
+
 class TestEnergy:
     def test_zero_state(self):
         g = Grid(101, 1.0)
-        rep = energy(_state(g.x), _zero_hist(g), BEAM, NULL_CERT, NO_DELAY)
-        assert rep.total == 0.0
+        rep = _row(_state(g.x), _zero_hist(g))
+        assert rep["E"] == 0.0
         for name in ("kinetic_v", "kinetic_p", "elastic", "coupling",
                      "delay_term"):
-            assert getattr(rep, name) == 0.0
+            assert rep[name] == 0.0
 
     def test_unit_velocity_kinetic(self):
         # rho = 2, vt = 1 on a unit beam, no delay weight: E = (2/2) * 1 = 1
@@ -66,23 +74,22 @@ class TestEnergy:
                           length=1.0)
         g = Grid(101, 1.0)
         hist = init_history(g, NO_DELAY, lambda x, s: np.ones_like(x), 0.01)
-        rep = energy(_state(g.x, vt=np.ones(g.n)), hist, beam, NULL_CERT,
-                     NO_DELAY)
-        assert abs(rep.kinetic_v - 1.0) < 1e-14
-        assert abs(rep.total - 1.0) < 1e-14
+        rep = _row(_state(g.x, vt=np.ones(g.n)), hist, beam)
+        assert abs(rep["kinetic_v"] - 1.0) < 1e-14
+        assert abs(rep["E"] - 1.0) < 1e-14
 
     def test_fourier_mode_vs_reference_quadrature(self):
         # elastic and coupling of v = sin(pi x / 2L), p = 0 against a
         # 10^4-point reference quadrature
         g = Grid(2001, 1.0)
         v = np.sin(math.pi * g.x / 2.0)
-        rep = energy(_state(g.x, v=v), _zero_hist(g), BEAM, NULL_CERT, NO_DELAY)
+        rep = _row(_state(g.x, v=v), _zero_hist(g))
         xs = np.linspace(0.0, 1.0, 10001)
         vx = (math.pi / 2.0) * np.cos(math.pi * xs / 2.0)
         elastic_ref = 0.5 * BEAM.alpha1 * np.trapezoid(vx**2, xs)
         coupling_ref = 0.5 * BEAM.beta * np.trapezoid((BEAM.gamma * vx)**2, xs)
-        assert abs(rep.elastic - elastic_ref) / elastic_ref < 1e-6
-        assert abs(rep.coupling - coupling_ref) / coupling_ref < 1e-6
+        assert abs(rep["elastic"] - elastic_ref) / elastic_ref < 1e-6
+        assert abs(rep["coupling"] - coupling_ref) / coupling_ref < 1e-6
 
     def test_components_nonnegative_random_states(self):
         rng = np.random.default_rng(11)
@@ -90,22 +97,22 @@ class TestEnergy:
         hist = _zero_hist(g)
         for _ in range(20):
             st = SimState(0.0, *(rng.standard_normal(g.n) for _ in range(4)))
-            rep = energy(st, hist, BEAM, NULL_CERT, NO_DELAY)
+            rep = _row(st, hist)
             for name in ("kinetic_v", "kinetic_p", "elastic", "coupling",
                          "delay_term"):
-                assert getattr(rep, name) >= 0.0
-            total = (rep.kinetic_v + rep.kinetic_p + rep.elastic
-                     + rep.coupling + rep.delay_term)
-            assert rep.total == total
+                assert rep[name] >= 0.0
+            total = (rep["kinetic_v"] + rep["kinetic_p"] + rep["elastic"]
+                     + rep["coupling"] + rep["delay_term"])
+            assert rep["E"] == total
 
 
 class TestLyapunovFunctionals:
     def test_zero_state(self):
         g = Grid(101, 1.0)
         st = _state(g.x)
-        assert lyapunov_k1(st, BEAM) == 0.0
-        assert lyapunov_k2(st, BEAM) == 0.0
-        assert lyapunov_k3(st, BEAM) == 0.0
+        assert lyapunov_k1(st, BEAM, g.weights) == 0.0
+        assert lyapunov_k2(st, BEAM, g.weights) == 0.0
+        assert lyapunov_k3(st, BEAM, g.weights) == 0.0
 
     def test_k1_polynomial_oracle(self):
         # v = x/L, vt = x/L, pt = 0, rho = 2: K1 = 2 * int x^2 = 2/3
@@ -113,19 +120,20 @@ class TestLyapunovFunctionals:
                           length=1.0)
         g = Grid(2001, 1.0)
         st = _state(g.x, v=g.x, vt=g.x)
-        assert abs(lyapunov_k1(st, beam) - 2.0 / 3.0) < 1e-6
+        assert abs(lyapunov_k1(st, beam, g.weights) - 2.0 / 3.0) < 1e-6
 
     def test_k1_sign_flip(self):
         g = Grid(101, 1.0)
         st = _state(g.x, v=g.x, vt=g.x**2, pt=np.sin(g.x))
         flipped = _state(g.x, v=-g.x, vt=g.x**2, pt=np.sin(g.x))
-        assert abs(lyapunov_k1(st, BEAM) + lyapunov_k1(flipped, BEAM)) < 1e-14
+        assert abs(lyapunov_k1(st, BEAM, g.weights)
+                   + lyapunov_k1(flipped, BEAM, g.weights)) < 1e-14
 
     def test_k2_vanishes_when_p_proportional(self):
         g = Grid(101, 1.0)
         v = np.sin(g.x)
         st = _state(g.x, v=v, vt=g.x, p=BEAM.gamma * v, pt=g.x**2)
-        assert abs(lyapunov_k2(st, BEAM)) < 1e-14
+        assert abs(lyapunov_k2(st, BEAM, g.weights)) < 1e-14
 
     def test_k3_sum_of_squares(self):
         g = Grid(2001, 1.0)
@@ -134,7 +142,7 @@ class TestLyapunovFunctionals:
         st = _state(g.x, v=v, vt=v, p=p, pt=p)
         ref = (BEAM.rho * np.trapezoid(v**2, g.x)
                + BEAM.mu * np.trapezoid(p**2, g.x))
-        got = lyapunov_k3(st, BEAM)
+        got = lyapunov_k3(st, BEAM, g.weights)
         assert got >= 0.0
         assert abs(got - ref) / ref < 1e-12
 
@@ -149,7 +157,8 @@ class TestLyapunovFunctionals:
         k2_ref = (BEAM.rho * np.trapezoid(vtr * (BEAM.gamma * vr - pr), xs)
                   + BEAM.gamma * BEAM.mu
                   * np.trapezoid(ptr * (BEAM.gamma * vr - pr), xs))
-        assert abs(lyapunov_k2(st, BEAM) - k2_ref) / abs(k2_ref) < 1e-6
+        got = lyapunov_k2(st, BEAM, g.weights)
+        assert abs(got - k2_ref) / abs(k2_ref) < 1e-6
 
     @given(a=st.floats(-10.0, 10.0))
     @settings(max_examples=50, deadline=None)
@@ -159,8 +168,8 @@ class TestLyapunovFunctionals:
         st = _state(g.x, v=v, vt=g.x, p=g.x**2, pt=g.x**3)
         sc = _state(g.x, v=a * v, vt=a * g.x, p=a * g.x**2, pt=a * g.x**3)
         for func in (lyapunov_k1, lyapunov_k2, lyapunov_k3):
-            base = func(st, BEAM)
-            assert abs(func(sc, BEAM) - a**2 * base) <= 1e-12 * max(
+            base = func(st, BEAM, g.weights)
+            assert abs(func(sc, BEAM, g.weights) - a**2 * base) <= 1e-12 * max(
                 1.0, a**2 * abs(base))
 
 

@@ -249,3 +249,25 @@ def test_table_delay_vertex_sampled():
     assert upper.worst_t == 20.0
     assert upper.margin == pytest.approx(-1e-7, rel=1e-6)
     assert cert.assumptions == validate_assumptions(delay, WeightProfiles())
+
+
+def test_table_delay_slope_per_segment():
+    # tau rises with slope 0.4 > d on [10, 11]; averaging the slopes at the
+    # vertices (0.2 each) would hide it
+    delay = DelayProfile.from_table([0, 10, 11, 21], [0.5, 0.5, 0.9, 0.9],
+                                    tau0=0.4, tau_bar=1.0, d=0.38)
+    assert delay.tau_prime(10.0) == pytest.approx(0.4)
+    assert np.array_equal(delay.tau_prime([-1.0, 9.0, 11.0, 21.0, 30.0]),
+                          np.zeros(5))
+    assert np.array_equal(delay.tau_second([0.0, 10.0, 10.5]), np.zeros(3))
+    cert = build_certificate(delay, WeightProfiles(), horizon=21.0)
+    assert not cert.valid
+    slope = cert.assumptions["delay_slope_bound"]
+    assert slope.margin == pytest.approx(-0.02)
+    assert slope.worst_t == 10.0
+
+
+def test_table_delay_times_must_increase():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DelayProfile.from_table([0, 20, 10, 30], [0.5, 0.5, 0.9, 0.5],
+                                tau0=0.4, tau_bar=1.0, d=0.38)

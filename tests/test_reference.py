@@ -229,9 +229,9 @@ def test_guard_energy_carried_forward(certified_scenario, monkeypatch,
     fresh = solver._core_energy
     calls = []
 
-    def counting(st, params):
+    def counting(st, operator):
         calls.append(st)
-        return fresh(st, params)
+        return fresh(st, operator)
 
     monkeypatch.setattr(solver, "_core_energy", counting)
     for k in range(1, 21):
@@ -239,7 +239,7 @@ def test_guard_energy_carried_forward(certified_scenario, monkeypatch,
         # once for the initial state, then once per new state
         assert len(calls) == k + 1
         assert calls[-1] is state
-        assert state.core_energy(sc.beam) == fresh(state, sc.beam)
+        assert state.core_energy(op) == fresh(state, op)
         assert len(calls) == k + 1
 
 

@@ -137,7 +137,8 @@ def test_fundamental_mode_shape(certified_scenario):
 
 @pytest.mark.parametrize("key,value", [
     ("cfl_safety", 0.0), ("cfl_safety", -0.5), ("cfl_safety", 1.5),
-    ("dt_s", 0.0), ("dt_s", -0.01),
+    ("dt_s", 0.0), ("dt_s", -0.01), ("n", 50.5), ("n", "101"),
+    ("output_stride", 2.5), ("output_stride", True), ("field_stride", 10.0),
 ])
 def test_bad_numerics_rejected_at_load(key, value):
     cfg = load_config("certified-decay")
@@ -151,3 +152,12 @@ def test_numerics_bounds_inclusive():
     cfg["numerics"].update(cfl_safety=1.0, dt_s=1e-3)
     sc = Scenario.from_dict(cfg)
     assert (sc.cfl_safety, sc.dt) == (1.0, 1e-3)
+
+
+def test_unsorted_table_delay_rejected_at_load():
+    cfg = load_config("certified-decay")
+    cfg["delay"] = {"kind": "table", "times_s": [0, 20, 10, 30],
+                    "values_s": [0.5, 0.5, 0.9, 0.5], "tau0_s": 0.4,
+                    "tau_bar_s": 1.0, "slope_bound": 0.38}
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        Scenario.from_dict(cfg)

@@ -233,10 +233,10 @@ class TestSteppers:
         weights = WeightProfiles(delta0=1.0, beta0=0.0, d1_floor=1.0)
         v0 = np.sin(math.pi * g.x / 2.0)
         st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
-        e_prev = _core_energy(st, op.params).total
+        e_prev = _core_energy(st, op).total
         for _ in range(500):
             st = step_explicit(st, buf, op, weights, NO_DELAY, dt)
-            e = _core_energy(st, op.params).total
+            e = _core_energy(st, op).total
             assert e <= e_prev * (1.0 + 1e-12)
             e_prev = e
 
@@ -259,11 +259,11 @@ class TestSteppers:
         buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
-        e0 = _core_energy(st, op.params).total
+        e0 = _core_energy(st, op).total
         for _ in range(100):
             st = step_implicit(st, buf, op, UNDAMPED, NO_DELAY, dt)
         assert np.isfinite(st.scale())
-        assert _core_energy(st, op.params).total <= e0 * (1.0 + 1e-9)
+        assert _core_energy(st, op).total <= e0 * (1.0 + 1e-9)
 
     def test_implicit_boundary_slope_to_roundoff(self):
         g = Grid(101, 1.0)
@@ -310,6 +310,22 @@ class TestRun:
         assert traj.status == "diverged"
         assert np.array_equal(traj.times, [0.0, 0.2, 0.4, 0.6])
         assert np.all(np.isfinite(traj.energies))
+
+    def test_status_independent_of_output_stride(self, certified_scenario):
+        # delta2 = -3 voids the certificate (L is NaN) and the energy grows
+        # slowly; that is data, not divergence, at every recording cadence
+        cfg = certified_scenario.to_dict()
+        cfg["weights"]["delta2"] = {"kind": "constant", "value": -3.0}
+        cfg["numerics"].update(n=51, horizon_s=20.0)
+        sc = Scenario.from_dict(cfg)
+        every = run(sc, collect_fields=False)
+        sparse = run(sc.with_overrides(output_stride=1000),
+                     collect_fields=False)
+        assert (every.status, sparse.status) == ("ok", "ok")
+        assert len(every) == 3238
+        assert np.array_equal(sparse.data,
+                              every.data[[0, 1000, 2000, 3000, 3237]],
+                              equal_nan=True)
 
     def test_deterministic(self, certified_scenario):
         sc = certified_scenario.with_overrides(horizon=2.0, n=101)

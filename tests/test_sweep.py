@@ -141,3 +141,11 @@ def test_run_failure_recorded_as_error_row(monkeypatch, error):
     assert [r.violated for r in records] == [["failed at beta0=0.3"],
                                              ["failed at beta0=0.5"]]
     assert all(r.valid for r in records)
+
+
+def test_non_integer_axis_value_recorded_as_infeasible_row():
+    spec = SweepSpec(_base(), axes=(("numerics.output_stride", (1, 2.5)),),
+                     n=31, horizon=1.0)
+    records = execute(spec)
+    assert [r.status for r in records] == ["ok", "infeasible"]
+    assert "output_stride" in records[1].violated[0]
