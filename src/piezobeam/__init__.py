@@ -18,8 +18,8 @@ from .solver import (
     Grid,
     HistoryBuffer,
     SimState,
+    SpatialOperator,
     Trajectory,
-    build_operator,
     cfl_timestep,
     init_history,
     run,

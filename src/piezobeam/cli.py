@@ -9,7 +9,6 @@ reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -120,9 +119,7 @@ def cmd_simulate(args):
 def cmd_sweep(args):
     cfg = load_config(args.config)
     spec = SweepSpec.from_dict(cfg)
-    if args.threads:
-        spec = dataclasses.replace(spec, workers=args.threads)
-    records = execute(spec)
+    records = execute(spec, workers=args.threads)
     header = tuple(path for path, _ in spec.axes) + (
         "valid", "status", "H2", "r_squared", "energy_ratio", "violated")
     rows = []
@@ -201,9 +198,8 @@ def build_parser():
     p = sub.add_parser("sweep", help="run a parameter sweep and write a CSV table")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=0,
-                   help="number of worker processes (default: the sweep "
-                        "config's workers)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="number of worker processes (default: 1, serial)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="summarize a simulate output directory")

@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import InsufficientDataError, MultiplierSearchError, UndefinedRatioError
 
+MAX_DOUBLINGS = 64  # per multiplier, in select_multipliers
+
 
 def energy(state, history, operator, delay, weights, certificate, multipliers):
     """The trajectory row at the state's time, in solver.COLUMNS order.
@@ -134,8 +136,7 @@ def multiplier_inequalities(params, weights, certificate, mult):
     return (ineq_coupling, ineq_pt, ineq_vx, ineq_vt, ineq_delayed)
 
 
-def select_multipliers(params, weights, certificate, c_prime=None,
-                       max_doublings=64):
+def select_multipliers(params, weights, certificate, c_prime=None):
     """Feasibility search over the multipliers, resolved in dependency order.
 
     Free constants: eps_i = c' * delta1(0) / alpha1 (each Young term then
@@ -157,13 +158,13 @@ def select_multipliers(params, weights, certificate, c_prime=None,
 
     def double_until(check):
         val = 1.0
-        for _ in range(max_doublings):
+        for _ in range(MAX_DOUBLINGS):
             if check(val):
                 return val
             val *= 2.0
         raise MultiplierSearchError(
             "multiplier search did not terminate after "
-            f"{max_doublings} doublings")
+            f"{MAX_DOUBLINGS} doublings")
 
     n3 = double_until(lambda m: multiplier_inequalities(
         params, weights, certificate,

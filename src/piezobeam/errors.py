@@ -45,5 +45,5 @@ class UndefinedRatioError(PiezobeamError):
     """Equivalence ratios are undefined on an all-zero-energy trajectory."""
 
 
-class SweepSpecError(PiezobeamError):
+class SweepSpecError(ConfigError):
     """Invalid sweep specification (bad axis or parameter path)."""

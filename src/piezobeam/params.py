@@ -10,14 +10,27 @@ across parallel workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import InfeasibleCertificateError, ProfileEvaluationError
 
-DEFAULT_LAMBDA_MAX = 10.0
+LAMBDA_MAX = 10.0  # kernel rate when beta0 = 0 leaves it unbounded
 DEFAULT_SAMPLES = 4096
+
+
+def check_float_fields(obj):
+    """Raise TypeError unless every float field of a dataclass holds a real
+    number: no strings or bools, and None only where the field allows it."""
+    for f in fields(obj):
+        value, kind = getattr(obj, f.name), str(f.type)
+        optional = value is None and "None" in kind
+        if "float" in kind and not optional and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise TypeError(f"{type(obj).__name__}.{f.name} must be a number, "
+                            f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +51,7 @@ class BeamParams:
     length: float = 1.0
 
     def __post_init__(self):
+        check_float_fields(self)
         for name in ("rho", "alpha", "mu", "beta", "length"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"BeamParams.{name} must be > 0")
@@ -82,22 +96,15 @@ class DelayProfile:
     table_tau: tuple = ()
 
     def __post_init__(self):
+        check_float_fields(self)
         if self.kind not in ("constant", "sinusoid", "table"):
             raise ValueError(f"unknown delay profile kind {self.kind!r}")
-        if self.kind == "table" and len(self.table_t) < 2:
-            raise ValueError("table delay profile needs at least 2 samples")
+        if self.kind == "table" and not (
+                2 <= len(self.table_t) == len(self.table_tau)):
+            raise ValueError("table delay profile needs at least 2 samples "
+                             "and one value per time")
         if self.kind == "table" and not np.all(np.diff(self.table_t) > 0):
             raise ValueError("table delay times must be strictly increasing")
-
-    @staticmethod
-    def constant(value, tau0=None, tau_bar=None):
-        return DelayProfile(
-            kind="constant",
-            mean=value,
-            tau0=value if tau0 is None else tau0,
-            tau_bar=value if tau_bar is None else tau_bar,
-            d=0.0,
-        )
 
     @staticmethod
     def sinusoid(mean, amplitude, omega, tau0=None, tau_bar=None, d=None):
@@ -194,6 +201,7 @@ class WeightProfiles:
     d2_omega: float = 0.0
 
     def __post_init__(self):
+        check_float_fields(self)
         if self.d1_kind not in ("constant", "exp_floor"):
             raise ValueError(f"unknown delta1 kind {self.d1_kind!r}")
         if self.d2_kind not in ("zero", "constant", "cosine"):
@@ -359,12 +367,12 @@ def select_xi_bar(beta0, d):
     return 1.0
 
 
-def select_lambda(xi_bar, beta0, d, tau_bar, lambda_max=DEFAULT_LAMBDA_MAX):
+def select_lambda(xi_bar, beta0, d, tau_bar):
     """Exponential kernel rate: half the largest rate keeping C2 positive.
 
     C2 > 0 requires exp(-lam * tau_bar) * xi_bar / 2 > beta0 / (2 sqrt(1-d)),
     i.e. lam < (1/tau_bar) * log(xi_bar * sqrt(1-d) / beta0).  With beta0 = 0
-    the bound is infinite and the configured cap applies.
+    the bound is infinite and the cap LAMBDA_MAX applies.
     """
     if not 0 <= d < 1:
         raise InfeasibleCertificateError(f"need 0 <= d < 1, got d={d}")
@@ -373,7 +381,7 @@ def select_lambda(xi_bar, beta0, d, tau_bar, lambda_max=DEFAULT_LAMBDA_MAX):
             f"beta0={beta0} outside [0, xi_bar*sqrt(1-d))"
         )
     if beta0 == 0.0:
-        return lambda_max
+        return LAMBDA_MAX
     return 0.5 * math.log(xi_bar * math.sqrt(1.0 - d) / beta0) / tau_bar
 
 
@@ -441,22 +449,21 @@ class StabilityCertificate:
         }
 
 
-def build_certificate(delay, weights, horizon=40.0, samples=DEFAULT_SAMPLES,
-                      xi_bar=None, lam=None, lambda_max=DEFAULT_LAMBDA_MAX):
+def build_certificate(delay, weights, horizon=40.0, xi_bar=None, lam=None):
     """Assemble the full certificate: assumption checks, weight, rate, constants.
 
     Infeasible configurations yield an invalid certificate whose diagnostics
     name the violated inequalities; nothing is raised unless a profile
     evaluates non-finite.
     """
-    report = validate_assumptions(delay, weights, horizon=horizon, samples=samples)
+    report = validate_assumptions(delay, weights, horizon=horizon)
     diagnostics = list(report.violated)
 
     beta0, d = weights.beta0, delay.d
     try:
         xi = select_xi_bar(beta0, d) if xi_bar is None else float(xi_bar)
-        rate = (select_lambda(xi, beta0, d, delay.tau_bar, lambda_max=lambda_max)
-                if lam is None else float(lam))
+        rate = (select_lambda(xi, beta0, d, delay.tau_bar) if lam is None
+                else float(lam))
     except InfeasibleCertificateError as exc:
         if "delay_weight_ratio" not in diagnostics:
             diagnostics.append("delay_weight_ratio")

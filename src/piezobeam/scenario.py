@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .errors import ConfigError
-from .params import BeamParams, DelayProfile, WeightProfiles, build_certificate
+from .params import (BeamParams, DelayProfile, WeightProfiles,
+                     build_certificate, check_float_fields)
 
 INITIAL_PRESETS = ("zero", "fundamental-mode", "pluck")
 SCENARIO_PRESETS = ("certified-decay", "damped-no-delay", "undamped")
@@ -40,6 +41,7 @@ class Scenario:
     lambda_override: float | None = None
 
     def __post_init__(self):
+        check_float_fields(self)
         if self.initial_preset not in INITIAL_PRESETS:
             raise ConfigError(f"unknown initial preset {self.initial_preset!r}")
         if self.integrator not in ("explicit", "implicit"):
@@ -68,9 +70,6 @@ class Scenario:
             xi_bar=self.xi_bar_override,
             lam=self.lambda_override,
         )
-
-    def with_overrides(self, **kw):
-        return replace(self, **kw)
 
     def to_dict(self):
         d = {
@@ -118,25 +117,27 @@ class Scenario:
             )
             delay = _delay_from_dict(cfg["delay"])
             weights = _weights_from_dict(cfg["weights"])
-            init = cfg.get("initial", {})
-            num = cfg.get("numerics", {})
-            cert = cfg.get("certificate", {})
+            init, num, cert = (cfg.get(key, {}) for key in
+                               ("initial", "numerics", "certificate"))
+            if not all(isinstance(s, dict) for s in (init, num, cert)):
+                raise TypeError("initial, numerics and certificate must be "
+                                "objects when present")
+            return Scenario(
+                beam=beam, delay=delay, weights=weights,
+                initial_preset=init.get("preset", "fundamental-mode"),
+                initial_amplitude=init.get("amplitude", 1.0),
+                n=num.get("n", 201),
+                cfl_safety=num.get("cfl_safety", 0.5),
+                integrator=num.get("integrator", "explicit"),
+                horizon=num.get("horizon_s", 40.0),
+                output_stride=num.get("output_stride", 1),
+                field_stride=num.get("field_stride", 1000),
+                dt=num.get("dt_s"),
+                xi_bar_override=cert.get("xi_bar"),
+                lambda_override=cert.get("lambda"),
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed scenario config: {exc}") from exc
-        return Scenario(
-            beam=beam, delay=delay, weights=weights,
-            initial_preset=init.get("preset", "fundamental-mode"),
-            initial_amplitude=init.get("amplitude", 1.0),
-            n=num.get("n", 201),
-            cfl_safety=num.get("cfl_safety", 0.5),
-            integrator=num.get("integrator", "explicit"),
-            horizon=num.get("horizon_s", 40.0),
-            output_stride=num.get("output_stride", 1),
-            field_stride=num.get("field_stride", 1000),
-            dt=num.get("dt_s"),
-            xi_bar_override=cert.get("xi_bar"),
-            lambda_override=cert.get("lambda"),
-        )
 
 
 def _delay_to_dict(delay):

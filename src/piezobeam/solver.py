@@ -4,11 +4,12 @@ Spatial layout: uniform grid on [0, L], Dirichlet at x=0 for both fields,
 zero-slope (Neumann) closure at x=L.  The delayed velocity v_t(x, t - tau(t))
 is realized by a time-stamped history buffer (a preallocated ring of rows)
 with linear interpolation, not by discretizing the auxiliary transport
-variable on a second axis.  The Grid owns the spacing and one read-only
-trapezoid weight vector, so every spatial integral is a dot product with it;
-each state caches its delay-free energy parts, so the blow-up guard and the
-record (diagnostics.energy, one call per trajectory row) share one
-evaluation.
+variable on a second axis.  The Grid owns the spacing and the read-only
+trapezoid weight vector of every spatial integral, the history's included;
+the SpatialOperator owns the 2x2 coefficient matrix of its stencil and wave
+speed; both steppers end in one tail (blow-up guard, history push, evict).
+Each state caches its delay-free energy parts, so the guard and the record
+(diagnostics.energy, one call per trajectory row) share one evaluation.
 
 Two integrators: an explicit central-difference (velocity-Verlet style) scheme
 with semi-implicit treatment of the instantaneous damping, and a backward-Euler
@@ -60,16 +61,12 @@ class Grid:
 
     @cached_property
     def weights(self):
-        """Trapezoid weights, built once per grid."""
-        return trapezoid_weights(self.n, self.dx)
-
-
-def trapezoid_weights(n, dx):
-    """Read-only trapezoid weights on n nodes: ``w @ f`` integrates f."""
-    w = np.full(n, float(dx))
-    w[0] = w[-1] = 0.5 * dx
-    w.flags.writeable = False
-    return w
+        """Read-only trapezoid weights, built once per grid: ``w @ f``
+        integrates f."""
+        w = np.full(self.n, float(self.dx))
+        w[0] = w[-1] = 0.5 * self.dx
+        w.flags.writeable = False
+        return w
 
 
 class CoreEnergy(NamedTuple):
@@ -104,16 +101,11 @@ class SimState:
             self._core = (operator, _core_energy(self, operator))
         return self._core[1]
 
-    def scale(self):
-        return max(
-            float(np.max(np.abs(f))) for f in (self.v, self.vt, self.p, self.pt)
-        )
-
 
 class SpatialOperator:
     """Second-difference stencil for the coupled acceleration block.
 
-    Accelerations:
+    Accelerations, with the 2x2 coefficient matrix built once in __init__:
         a_v = (alpha/rho) v_xx - (gamma*beta/rho) p_xx
         a_p = (beta/mu)   p_xx - (gamma*beta/mu)  v_xx
 
@@ -127,11 +119,18 @@ class SpatialOperator:
     def __init__(self, params, grid):
         self.params = params
         self.grid = grid
-        self.a_vv = params.alpha / params.rho
-        self.a_vp = -params.gamma * params.beta / params.rho
-        self.a_pp = params.beta / params.mu
-        self.a_pv = -params.gamma * params.beta / params.mu
+        self.coefficients = np.array([
+            [params.alpha / params.rho, -params.gamma * params.beta / params.rho],
+            [-params.gamma * params.beta / params.mu, params.beta / params.mu],
+        ])
+        self._rows = self.coefficients.tolist()  # floats, read per apply
         self._implicit_cache = None
+
+    @property
+    def wave_speed(self):
+        """Fastest characteristic speed: sqrt of the largest eigenvalue."""
+        return math.sqrt(float(np.max(np.real(
+            np.linalg.eigvals(self.coefficients)))))
 
     def second_difference(self, u):
         dx2 = self.grid.dx**2
@@ -141,37 +140,36 @@ class SpatialOperator:
         return out
 
     def apply(self, v, p):
+        (a_vv, a_vp), (a_pv, a_pp) = self._rows
         d2v = self.second_difference(v)
         d2p = self.second_difference(p)
-        acc_v = self.a_vv * d2v + self.a_vp * d2p
-        acc_p = self.a_pp * d2p + self.a_pv * d2v
-        return acc_v, acc_p
-
-
-build_operator = SpatialOperator
+        return a_vv * d2v + a_vp * d2p, a_pp * d2p + a_pv * d2v
 
 
 class HistoryBuffer:
     """Time-stamped v_t snapshots for delayed sampling.
 
-    Timestamps are equispaced with gap dt.  Snapshots fill a preallocated
-    ring of cap rows, the most the span holds between evictions.  Timestamps
-    and each snapshot's cached int v_t^2 sit in flat arrays of 2*cap entries
-    (entry f pairs with ring row f % cap), shifted down by cap once per cap
-    pushes, so every delay window is one contiguous slice.  The last
-    interpolated query is kept until a push could change it.
+    weights is the grid's trapezoid weight vector (Grid.weights): it sets
+    the snapshot length and is the quadrature of every int v_t^2.
+    Timestamps are equispaced with gap dt.  Snapshots fill a ring of cap
+    rows, the most the span holds between evictions, allocated here.
+    Timestamps and each snapshot's cached int v_t^2 sit in flat arrays of
+    2*cap entries (entry f pairs with ring row f % cap), shifted down by cap
+    once per cap pushes, so every delay window is one contiguous slice.  The
+    last interpolated query is kept until a push could change it.  Stored
+    snapshots are read back with sample(t) at their stamps, which is exact.
     """
 
-    def __init__(self, dt, span, dx):
+    def __init__(self, dt, span, weights):
         if not dt > 0:
             raise ConfigError("history dt must be > 0")
         self.dt = dt
         self.span = span
-        self.dx = dx
         # evict keeps the stamps newer than span + dt/2 and one before them;
         # one more arrives between evictions
         self._cap = int((span + 0.5 * dt) / dt + 1e-6) + 3
-        self._ring = self._w = None
+        self._w = weights
+        self._ring = np.empty((self._cap, len(weights)))
         self._times = np.empty(2 * self._cap)
         self._sq = np.empty(2 * self._cap)
         self._lo = self._len = 0  # flat index of the oldest entry; count
@@ -190,9 +188,6 @@ class HistoryBuffer:
         if self._len == self._cap:
             raise ConfigError(f"history holds at most {self._cap} snapshots "
                               "between evictions")
-        if self._ring is None:
-            self._ring = np.empty((self._cap, len(vt)))
-            self._w = trapezoid_weights(len(vt), self.dx)
         if self._lo + self._len == 2 * self._cap:
             self._times[:self._cap] = self._times[self._cap:]
             self._sq[:self._cap] = self._sq[self._cap:]
@@ -219,17 +214,8 @@ class HistoryBuffer:
         return self._times[self._lo:self._lo + self._len].copy()
 
     @property
-    def snaps(self):
-        """Stored snapshots, oldest first, as a (count, n) copy."""
-        return self._ring[(self._lo + np.arange(self._len)) % self._cap]
-
-    @property
     def newest_time(self):
         return float(self._times[self._lo + self._len - 1])
-
-    @property
-    def newest(self):
-        return self._row(self._len - 1).copy()
 
     def sample(self, t_query):
         """Linear interpolation in time, elementwise in x; exact at stored stamps.
@@ -302,7 +288,7 @@ def init_history(grid, delay, g0, dt):
     Snapshots at s_k = -k*dt down past -tau_bar; the newest entry (s=0)
     matches the initial velocity when g0(., 0) does.
     """
-    buf = HistoryBuffer(dt, delay.tau_bar + 2.0 * dt, grid.dx)
+    buf = HistoryBuffer(dt, delay.tau_bar + 2.0 * dt, grid.weights)
     k_max = int(math.ceil((delay.tau_bar + dt) / dt))
     x = grid.x
     for k in range(k_max, -1, -1):
@@ -318,28 +304,18 @@ def init_history(grid, delay, g0, dt):
     return buf
 
 
-def cfl_timestep(params, grid, delay=None, safety=0.5):
-    """Explicit step bound: safety * dx / c_max, clamped to tau0 / 4.
+def cfl_timestep(operator, delay=None, safety=0.5):
+    """Explicit step bound: safety * dx / wave_speed, clamped to tau0 / 4.
 
-    c_max is the square root of the largest eigenvalue of the 2x2 coefficient
-    matrix; the delay clamp keeps at least 4 steps inside the shortest delay
-    so the history interpolation stays meaningful.
+    The delay clamp keeps at least 4 steps inside the shortest delay so the
+    history interpolation stays meaningful.
     """
     if not 0 < safety <= 1:
         raise ConfigError(f"cfl safety must be in (0, 1], got {safety}")
-    dt = safety * grid.dx / wave_speed(params)
+    dt = safety * operator.grid.dx / operator.wave_speed
     if delay is not None:
         dt = min(dt, delay.tau0 / 4.0)
     return dt
-
-
-def wave_speed(params):
-    """Fastest characteristic speed of the coupled system."""
-    m = np.array([
-        [params.alpha / params.rho, -params.gamma * params.beta / params.rho],
-        [-params.gamma * params.beta / params.mu, params.beta / params.mu],
-    ])
-    return math.sqrt(float(np.max(np.real(np.linalg.eigvals(m)))))
 
 
 def _core_energy(state, operator):
@@ -357,12 +333,20 @@ def _core_energy(state, operator):
         int_vt2)
 
 
-def _check_blowup(e_before, e_after, step_label):
-    if not math.isfinite(e_after) or (e_before > 1e-300 and e_after > 10.0 * e_before):
+def _finish_step(state, new, history, operator, label):
+    """Step tail: blow-up guard on the new state's energy, then push its v_t
+    to the history and evict; returns new."""
+    e_before = state.core_energy(operator).total
+    core = new.core_energy(operator)
+    if not math.isfinite(core.total) or (
+            e_before > 1e-300 and core.total > 10.0 * e_before):
         raise DivergenceError(
-            f"energy blow-up guard tripped during {step_label} "
-            f"({e_before:.3e} -> {e_after:.3e}); time step too large",
+            f"energy blow-up guard tripped during {label} "
+            f"({e_before:.3e} -> {core.total:.3e}); time step too large",
         )
+    history.push(new.t, new.vt, core.int_vt2)
+    history.evict(new.t)
+    return new
 
 
 def step_explicit(state, history, operator, weights, delay, dt):
@@ -379,8 +363,6 @@ def step_explicit(state, history, operator, weights, delay, dt):
     d1_now = float(weights.delta1(t))
     d1_mid = float(weights.delta1(t + 0.5 * dt))
     d2_now = float(weights.delta2(t))
-
-    e0 = state.core_energy(operator).total
 
     acc_v0, acc_p0 = operator.apply(state.v, state.p)
     total_v0 = acc_v0 - (d1_now * state.vt + d2_now * z) / pr.rho
@@ -401,12 +383,8 @@ def step_explicit(state, history, operator, weights, delay, dt):
     vt_new[0] = 0.0
     pt_new[0] = 0.0
 
-    new = SimState(t + dt, v_new, vt_new, p_new, pt_new)
-    core = new.core_energy(operator)
-    _check_blowup(e0, core.total, "explicit step")
-    history.push(new.t, vt_new, core.int_vt2)
-    history.evict(new.t)
-    return new
+    return _finish_step(state, SimState(t + dt, v_new, vt_new, p_new, pt_new),
+                        history, operator, "explicit step")
 
 
 def _implicit_matrix(operator, weights, dt, t_new):
@@ -495,13 +473,8 @@ def step_implicit(state, history, operator, weights, delay, dt):
     vt_new[0] = 0.0
     pt_new[0] = 0.0
 
-    new = SimState(t_new, v_new, vt_new, p_new, pt_new)
-    e0 = state.core_energy(operator).total
-    core = new.core_energy(operator)
-    _check_blowup(e0, core.total, "implicit step")
-    history.push(t_new, vt_new, core.int_vt2)
-    history.evict(t_new)
-    return new
+    return _finish_step(state, SimState(t_new, v_new, vt_new, p_new, pt_new),
+                        history, operator, "implicit step")
 
 
 STEPPERS = {"explicit": step_explicit, "implicit": step_implicit}
@@ -561,10 +534,10 @@ def run(scenario, collect_fields=True):
     Divergence raises DivergenceError with the partial trajectory attached.
     """
     grid = Grid(scenario.n, scenario.beam.length)
-    operator = build_operator(scenario.beam, grid)
+    operator = SpatialOperator(scenario.beam, grid)
     certificate = scenario.build_certificate()
 
-    dt0 = cfl_timestep(scenario.beam, grid, scenario.delay, scenario.cfl_safety)
+    dt0 = cfl_timestep(operator, scenario.delay, scenario.cfl_safety)
     if scenario.dt is not None:
         dt0 = min(scenario.dt, scenario.delay.tau0 / 4.0)
     n_steps = max(0, int(math.ceil(scenario.horizon / dt0 - 1e-12)))

@@ -30,7 +30,6 @@ class SweepSpec:
     axes: tuple  # ((dotted path, (values...)), ...)
     n: int = SWEEP_DEFAULT_N
     horizon: float = SWEEP_DEFAULT_HORIZON
-    workers: int = 1
 
     def __post_init__(self):
         if not self.axes:
@@ -43,10 +42,6 @@ class SweepSpec:
                     f"axis {path!r} would be overwritten by the sweep's "
                     "n / horizon_s")
 
-    @property
-    def size(self):
-        return math.prod(len(v) for _, v in self.axes)
-
     @staticmethod
     def from_dict(cfg):
         try:
@@ -58,7 +53,6 @@ class SweepSpec:
             base=base, axes=axes,
             n=cfg.get("n", SWEEP_DEFAULT_N),
             horizon=cfg.get("horizon_s", SWEEP_DEFAULT_HORIZON),
-            workers=cfg.get("workers", 1),
         )
 
 
@@ -129,10 +123,11 @@ def _run_one(item):
     return rec
 
 
-def execute(spec):
-    """Run every grid point; aggregate order matches expansion order."""
+def execute(spec, workers=1):
+    """Run every grid point, in worker processes when workers > 1; aggregate
+    order matches expansion order."""
     items = expand(spec)
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, items))
     return [_run_one(item) for item in items]

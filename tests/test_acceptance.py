@@ -5,6 +5,7 @@ Each criterion re-derives its expected values independently inside the test
 rather than trusting the library's own arithmetic.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -14,8 +15,8 @@ import numpy as np
 from piezobeam import (
     BeamParams,
     Grid,
+    SpatialOperator,
     build_certificate,
-    build_operator,
     energy_dissipation_check,
     execute,
     fit_decay_rate,
@@ -57,7 +58,8 @@ def test_criterion_1_certificate_arithmetic(certified_scenario):
 
 def test_criterion_2_undamped_conservation(undamped_scenario):
     def drift_of(safety):
-        traj = run(undamped_scenario.with_overrides(cfl_safety=safety),
+        traj = run(dataclasses.replace(undamped_scenario,
+                                       cfl_safety=safety),
                    collect_fields=False)
         e = traj.energies
         return float(np.max(np.abs(e - e[0])) / e[0])
@@ -136,15 +138,17 @@ def _final_state(scenario):
 def test_criterion_6_cross_integrator(certified_scenario):
     from piezobeam import cfl_timestep
     grid = Grid(certified_scenario.n, certified_scenario.beam.length)
-    dt0 = cfl_timestep(certified_scenario.beam, grid,
+    dt0 = cfl_timestep(SpatialOperator(certified_scenario.beam, grid),
                        certified_scenario.delay) / 8.0
 
     def diff_at(dt):
-        base = certified_scenario.with_overrides(
-            horizon=1.0, dt=dt, output_stride=10**9, field_stride=10**9)
-        exp_snap, dt_used = _final_state(base.with_overrides(
-            integrator="explicit"))
-        imp_snap, _ = _final_state(base.with_overrides(integrator="implicit"))
+        base = dataclasses.replace(
+            certified_scenario, horizon=1.0, dt=dt, output_stride=10**9,
+            field_stride=10**9)
+        exp_snap, dt_used = _final_state(dataclasses.replace(
+            base, integrator="explicit"))
+        imp_snap, _ = _final_state(dataclasses.replace(
+            base, integrator="implicit"))
         num = math.sqrt(float(np.sum((exp_snap.v - imp_snap.v)**2)
                               + np.sum((exp_snap.p - imp_snap.p)**2)))
         den = math.sqrt(float(np.sum(exp_snap.v**2) + np.sum(exp_snap.p**2)))
@@ -167,7 +171,7 @@ def test_criterion_7_spatial_order():
     errs = []
     for n in (51, 101, 201):
         g = Grid(n, 1.0)
-        op = build_operator(beam, g)
+        op = SpatialOperator(beam, g)
         v = np.sin(kv * g.x)
         p = np.sin(kp * g.x)
         acc_v, acc_p = op.apply(v, p)

@@ -71,6 +71,19 @@ class TestCheck:
         code = main(["check", "--config", str(tmp_path / "missing.json")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("section,patch", [
+        ("delay", {"kind": "table", "times_s": [0, 10, 20],
+                   "values_s": [0.5, 0.5]}),
+        ("delay", {"tau0_s": "0.4"}),
+        ("numerics", None),
+    ])
+    def test_malformed_config_exits_1(self, tmp_path, capsys, section, patch):
+        cfg = load_config("certified-decay")
+        cfg[section] = None if patch is None else {**cfg[section], **patch}
+        code = main(["check", "--config", _write_cfg(tmp_path, cfg)])
+        assert code == EXIT_USAGE
+        assert "malformed scenario config" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_outputs_exist(self, sim_dir):
@@ -164,6 +177,38 @@ class TestSweepCommand:
         assert statuses == ["ok", "ok", "infeasible", "infeasible"]
         with open(out1, "rb") as fh1, open(out2, "rb") as fh2:
             assert fh1.read() == fh2.read()
+
+    def test_threads_set_workers_and_config_key_ignored(self, tmp_path):
+        # a "workers" key is an unknown key now; --threads sets the pool size
+        sweep_cfg = {"base": load_config("certified-decay"),
+                     "axes": [{"path": "weights.beta0", "values": [0.2, 0.3]}],
+                     "n": 11, "horizon_s": 0.5, "workers": 2.5}
+        cfg_path = _write_cfg(tmp_path, sweep_cfg, "sweep.json")
+        blobs = []
+        for i, threads in enumerate(([], ["--threads", "2"])):
+            out = str(tmp_path / f"sweep{i}.csv")
+            assert main(["sweep", "--config", cfg_path, "--out", out,
+                         *threads]) == EXIT_OK
+            with open(out, "rb") as fh:
+                blobs.append(fh.read())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("case", ["no axes", "no base", "bad path"])
+    def test_bad_spec_exits_1(self, tmp_path, capsys, case):
+        sweep_cfg = {"base": load_config("certified-decay"),
+                     "axes": [{"path": "weights.beta0", "values": [0.3]}],
+                     "n": 11, "horizon_s": 0.5}
+        if case == "no axes":
+            sweep_cfg["axes"] = []
+        elif case == "no base":
+            del sweep_cfg["base"]
+        else:
+            sweep_cfg["axes"][0]["path"] = "weights.nonexistent"
+        code = main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", str(tmp_path / "sweep.csv")])
+        assert code == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
 
 
 class TestReport:

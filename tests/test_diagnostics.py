@@ -1,5 +1,6 @@
 """Energy components, Lyapunov functionals, multiplier search, and decay fits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,9 +13,9 @@ from piezobeam import (
     DelayProfile,
     Grid,
     SimState,
+    SpatialOperator,
     StabilityCertificate,
     WeightProfiles,
-    build_operator,
     energy,
     energy_dissipation_check,
     fit_decay_rate,
@@ -54,7 +55,7 @@ def _zero_hist(grid, dt=0.01):
 
 def _row(state, hist, beam=BEAM):
     """energy() of state with delta1 = 1, keyed by column name."""
-    op = build_operator(beam, Grid(len(state.v), beam.length))
+    op = SpatialOperator(beam, Grid(len(state.v), beam.length))
     return dict(zip(COLUMNS, energy(state, hist, op, NO_DELAY,
                                     WeightProfiles(), NULL_CERT, None)))
 
@@ -278,7 +279,7 @@ class TestDissipationCheck:
 
     def test_undamped_degenerates_to_conservation(self, undamped_scenario):
         from piezobeam import run
-        sc = undamped_scenario.with_overrides(horizon=2.0)
+        sc = dataclasses.replace(undamped_scenario, horizon=2.0)
         traj = run(sc, collect_fields=False)
         rep = energy_dissipation_check(traj, traj.certificate)
         assert rep.n_pairs == len(traj) - 1

@@ -271,3 +271,22 @@ def test_table_delay_times_must_increase():
     with pytest.raises(ValueError, match="strictly increasing"):
         DelayProfile.from_table([0, 20, 10, 30], [0.5, 0.5, 0.9, 0.5],
                                 tau0=0.4, tau_bar=1.0, d=0.38)
+
+
+def test_table_delay_lengths_must_match():
+    with pytest.raises(ValueError, match="one value per time"):
+        DelayProfile.from_table([0, 10, 20], [0.5, 0.5], tau0=0.4,
+                                tau_bar=0.6, d=0.1)
+
+
+@pytest.mark.parametrize("cls,name", [
+    (BeamParams, "rho"), (BeamParams, "gamma"), (DelayProfile, "tau0"),
+    (DelayProfile, "d"), (WeightProfiles, "beta0"), (WeightProfiles, "M1"),
+])
+@pytest.mark.parametrize("value", ["0.4", None, True])
+def test_float_field_must_be_a_number(cls, name, value):
+    with pytest.raises(TypeError, match=f"{cls.__name__}.{name} must be a "
+                                        "number"):
+        cls(**{name: value})
+    # integers and numpy scalars are numbers
+    assert getattr(cls(**{name: np.int64(1)}), name) == 1

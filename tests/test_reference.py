@@ -24,7 +24,7 @@ from piezobeam import (
     Grid,
     HistoryBuffer,
     SimState,
-    build_operator,
+    SpatialOperator,
     energy_dissipation_check,
     fit_decay_rate,
     init_history,
@@ -126,20 +126,20 @@ def ref_energy_total(state, history, params, certificate, delay, weights, dx):
 
 
 def test_run_matches_reference(certified_scenario):
-    sc = certified_scenario.with_overrides(n=101, horizon=2.0)
+    sc = dataclasses.replace(certified_scenario, n=101, horizon=2.0)
     traj = run(sc, collect_fields=False)
     cert = traj.certificate
     assert cert.valid
 
     # replay the run's steps, mirroring every snapshot into the reference
     grid = Grid(sc.n, sc.beam.length)
-    op = build_operator(sc.beam, grid)
+    op = SpatialOperator(sc.beam, grid)
     v0, v1, p0, p1, g0 = initial_fields(sc, grid.x)
     state = SimState(0.0, v0, v1, p0, p1)
     history = init_history(grid, sc.delay, g0, traj.dt)
     ref = RefHistory(traj.dt, history.span, grid.dx)
-    for t, snap in zip(history.times, history.snaps):
-        ref.push(t, snap)
+    for t in history.times:
+        ref.push(t, history.sample(t))
 
     e_ref = []
     k_err = []
@@ -167,11 +167,11 @@ def test_history_buffer_matches_reference_across_evictions():
     rng = np.random.default_rng(3)
     dt, dx, n = 0.01, 0.1, 11
     span = 0.2 + 2.0 * dt
-    buf = HistoryBuffer(dt, span, dx)
+    buf = HistoryBuffer(dt, span, Grid(n, dx * (n - 1)).weights)
     ref = RefHistory(dt, span, dx)
     t = -0.25
     buf.push(t, rng.standard_normal(n))
-    ref.push(t, buf.newest)
+    ref.push(t, buf.sample(t))
     capacity = len(buf._ring)
     eps = 1e-9 * dt
     for _ in range(3 * capacity + 5):
@@ -206,7 +206,7 @@ def test_history_buffer_matches_reference_across_evictions():
 
 def test_history_buffer_full_without_evictions():
     # span 0.3 at dt 0.1: evicting after each push keeps at most 6 snapshots
-    buf = HistoryBuffer(0.1, 0.3, 0.25)
+    buf = HistoryBuffer(0.1, 0.3, Grid(4, 0.75).weights)
     for k in range(6):
         buf.push(0.1 * k, np.full(4, float(k)))
     with pytest.raises(ConfigError, match="between evictions"):
@@ -220,7 +220,7 @@ def test_guard_energy_carried_forward(certified_scenario, monkeypatch,
                                       stepper):
     sc = certified_scenario
     grid = Grid(51, sc.beam.length)
-    op = build_operator(sc.beam, grid)
+    op = SpatialOperator(sc.beam, grid)
     dt = 0.005
     v0, v1, p0, p1, g0 = initial_fields(sc, grid.x)
     state = SimState(0.0, v0, v1, p0, p1)
@@ -307,7 +307,8 @@ def ref_fit_decay_rate(traj, window_fraction=0.5):
 
 @pytest.fixture(scope="module", params=["certified-decay", "undamped"])
 def short_run(request):
-    sc = load_scenario(request.param).with_overrides(n=101, horizon=2.0)
+    sc = dataclasses.replace(load_scenario(request.param), n=101,
+                             horizon=2.0)
     return run(sc, collect_fields=False)
 
 

@@ -1,5 +1,6 @@
 """Config schema round-trips and initial-data presets."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -113,12 +114,12 @@ def test_malformed_config_raises():
 
 def test_unknown_preset_rejected(certified_scenario):
     with pytest.raises(ConfigError):
-        certified_scenario.with_overrides(initial_preset="sawtooth")
+        dataclasses.replace(certified_scenario, initial_preset="sawtooth")
 
 
 @pytest.mark.parametrize("preset", ["zero", "fundamental-mode", "pluck"])
 def test_initial_presets_respect_boundaries(certified_scenario, preset):
-    sc = certified_scenario.with_overrides(initial_preset=preset)
+    sc = dataclasses.replace(certified_scenario, initial_preset=preset)
     x = np.linspace(0.0, sc.beam.length, sc.n)
     v0, v1, p0, p1, g0 = initial_fields(sc, x)
     assert v0[0] == 0.0
@@ -160,4 +161,34 @@ def test_unsorted_table_delay_rejected_at_load():
                     "values_s": [0.5, 0.5, 0.9, 0.5], "tau0_s": 0.4,
                     "tau_bar_s": 1.0, "slope_bound": 0.38}
     with pytest.raises(ConfigError, match="strictly increasing"):
+        Scenario.from_dict(cfg)
+
+
+def test_table_delay_length_mismatch_rejected_at_load():
+    cfg = load_config("certified-decay")
+    cfg["delay"] = {"kind": "table", "times_s": [0, 10, 20],
+                    "values_s": [0.5, 0.5], "tau0_s": 0.4, "tau_bar_s": 0.6,
+                    "slope_bound": 0.19}
+    with pytest.raises(ConfigError, match="one value per time"):
+        Scenario.from_dict(cfg)
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("delay", "tau0_s", "0.4"), ("weights", "beta0", "0.3"),
+    ("numerics", "horizon_s", "40"), ("beam", "rho", None),
+    ("initial", "amplitude", True), ("numerics", "cfl_safety", "0.5"),
+    ("numerics", "dt_s", False), ("certificate", "xi_bar", "1"),
+])
+def test_non_number_rejected_at_load(section, key, value):
+    cfg = load_config("certified-decay")
+    cfg[section][key] = value
+    with pytest.raises(ConfigError, match="must be a number"):
+        Scenario.from_dict(cfg)
+
+
+@pytest.mark.parametrize("section", ["initial", "numerics", "certificate"])
+def test_null_section_rejected_at_load(section):
+    cfg = load_config("certified-decay")
+    cfg[section] = None
+    with pytest.raises(ConfigError, match=section):
         Scenario.from_dict(cfg)

@@ -1,6 +1,8 @@
 """Sweep expansion, classification, determinism, and parallel equivalence."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piezobeam import SweepSpec, execute, expand
 from piezobeam import sweep
@@ -19,7 +21,6 @@ def test_expand_cartesian_order():
     ))
     combos = [combo for combo, _ in expand(spec)]
     assert combos == [(0.1, 0.0), (0.1, 0.19), (0.5, 0.0), (0.5, 0.19)]
-    assert spec.size == 4
 
 
 def test_expand_single_value_only_changes_that_field():
@@ -65,7 +66,7 @@ def test_from_dict():
         "axes": [{"path": "weights.beta0", "values": [0.1, 0.2]}],
         "n": 51, "horizon_s": 4.0,
     })
-    assert spec.size == 2
+    assert spec.axes == (("weights.beta0", (0.1, 0.2)),)
     assert spec.n == 51
     assert spec.horizon == 4.0
 
@@ -117,9 +118,8 @@ class TestExecute:
                                                                 small_records))
 
     def test_parallel_matches_serial(self, small_spec, small_records):
-        par = SweepSpec(small_spec.base, small_spec.axes, small_spec.n,
-                        small_spec.horizon, workers=2)
-        assert list(map(_key, execute(par))) == list(map(_key, small_records))
+        par = execute(small_spec, workers=2)
+        assert list(map(_key, par)) == list(map(_key, small_records))
 
     def test_matches_standalone_certificate(self, small_spec, small_records):
         from piezobeam import Scenario
@@ -149,3 +149,24 @@ def test_non_integer_axis_value_recorded_as_infeasible_row():
     records = execute(spec)
     assert [r.status for r in records] == ["ok", "infeasible"]
     assert "output_stride" in records[1].violated[0]
+
+
+SCALARS = (st.floats() | st.integers(-10**6, 10**6) | st.booleans()
+           | st.text() | st.none())
+
+
+# huge amplitudes overflow the energy to inf: a diverged row, as intended
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(["weights.beta0", "weights.M1",
+                             "delay.slope_bound", "initial.amplitude"]),
+       values=st.lists(SCALARS, min_size=1, max_size=3))
+def test_execute_records_every_failure_as_a_row(path, values):
+    # none of these paths changes the step count, so each point stays short
+    spec = SweepSpec(_base(), axes=((path, tuple(values)),), n=11,
+                     horizon=0.5)
+    records = execute(spec)
+    assert len(records) == len(values)
+    assert all(r.values[0] is v for r, v in zip(records, values))
+    assert {r.status for r in records} <= {"ok", "infeasible", "diverged",
+                                           "error"}
