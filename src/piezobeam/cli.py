@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 
@@ -124,7 +125,8 @@ def cmd_sweep(args):
         "valid", "status", "H2", "r_squared", "energy_ratio", "violated")
     rows = []
     for rec in records:
-        rows.append(tuple(_fmt(v) for v in rec.values) + (
+        rows.append(tuple(_fmt(v) if isinstance(v, numbers.Real)
+                          else json.dumps(v) for v in rec.values) + (
             str(rec.valid).lower(), rec.status, _fmt(rec.h2),
             _fmt(rec.r_squared), _fmt(rec.energy_ratio),
             ";".join(rec.violated)))

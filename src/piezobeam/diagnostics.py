@@ -136,17 +136,17 @@ def multiplier_inequalities(params, weights, certificate, mult):
     return (ineq_coupling, ineq_pt, ineq_vx, ineq_vt, ineq_delayed)
 
 
-def select_multipliers(params, weights, certificate, c_prime=None):
+def select_multipliers(params, weights, certificate):
     """Feasibility search over the multipliers, resolved in dependency order.
 
     Free constants: eps_i = c' * delta1(0) / alpha1 (each Young term then
     equals alpha1/4), eta1 = gamma*mu/(4 rho) and eta2 = 1/(4 gamma) (the
     p_t coefficient becomes exactly gamma*mu/2), eta5 = 1/(N2 alpha1),
     eta3 = 1/(N2 c' delta1(0)), eta4 = 1/(N2 c' beta0 delta1(0)).  Each
-    multiplier doubles from 1 until its inequality clears 1.
+    multiplier doubles from 1 until its inequality clears 1.  c' is the
+    Poincare constant of the beam's length; it underflows to 0 for a tiny L.
     """
-    if c_prime is None:
-        c_prime = default_poincare_constant(params.length)
+    c_prime = default_poincare_constant(params.length)
     if not c_prime > 0:
         raise MultiplierSearchError(
             f"Poincare constant must be > 0, got {c_prime} "

@@ -28,10 +28,6 @@ class HistoryUnderrunError(PiezobeamError):
 class DivergenceError(PiezobeamError):
     """The time integration blew up (energy growth guard tripped)."""
 
-    def __init__(self, message, step=None):
-        super().__init__(message)
-        self.step = step
-
 
 class MultiplierSearchError(PiezobeamError):
     """The doubling search for Lyapunov multipliers did not terminate."""

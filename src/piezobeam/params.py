@@ -23,14 +23,16 @@ DEFAULT_SAMPLES = 4096
 
 def check_float_fields(obj):
     """Raise TypeError unless every float field of a dataclass holds a real
-    number: no strings or bools, and None only where the field allows it."""
+    number, and every entry of a tuple-of-float field does: no strings or
+    bools, and None only where the field allows it."""
     for f in fields(obj):
         value, kind = getattr(obj, f.name), str(f.type)
-        optional = value is None and "None" in kind
-        if "float" in kind and not optional and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)):
-            raise TypeError(f"{type(obj).__name__}.{f.name} must be a number, "
-                            f"got {value!r}")
+        if "float" not in kind or (value is None and "None" in kind):
+            continue
+        for entry in value if kind.startswith("tuple") else (value,):
+            if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
+                raise TypeError(f"{type(obj).__name__}.{f.name} must be a "
+                                f"number, got {entry!r}")
 
 
 @dataclass(frozen=True)
@@ -77,9 +79,13 @@ class DelayProfile:
     Kinds:
       constant:  tau(t) = mean
       sinusoid:  tau(t) = mean + amplitude * sin(omega * t)
-      table:     linear interpolation of (table_t, table_tau), table_t
-                 strictly increasing; tau' is the slope of the segment
-                 holding t (right-continuous, 0 outside the table), tau'' = 0
+      table:     linear interpolation of (table_t, table_tau), kept as
+                 tuples of floats, table_t strictly increasing; tau' is the
+                 slope of the segment holding t (right-continuous, 0 outside
+                 the table), tau'' = 0
+
+    Every profile evaluates elementwise: an array t gives an array, a
+    scalar t a numpy scalar.
 
     Declared bounds (tau0, tau_bar, d) are what the certificate uses; they are
     checked against the sampled profile by validate_assumptions.
@@ -92,11 +98,14 @@ class DelayProfile:
     mean: float = 0.5
     amplitude: float = 0.0
     omega: float = 0.0
-    table_t: tuple = ()
-    table_tau: tuple = ()
+    table_t: tuple[float, ...] = ()
+    table_tau: tuple[float, ...] = ()
 
     def __post_init__(self):
         check_float_fields(self)
+        for name in ("table_t", "table_tau"):
+            object.__setattr__(self, name,
+                               tuple(float(v) for v in getattr(self, name)))
         if self.kind not in ("constant", "sinusoid", "table"):
             raise ValueError(f"unknown delay profile kind {self.kind!r}")
         if self.kind == "table" and not (
@@ -106,33 +115,10 @@ class DelayProfile:
         if self.kind == "table" and not np.all(np.diff(self.table_t) > 0):
             raise ValueError("table delay times must be strictly increasing")
 
-    @staticmethod
-    def sinusoid(mean, amplitude, omega, tau0=None, tau_bar=None, d=None):
-        return DelayProfile(
-            kind="sinusoid",
-            mean=mean,
-            amplitude=amplitude,
-            omega=omega,
-            tau0=mean - abs(amplitude) if tau0 is None else tau0,
-            tau_bar=mean + abs(amplitude) if tau_bar is None else tau_bar,
-            d=abs(amplitude * omega) if d is None else d,
-        )
-
-    @staticmethod
-    def from_table(times, values, tau0, tau_bar, d):
-        return DelayProfile(
-            kind="table",
-            table_t=tuple(float(t) for t in times),
-            table_tau=tuple(float(v) for v in values),
-            tau0=tau0,
-            tau_bar=tau_bar,
-            d=d,
-        )
-
     def tau(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return np.broadcast_to(self.mean, t.shape).copy() if t.ndim else float(self.mean)
+            return np.full_like(t, self.mean)[()]
         if self.kind == "sinusoid":
             return self.mean + self.amplitude * np.sin(self.omega * t)
         return np.interp(t, self.table_t, self.table_tau)
@@ -140,19 +126,18 @@ class DelayProfile:
     def tau_prime(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            return np.zeros(t.shape) if t.ndim else 0.0
+            return np.zeros_like(t)[()]
         if self.kind == "sinusoid":
             return self.amplitude * self.omega * np.cos(self.omega * t)
         # entry k is the slope right of vertex k-1: 0 before and after the table
         slopes = np.concatenate(
             ([0.0], np.diff(self.table_tau) / np.diff(self.table_t), [0.0]))
-        out = slopes[np.searchsorted(self.table_t, t, side="right")]
-        return out if t.ndim else float(out)
+        return slopes[np.searchsorted(self.table_t, t, side="right")]
 
     def tau_second(self, t):
         t = np.asarray(t, dtype=float)
         if self.kind != "sinusoid":
-            return np.zeros(t.shape) if t.ndim else 0.0
+            return np.zeros_like(t)[()]
         return -self.amplitude * self.omega**2 * np.sin(self.omega * t)
 
     def critical_times(self, horizon):
@@ -210,29 +195,27 @@ class WeightProfiles:
     def delta1(self, t):
         t = np.asarray(t, dtype=float)
         if self.d1_kind == "constant":
-            out = np.broadcast_to(float(self.d1_floor), t.shape)
-            return out.copy() if t.ndim else float(self.d1_floor)
+            return np.full_like(t, self.d1_floor)[()]
         return self.d1_floor + self.d1_excess * np.exp(-self.d1_rate * t)
 
     def delta1_prime(self, t):
         t = np.asarray(t, dtype=float)
         if self.d1_kind == "constant":
-            return np.zeros(t.shape) if t.ndim else 0.0
+            return np.zeros_like(t)[()]
         return -self.d1_rate * self.d1_excess * np.exp(-self.d1_rate * t)
 
     def delta2(self, t):
         t = np.asarray(t, dtype=float)
         if self.d2_kind == "zero":
-            return np.zeros(t.shape) if t.ndim else 0.0
+            return np.zeros_like(t)[()]
         if self.d2_kind == "constant":
-            out = np.broadcast_to(float(self.d2_value), t.shape)
-            return out.copy() if t.ndim else float(self.d2_value)
+            return np.full_like(t, self.d2_value)[()]
         return self.d2_ratio * self.delta1(t) * np.cos(self.d2_omega * t)
 
     def delta2_prime(self, t):
         t = np.asarray(t, dtype=float)
         if self.d2_kind in ("zero", "constant"):
-            return np.zeros(t.shape) if t.ndim else 0.0
+            return np.zeros_like(t)[()]
         return self.d2_ratio * (
             self.delta1_prime(t) * np.cos(self.d2_omega * t)
             - self.d2_omega * self.delta1(t) * np.sin(self.d2_omega * t)
@@ -292,18 +275,13 @@ def validate_assumptions(delay, weights, horizon=40.0, samples=DEFAULT_SAMPLES):
     if crit.size:
         ts = np.unique(np.concatenate([ts, crit]))
 
-    tau = np.asarray(delay.tau(ts), dtype=float)
-    taup = np.asarray(delay.tau_prime(ts), dtype=float)
-    taupp = np.asarray(delay.tau_second(ts), dtype=float)
-    d1 = np.asarray(weights.delta1(ts), dtype=float)
-    d1p = np.asarray(weights.delta1_prime(ts), dtype=float)
-    d2 = np.asarray(weights.delta2(ts), dtype=float)
-    d2p = np.asarray(weights.delta2_prime(ts), dtype=float)
-
-    for label, arr in (
-        ("tau", tau), ("tau'", taup), ("tau''", taupp),
-        ("delta1", d1), ("delta1'", d1p), ("delta2", d2), ("delta2'", d2p),
-    ):
+    values = {"tau": delay.tau(ts), "tau'": delay.tau_prime(ts),
+              "tau''": delay.tau_second(ts), "delta1": weights.delta1(ts),
+              "delta1'": weights.delta1_prime(ts),
+              "delta2": weights.delta2(ts),
+              "delta2'": weights.delta2_prime(ts)}
+    tau, taup, _, d1, d1p, d2, d2p = values.values()
+    for label, arr in values.items():
         bad = ~np.isfinite(arr)
         if bad.any():
             t_bad = ts[bad][0]

@@ -1,9 +1,13 @@
 """Scenario configuration: JSON schema, initial-data presets, named presets.
 
 The config format is JSON with explicit units in field names (seconds
-suffixed `_s`, etc.).  Initial-data presets are all compatible with the
-boundary conditions (zero value at x=0, zero slope at x=L) and extend the
-initial velocity constantly back in time as the delay history.
+suffixed `_s`, etc.).  The schema lives in one key table per config section
+and per profile kind, mapping each JSON key to its dataclass field; both
+Scenario.to_dict and Scenario.from_dict read those tables, so every key is
+written once.  A key a config may leave out takes its dataclass default.
+Initial-data presets are all compatible with the boundary conditions (zero
+value at x=0, zero slope at x=L) and extend the initial velocity constantly
+back in time as the delay history.
 """
 
 from __future__ import annotations
@@ -21,6 +25,40 @@ from .params import (BeamParams, DelayProfile, WeightProfiles,
 
 INITIAL_PRESETS = ("zero", "fundamental-mode", "pluck")
 SCENARIO_PRESETS = ("certified-decay", "damped-no-delay", "undamped")
+
+# JSON key -> dataclass field, per config section
+BEAM_KEYS = {"rho": "rho", "alpha": "alpha", "gamma": "gamma", "mu": "mu",
+             "beta": "beta", "length_m": "length"}
+DELAY_KEYS = {"tau0_s": "tau0", "tau_bar_s": "tau_bar", "slope_bound": "d"}
+WEIGHT_KEYS = {"delta0": "delta0", "beta0": "beta0", "M1": "M1", "M2": "M2"}
+# every key of these sections is optional
+SECTION_KEYS = {
+    "initial": {"preset": "initial_preset", "amplitude": "initial_amplitude"},
+    "numerics": {"n": "n", "cfl_safety": "cfl_safety",
+                 "integrator": "integrator", "horizon_s": "horizon",
+                 "output_stride": "output_stride",
+                 "field_stride": "field_stride", "dt_s": "dt"},
+    "certificate": {"xi_bar": "xi_bar_override", "lambda": "lambda_override"},
+}
+# profile section -> (field holding its "kind", kind -> the kind's own keys)
+KINDS = {
+    "delay": ("kind", {
+        "constant": {"value_s": "mean"},
+        "sinusoid": {"mean_s": "mean", "amplitude_s": "amplitude",
+                     "omega_rad_per_s": "omega"},
+        "table": {"times_s": "table_t", "values_s": "table_tau"},
+    }),
+    "delta1": ("d1_kind", {
+        "constant": {"value": "d1_floor"},
+        "exp_floor": {"floor": "d1_floor", "excess": "d1_excess",
+                      "rate_per_s": "d1_rate"},
+    }),
+    "delta2": ("d2_kind", {
+        "zero": {},
+        "constant": {"value": "d2_value"},
+        "cosine": {"ratio": "d2_ratio", "omega_rad_per_s": "d2_omega"},
+    }),
+}
 
 
 @dataclass(frozen=True)
@@ -72,145 +110,69 @@ class Scenario:
         )
 
     def to_dict(self):
-        d = {
-            "beam": {
-                "rho": self.beam.rho,
-                "alpha": self.beam.alpha,
-                "gamma": self.beam.gamma,
-                "mu": self.beam.mu,
-                "beta": self.beam.beta,
-                "length_m": self.beam.length,
-            },
-            "delay": _delay_to_dict(self.delay),
-            "weights": _weights_to_dict(self.weights),
-            "initial": {
-                "preset": self.initial_preset,
-                "amplitude": self.initial_amplitude,
-            },
-            "numerics": {
-                "n": self.n,
-                "cfl_safety": self.cfl_safety,
-                "integrator": self.integrator,
-                "horizon_s": self.horizon,
-                "output_stride": self.output_stride,
-                "field_stride": self.field_stride,
-            },
-            "certificate": {
-                "xi_bar": self.xi_bar_override,
-                "lambda": self.lambda_override,
-            },
-        }
-        if self.dt is not None:
-            d["numerics"]["dt_s"] = self.dt
+        d = {"beam": _write(self.beam, BEAM_KEYS),
+             "delay": {**_write_kind(self.delay, "delay"),
+                       **_write(self.delay, DELAY_KEYS)},
+             "weights": {**_write(self.weights, WEIGHT_KEYS),
+                         "delta1": _write_kind(self.weights, "delta1"),
+                         "delta2": _write_kind(self.weights, "delta2")},
+             **{name: _write(self, keys)
+                for name, keys in SECTION_KEYS.items()}}
+        if self.dt is None:
+            del d["numerics"]["dt_s"]
         return d
 
     @staticmethod
     def from_dict(cfg):
         try:
-            beam = BeamParams(
-                rho=cfg["beam"]["rho"],
-                alpha=cfg["beam"]["alpha"],
-                gamma=cfg["beam"]["gamma"],
-                mu=cfg["beam"]["mu"],
-                beta=cfg["beam"]["beta"],
-                length=cfg["beam"]["length_m"],
-            )
-            delay = _delay_from_dict(cfg["delay"])
-            weights = _weights_from_dict(cfg["weights"])
-            init, num, cert = (cfg.get(key, {}) for key in
-                               ("initial", "numerics", "certificate"))
-            if not all(isinstance(s, dict) for s in (init, num, cert)):
-                raise TypeError("initial, numerics and certificate must be "
-                                "objects when present")
-            return Scenario(
-                beam=beam, delay=delay, weights=weights,
-                initial_preset=init.get("preset", "fundamental-mode"),
-                initial_amplitude=init.get("amplitude", 1.0),
-                n=num.get("n", 201),
-                cfl_safety=num.get("cfl_safety", 0.5),
-                integrator=num.get("integrator", "explicit"),
-                horizon=num.get("horizon_s", 40.0),
-                output_stride=num.get("output_stride", 1),
-                field_stride=num.get("field_stride", 1000),
-                dt=num.get("dt_s"),
-                xi_bar_override=cert.get("xi_bar"),
-                lambda_override=cert.get("lambda"),
-            )
+            beam = BeamParams(**_read(cfg["beam"], BEAM_KEYS))
+            d = cfg["delay"]
+            # a constant delay has slope 0, so its bound may be left out
+            delay = DelayProfile(**_read_kind(d, "delay"), **_read(
+                d, DELAY_KEYS, ("slope_bound",) if d["kind"] == "constant"
+                else ()))
+            w = cfg["weights"]
+            weights = WeightProfiles(
+                **_read(w, WEIGHT_KEYS, ("M1", "M2")),
+                **_read_kind(w["delta1"], "delta1"),
+                **_read_kind(w.get("delta2", {"kind": "zero"}), "delta2"))
+            kw = {}
+            for name, keys in SECTION_KEYS.items():
+                section = cfg.get(name, {})
+                if not isinstance(section, dict):
+                    raise TypeError("initial, numerics and certificate must "
+                                    "be objects when present")
+                kw.update(_read(section, keys, keys))
+            return Scenario(beam=beam, delay=delay, weights=weights, **kw)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed scenario config: {exc}") from exc
 
 
-def _delay_to_dict(delay):
-    d = {"kind": delay.kind, "tau0_s": delay.tau0, "tau_bar_s": delay.tau_bar,
-         "slope_bound": delay.d}
-    if delay.kind == "constant":
-        d["value_s"] = delay.mean
-    elif delay.kind == "sinusoid":
-        d["mean_s"] = delay.mean
-        d["amplitude_s"] = delay.amplitude
-        d["omega_rad_per_s"] = delay.omega
-    else:
-        d["times_s"] = list(delay.table_t)
-        d["values_s"] = list(delay.table_tau)
-    return d
+def _read(section, keys, optional=()):
+    """Dataclass kwargs from a JSON section; an optional key left out keeps
+    its field's default, a required one raises KeyError."""
+    return {field: section[key] for key, field in keys.items()
+            if key in section or key not in optional}
 
 
-def _delay_from_dict(d):
-    kind = d["kind"]
-    if kind == "constant":
-        return DelayProfile(kind="constant", mean=d["value_s"],
-                            tau0=d["tau0_s"], tau_bar=d["tau_bar_s"],
-                            d=d.get("slope_bound", 0.0))
-    if kind == "sinusoid":
-        return DelayProfile(kind="sinusoid", mean=d["mean_s"],
-                            amplitude=d["amplitude_s"],
-                            omega=d["omega_rad_per_s"],
-                            tau0=d["tau0_s"], tau_bar=d["tau_bar_s"],
-                            d=d["slope_bound"])
-    if kind == "table":
-        return DelayProfile.from_table(d["times_s"], d["values_s"],
-                                       tau0=d["tau0_s"], tau_bar=d["tau_bar_s"],
-                                       d=d["slope_bound"])
-    raise ConfigError(f"unknown delay kind {kind!r}")
+def _write(obj, keys):
+    """A JSON section from a dataclass; a table's tuples become lists."""
+    out = {key: getattr(obj, field) for key, field in keys.items()}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
-def _weights_to_dict(w):
-    d1 = {"kind": w.d1_kind}
-    if w.d1_kind == "constant":
-        d1["value"] = w.d1_floor
-    else:
-        d1.update(floor=w.d1_floor, excess=w.d1_excess, rate_per_s=w.d1_rate)
-    d2 = {"kind": w.d2_kind}
-    if w.d2_kind == "constant":
-        d2["value"] = w.d2_value
-    elif w.d2_kind == "cosine":
-        d2.update(ratio=w.d2_ratio, omega_rad_per_s=w.d2_omega)
-    return {"delta0": w.delta0, "beta0": w.beta0, "M1": w.M1, "M2": w.M2,
-            "delta1": d1, "delta2": d2}
+def _read_kind(section, name):
+    kind_field, kinds = KINDS[name]
+    kind = section["kind"]
+    if kind not in kinds:
+        raise ValueError(f"unknown {name} kind {kind!r}")
+    return {kind_field: kind, **_read(section, kinds[kind])}
 
 
-def _weights_from_dict(d):
-    d1 = d["delta1"]
-    d2 = d.get("delta2", {"kind": "zero"})
-    kw = dict(delta0=d["delta0"], beta0=d["beta0"],
-              M1=d.get("M1", 1.0), M2=d.get("M2", 1.0))
-    if d1["kind"] == "constant":
-        kw.update(d1_kind="constant", d1_floor=d1["value"])
-    elif d1["kind"] == "exp_floor":
-        kw.update(d1_kind="exp_floor", d1_floor=d1["floor"],
-                  d1_excess=d1["excess"], d1_rate=d1["rate_per_s"])
-    else:
-        raise ConfigError(f"unknown delta1 kind {d1['kind']!r}")
-    if d2["kind"] == "zero":
-        kw.update(d2_kind="zero")
-    elif d2["kind"] == "constant":
-        kw.update(d2_kind="constant", d2_value=d2["value"])
-    elif d2["kind"] == "cosine":
-        kw.update(d2_kind="cosine", d2_ratio=d2["ratio"],
-                  d2_omega=d2["omega_rad_per_s"])
-    else:
-        raise ConfigError(f"unknown delta2 kind {d2['kind']!r}")
-    return WeightProfiles(**kw)
+def _write_kind(obj, name):
+    kind_field, kinds = KINDS[name]
+    kind = getattr(obj, kind_field)
+    return {"kind": kind, **_write(obj, kinds[kind])}
 
 
 def initial_fields(scenario, x):

@@ -531,7 +531,8 @@ def run(scenario, collect_fields=True):
 
     Deterministic: fixed dt (CFL- and delay-clamped, then rounded so an
     integer number of steps hits the horizon exactly), no randomness.
-    Divergence raises DivergenceError with the partial trajectory attached.
+    A DivergenceError, or a HistoryUnderrunError after step 0, is raised
+    with .step and the partial trajectory (.trajectory) attached.
     """
     grid = Grid(scenario.n, scenario.beam.length)
     operator = SpatialOperator(scenario.beam, grid)
@@ -576,12 +577,13 @@ def run(scenario, collect_fields=True):
         try:
             state = stepper(state, history, operator, scenario.weights,
                             scenario.delay, dt)
-        except DivergenceError as exc:
-            traj.status = "diverged"
+            if k % stride == 0 or k == n_steps:
+                record(k, state)
+        except (DivergenceError, HistoryUnderrunError) as exc:
+            diverged = isinstance(exc, DivergenceError)
+            traj.status = "diverged" if diverged else "error"
             traj.data = traj.data[:filled]
-            err = DivergenceError(f"{exc} (step {k})", step=k)
-            err.trajectory = traj
+            err = type(exc)(f"{exc} (step {k})")
+            err.step, err.trajectory = k, traj
             raise err from exc
-        if k % stride == 0 or k == n_steps:
-            record(k, state)
     return traj

@@ -76,6 +76,9 @@ class TestCheck:
                    "values_s": [0.5, 0.5]}),
         ("delay", {"tau0_s": "0.4"}),
         ("numerics", None),
+        ("delay", {"kind": "bogus"}),
+        ("weights", {"delta1": {"kind": "bogus"}}),
+        ("weights", {"delta2": {"kind": "bogus"}}),
     ])
     def test_malformed_config_exits_1(self, tmp_path, capsys, section, patch):
         cfg = load_config("certified-decay")
@@ -209,6 +212,21 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "sweep.csv")])
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    def test_non_number_axis_values_written_as_json(self, tmp_path):
+        sweep_cfg = {"base": load_config("certified-decay"),
+                     "axes": [{"path": "weights.beta0",
+                               "values": [0.3, "abc", None]}],
+                     "n": 11, "horizon_s": 0.5}
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", out]) == EXIT_OK
+        with open(out) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["0.29999999999999999", '"abc"',
+                                            "null"]
+        assert [row[2] for row in rows].count("infeasible") == 2
 
 
 class TestReport:

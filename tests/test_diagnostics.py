@@ -201,9 +201,10 @@ class TestSelectMultipliers:
 
     def test_zero_c_prime_rejected(self, certified_scenario):
         cert = certified_scenario.build_certificate()
-        with pytest.raises(MultiplierSearchError):
-            select_multipliers(certified_scenario.beam,
-                               certified_scenario.weights, cert, c_prime=0.0)
+        # c' = (2L/pi)^2 underflows to 0 for this L
+        beam = dataclasses.replace(certified_scenario.beam, length=1e-200)
+        with pytest.raises(MultiplierSearchError, match="Poincare"):
+            select_multipliers(beam, certified_scenario.weights, cert)
 
     def test_invalid_certificate_rejected(self, certified_scenario):
         with pytest.raises(MultiplierSearchError):

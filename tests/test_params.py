@@ -67,7 +67,8 @@ class TestValidateAssumptions:
 
     def test_sinusoid_slope_violation(self):
         # tau(t) = 0.5 + 0.3 sin(2t): sup tau' = 0.6, declared d = 0.5 fails
-        delay = DelayProfile.sinusoid(0.5, 0.3, 2.0, tau0=0.2, tau_bar=0.8, d=0.5)
+        delay = DelayProfile(kind="sinusoid", mean=0.5, amplitude=0.3,
+                             omega=2.0, tau0=0.2, tau_bar=0.8, d=0.5)
         weights = WeightProfiles()
         rep = validate_assumptions(delay, weights)
         check = rep["delay_slope_bound"]
@@ -198,8 +199,8 @@ class TestBuildCertificate:
         assert cert.c == min(cert.c1, cert.c2, cert.c3)
 
     def test_infeasible_ratio_diagnostic(self):
-        delay = DelayProfile.sinusoid(0.5, 0.1, 1.8, tau0=0.4, tau_bar=0.6,
-                                      d=0.19)
+        delay = DelayProfile(kind="sinusoid", mean=0.5, amplitude=0.1,
+                             omega=1.8, tau0=0.4, tau_bar=0.6, d=0.19)
         weights = WeightProfiles(delta0=1.0, beta0=0.95, d2_kind="cosine",
                                  d2_ratio=0.95, d2_omega=1.0)
         cert = build_certificate(delay, weights)
@@ -220,7 +221,8 @@ class TestBuildCertificate:
 def test_delay_profile_table_round_trip():
     ts = np.linspace(0.0, 10.0, 101)
     vals = 0.5 + 0.05 * np.sin(ts)
-    delay = DelayProfile.from_table(ts, vals, tau0=0.4, tau_bar=0.6, d=0.1)
+    delay = DelayProfile(kind="table", table_t=ts, table_tau=vals, tau0=0.4,
+                         tau_bar=0.6, d=0.1)
     assert abs(float(delay.tau(3.3)) - np.interp(3.3, ts, vals)) < 1e-15
 
 
@@ -240,8 +242,9 @@ def test_weight_profiles_cosine_derivative():
 def test_table_delay_vertex_sampled():
     # the vertex t=20 falls between the 4096 uniform samples on [0, 40], and
     # tau exceeds tau_bar only there
-    delay = DelayProfile.from_table([0.0, 20.0, 40.0], [0.5, 0.6 + 1e-7, 0.5],
-                                    tau0=0.4, tau_bar=0.6, d=0.19)
+    delay = DelayProfile(kind="table", table_t=[0.0, 20.0, 40.0],
+                         table_tau=[0.5, 0.6 + 1e-7, 0.5],
+                         tau0=0.4, tau_bar=0.6, d=0.19)
     cert = build_certificate(delay, WeightProfiles())
     assert not cert.valid
     assert "delay_upper_bound" in cert.diagnostics
@@ -254,8 +257,9 @@ def test_table_delay_vertex_sampled():
 def test_table_delay_slope_per_segment():
     # tau rises with slope 0.4 > d on [10, 11]; averaging the slopes at the
     # vertices (0.2 each) would hide it
-    delay = DelayProfile.from_table([0, 10, 11, 21], [0.5, 0.5, 0.9, 0.9],
-                                    tau0=0.4, tau_bar=1.0, d=0.38)
+    delay = DelayProfile(kind="table", table_t=[0, 10, 11, 21],
+                         table_tau=[0.5, 0.5, 0.9, 0.9],
+                         tau0=0.4, tau_bar=1.0, d=0.38)
     assert delay.tau_prime(10.0) == pytest.approx(0.4)
     assert np.array_equal(delay.tau_prime([-1.0, 9.0, 11.0, 21.0, 30.0]),
                           np.zeros(5))
@@ -269,24 +273,30 @@ def test_table_delay_slope_per_segment():
 
 def test_table_delay_times_must_increase():
     with pytest.raises(ValueError, match="strictly increasing"):
-        DelayProfile.from_table([0, 20, 10, 30], [0.5, 0.5, 0.9, 0.5],
-                                tau0=0.4, tau_bar=1.0, d=0.38)
+        DelayProfile(kind="table", table_t=[0, 20, 10, 30],
+                     table_tau=[0.5, 0.5, 0.9, 0.5],
+                     tau0=0.4, tau_bar=1.0, d=0.38)
 
 
 def test_table_delay_lengths_must_match():
     with pytest.raises(ValueError, match="one value per time"):
-        DelayProfile.from_table([0, 10, 20], [0.5, 0.5], tau0=0.4,
-                                tau_bar=0.6, d=0.1)
+        DelayProfile(kind="table", table_t=[0, 10, 20], table_tau=[0.5, 0.5],
+                     tau0=0.4, tau_bar=0.6, d=0.1)
 
 
 @pytest.mark.parametrize("cls,name", [
     (BeamParams, "rho"), (BeamParams, "gamma"), (DelayProfile, "tau0"),
     (DelayProfile, "d"), (WeightProfiles, "beta0"), (WeightProfiles, "M1"),
+    (DelayProfile, "table_t"), (DelayProfile, "table_tau"),
 ])
 @pytest.mark.parametrize("value", ["0.4", None, True])
 def test_float_field_must_be_a_number(cls, name, value):
+    # a table field holds one number per entry; check one bad entry
+    table = name.startswith("table")
     with pytest.raises(TypeError, match=f"{cls.__name__}.{name} must be a "
                                         "number"):
-        cls(**{name: value})
+        cls(**{name: (0.0, value) if table else value})
     # integers and numpy scalars are numbers
-    assert getattr(cls(**{name: np.int64(1)}), name) == 1
+    one = np.int64(1)
+    assert getattr(cls(**{name: (one,) if table else one}), name) == (
+        (1.0,) if table else 1)

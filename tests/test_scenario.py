@@ -31,6 +31,8 @@ REAL = st.floats(-100.0, 100.0)
 def test_round_trip_every_preset(name):
     sc = load_scenario(name)
     assert Scenario.from_dict(sc.to_dict()) == sc
+    # both directions use the shipped key names
+    assert sc.to_dict() == load_config(name)
 
 
 def test_round_trip_table_delay():
@@ -64,7 +66,8 @@ def delays(draw):
                             amplitude=draw(REAL), omega=draw(REAL), **bounds)
     times = draw(st.lists(POS, min_size=2, max_size=6, unique=True))
     values = draw(st.lists(POS, min_size=len(times), max_size=len(times)))
-    return DelayProfile.from_table(sorted(times), values, **bounds)
+    return DelayProfile(kind="table", table_t=sorted(times), table_tau=values,
+                        **bounds)
 
 
 @st.composite
@@ -178,9 +181,16 @@ def test_table_delay_length_mismatch_rejected_at_load():
     ("numerics", "horizon_s", "40"), ("beam", "rho", None),
     ("initial", "amplitude", True), ("numerics", "cfl_safety", "0.5"),
     ("numerics", "dt_s", False), ("certificate", "xi_bar", "1"),
+    ("delay", "times_s", [0, "10", 20]),
+    ("delay", "values_s", [0.5, True, 0.5]),
+    ("delay", "values_s", [0.5, None, 0.5]),
 ])
 def test_non_number_rejected_at_load(section, key, value):
     cfg = load_config("certified-decay")
+    if key in ("times_s", "values_s"):
+        cfg["delay"] = {"kind": "table", "times_s": [0, 10, 20],
+                        "values_s": [0.5, 0.5, 0.5], "tau0_s": 0.4,
+                        "tau_bar_s": 0.6, "slope_bound": 0.0}
     cfg[section][key] = value
     with pytest.raises(ConfigError, match="must be a number"):
         Scenario.from_dict(cfg)

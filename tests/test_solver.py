@@ -17,6 +17,7 @@ from piezobeam import (
     WeightProfiles,
     cfl_timestep,
     init_history,
+    load_scenario,
     run,
     step_explicit,
     step_implicit,
@@ -315,6 +316,24 @@ class TestRun:
         assert info.value.step == 7
         assert traj.status == "diverged"
         assert np.array_equal(traj.times, [0.0, 0.2, 0.4, 0.6])
+        assert np.all(np.isfinite(traj.energies))
+
+    def test_history_underrun_keeps_filled_rows(self):
+        # the delay outgrows its declared tau_bar = 0.6, which sizes the
+        # history, so a record's delayed query underruns it mid-run
+        delay = DelayProfile(kind="table", table_t=(0, 1, 2),
+                             table_tau=(0.5, 0.5, 0.9), tau0=0.4, tau_bar=0.6,
+                             d=0.4)
+        sc = dataclasses.replace(load_scenario("damped-no-delay"), n=21,
+                                 horizon=2.0, delay=delay)
+        with pytest.raises(HistoryUnderrunError) as info:
+            run(sc, collect_fields=False)
+        traj = info.value.trajectory
+        assert traj.status == "error"
+        # the record after step 89 queries t - tau(t) ~ 0.72, before the
+        # history start; output_stride 1, so rows 0..88 are kept
+        assert info.value.step == len(traj) == 89
+        assert str(info.value).endswith("(step 89)")
         assert np.all(np.isfinite(traj.energies))
 
     def test_status_independent_of_output_stride(self, certified_scenario):
