@@ -9,6 +9,7 @@ reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import numbers
@@ -33,10 +34,10 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _print_certificate(cert):
@@ -64,11 +65,11 @@ def _write_outputs(traj, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     rows = (map(_fmt, row) for row in traj.data[:, :-1].tolist())
     _write_csv(os.path.join(out_dir, "trajectory.csv"), COLUMNS[:-1], rows)
-    for snap in traj.fields:
-        rows = (tuple(_fmt(v) for v in (snap.x[i], snap.v[i], snap.vt[i],
-                                        snap.p[i], snap.pt[i]))
-                for i in range(len(snap.x)))
-        _write_csv(os.path.join(out_dir, f"fields_{snap.index}.csv"),
+    x = traj.grid.x
+    for k, st in enumerate(traj.fields):
+        rows = (map(_fmt, node)
+                for node in zip(x, st.v, st.vt, st.p, st.pt))
+        _write_csv(os.path.join(out_dir, f"fields_{k}.csv"),
                    ("x", "v", "vt", "p", "pt"), rows)
 
     cert = traj.certificate

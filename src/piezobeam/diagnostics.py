@@ -215,7 +215,7 @@ def energy_dissipation_check(trajectory, certificate, c_tol=10.0):
     cmin = max(cmin, 0.0)
     t, e = trajectory.times, trajectory.energies
     scale = max(float(e[0]), 1.0)
-    tol = c_tol * (trajectory.dt**2 + trajectory.dx**2) * scale
+    tol = c_tol * (trajectory.dt**2 + trajectory.grid.dx**2) * scale
 
     lhs = (e[1:] - e[:-1]) / (t[1:] - t[:-1])
     vt2 = trajectory.column("int_vt2") + trajectory.column("int_vt2_delayed")

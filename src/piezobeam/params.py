@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -24,15 +25,18 @@ DEFAULT_SAMPLES = 4096
 def check_float_fields(obj):
     """Raise TypeError unless every float field of a dataclass holds a real
     number, and every entry of a tuple-of-float field does: no strings or
-    bools, and None only where the field allows it."""
+    bools, and None only where the field allows it; ValueError if one is
+    inf, nan or an int beyond the float range."""
     for f in fields(obj):
         value, kind = getattr(obj, f.name), str(f.type)
         if "float" not in kind or (value is None and "None" in kind):
             continue
+        name = f"{type(obj).__name__}.{f.name}"
         for entry in value if kind.startswith("tuple") else (value,):
             if isinstance(entry, bool) or not isinstance(entry, numbers.Real):
-                raise TypeError(f"{type(obj).__name__}.{f.name} must be a "
-                                f"number, got {entry!r}")
+                raise TypeError(f"{name} must be a number, got {entry!r}")
+            if not abs(entry) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite, got {entry!r}")
 
 
 @dataclass(frozen=True)

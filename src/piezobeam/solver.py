@@ -10,6 +10,8 @@ the SpatialOperator owns the 2x2 coefficient matrix of its stencil and wave
 speed; both steppers end in one tail (blow-up guard, history push, evict).
 Each state caches its delay-free energy parts, so the guard and the record
 (diagnostics.energy, one call per trajectory row) share one evaluation.
+No state is modified in place, so the trajectory keeps the recorded states
+themselves as its field snapshots, with the run's Grid beside them.
 
 Two integrators: an explicit central-difference (velocity-Verlet style) scheme
 with semi-implicit treatment of the instantaneous damping, and a backward-Euler
@@ -85,7 +87,8 @@ class CoreEnergy(NamedTuple):
 
 @dataclass
 class SimState:
-    """Displacement and velocity fields at time t; never modified in place."""
+    """Fields at time t; never modified in place, which the initial state
+    (initial_fields' own arrays) and the recorded field snapshots rely on."""
 
     t: float
     v: np.ndarray
@@ -294,8 +297,6 @@ def init_history(grid, delay, g0, dt):
     for k in range(k_max, -1, -1):
         s = -k * dt
         snap = np.asarray(g0(x, s), dtype=float)
-        if snap.shape != x.shape:
-            snap = np.broadcast_to(snap, x.shape).astype(float)
         if not np.all(np.isfinite(snap)):
             raise ProfileEvaluationError(
                 f"initial history g0 non-finite at s={s:.6g}"
@@ -388,7 +389,9 @@ def step_explicit(state, history, operator, weights, delay, dt):
 
 
 def _implicit_matrix(operator, weights, dt, t_new):
-    """Banded backward-Euler matrix, interleaved (v,p); the next call reuses it."""
+    """Banded backward-Euler matrix, interleaved (v,p), cached per (operator,
+    dt) with its v-row diagonal before delta1/dt; each call rewrites only
+    that diagonal, since solve_banded does not write the band."""
     pr = operator.params
     n = operator.grid.n
     dx2 = operator.grid.dx**2
@@ -419,25 +422,18 @@ def _implicit_matrix(operator, weights, dt, t_new):
         put(rp, rp - 3, pr.gamma * pr.beta / dx2)
         put(rp, rp + 1, pr.gamma * pr.beta / dx2)
         # Dirichlet rows at node 0
-        put(np.array([0]), np.array([0]), 1.0)
-        put(np.array([1]), np.array([1]), 1.0)
-        # second-order one-sided zero-slope rows at node n-1
-        last_v = 2 * (n - 1)
-        last_p = last_v + 1
-        for row, step in ((last_v, 2), (last_p, 2)):
-            put(np.array([row]), np.array([row]), 3.0)
-            put(np.array([row]), np.array([row - step]), -4.0)
-            put(np.array([row]), np.array([row - 2 * step]), 1.0)
-        operator._implicit_cache = (dt, ab, np.empty_like(ab))
-        cache = operator._implicit_cache
+        put(0, 0, 1.0)
+        put(1, 1, 1.0)
+        # second-order one-sided zero-slope rows at node n-1 (v, then p)
+        for row in (2 * n - 2, 2 * n - 1):
+            put(row, row, 3.0)
+            put(row, row - 2, -4.0)
+            put(row, row - 4, 1.0)
+        cache = operator._implicit_cache = (dt, ab, ab[nb, 2:-2:2].copy())
 
-    # refilled in place: a fresh copy per step at large n let malloc return
-    # and re-fault its pages every step
-    ab = cache[2]
-    ab[...] = cache[1]
+    _, ab, diag = cache
     d1 = float(weights.delta1(t_new))
-    i = np.arange(1, n - 1)
-    ab[nb, 2 * i] += d1 / dt
+    ab[nb, 2:-2:2] = diag + d1 / dt
     return ab, d1
 
 
@@ -449,7 +445,6 @@ def step_implicit(state, history, operator, weights, delay, dt):
     implicit solution satisfies it to solver roundoff.
     """
     pr = operator.params
-    n = operator.grid.n
     t_new = state.t + dt
     tau_new = float(delay.tau(t_new))
     z = history.sample(t_new - tau_new)
@@ -457,11 +452,11 @@ def step_implicit(state, history, operator, weights, delay, dt):
 
     ab, d1 = _implicit_matrix(operator, weights, dt, t_new)
 
-    rhs = np.zeros(2 * n)
-    i = np.arange(1, n - 1)
-    rhs[2 * i] = ((pr.rho / dt**2 + d1 / dt) * state.v[i]
-                  + pr.rho * state.vt[i] / dt - d2_new * z[i])
-    rhs[2 * i + 1] = pr.mu * state.p[i] / dt**2 + pr.mu * state.pt[i] / dt
+    # interior rows: v at 2i, p at 2i+1, for i in 1..n-2
+    rhs = np.zeros(2 * operator.grid.n)
+    rhs[2:-2:2] = ((pr.rho / dt**2 + d1 / dt) * state.v[1:-1]
+                   + pr.rho * state.vt[1:-1] / dt - d2_new * z[1:-1])
+    rhs[3:-2:2] = pr.mu * state.p[1:-1] / dt**2 + pr.mu * state.pt[1:-1] / dt
 
     sol = solve_banded((4, 4), ab, rhs)
     if not np.all(np.isfinite(sol)):
@@ -488,25 +483,16 @@ COLUMNS = (
 
 
 @dataclass
-class FieldSnapshot:
-    index: int
-    t: float
-    x: np.ndarray
-    v: np.ndarray
-    vt: np.ndarray
-    p: np.ndarray
-    pt: np.ndarray
-
-
-@dataclass
 class Trajectory:
-    """Recorded diagnostics: one row of data per record, columns as COLUMNS."""
+    """Recorded diagnostics: one row of data per record, columns as COLUMNS;
+    grid is the run's Grid, and fields holds the recorded SimStates at every
+    field_stride-th step and the last."""
 
     scenario: "object"
     certificate: "object"
     multipliers: "object"
     dt: float
-    dx: float
+    grid: Grid
     data: np.ndarray
     fields: list = field(default_factory=list)
     status: str = "ok"
@@ -544,9 +530,8 @@ def run(scenario, collect_fields=True):
     n_steps = max(0, int(math.ceil(scenario.horizon / dt0 - 1e-12)))
     dt = scenario.horizon / n_steps if n_steps else dt0
 
-    x = grid.x
-    v0, v1, p0, p1, g0 = initial_fields(scenario, x)
-    state = SimState(0.0, v0.copy(), v1.copy(), p0.copy(), p1.copy())
+    v0, v1, p0, p1, g0 = initial_fields(scenario, grid.x)
+    state = SimState(0.0, v0, v1, p0, p1)
     history = init_history(grid, scenario.delay, g0, dt)
 
     multipliers = None
@@ -556,7 +541,7 @@ def run(scenario, collect_fields=True):
 
     stride = scenario.output_stride
     n_rows = n_steps // stride + 1 + (n_steps % stride > 0)
-    traj = Trajectory(scenario, certificate, multipliers, dt, grid.dx,
+    traj = Trajectory(scenario, certificate, multipliers, dt, grid,
                       np.empty((n_rows, len(COLUMNS))))
     filled = 0
 
@@ -567,9 +552,7 @@ def run(scenario, collect_fields=True):
             certificate, multipliers)
         filled += 1
         if collect_fields and (k % scenario.field_stride == 0 or k == n_steps):
-            traj.fields.append(FieldSnapshot(
-                len(traj.fields), st.t, x.copy(), st.v.copy(), st.vt.copy(),
-                st.p.copy(), st.pt.copy()))
+            traj.fields.append(st)
 
     stepper = STEPPERS[scenario.integrator]
     record(0, state)

@@ -1,5 +1,6 @@
 """Exit codes, file outputs, and byte-level determinism of the command line."""
 
+import csv
 import json
 import os
 
@@ -66,6 +67,25 @@ class TestCheck:
         code = main(["check", "--config", _write_cfg(tmp_path, cfg)])
         assert code == EXIT_USAGE
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    @pytest.mark.parametrize("section,key", [("numerics", "horizon_s"),
+                                             ("delay", "tau_bar_s"),
+                                             ("beam", "length_m")])
+    def test_infinity_in_config_exits_1(self, tmp_path, capsys, command,
+                                        section, key):
+        cfg = _quick_cfg()
+        cfg[section][key] = float("inf")
+        path = _write_cfg(tmp_path, cfg)
+        assert "Infinity" in open(path).read()
+        argv = [command, "--config", path]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / "out")
 
     def test_missing_file_exits_1(self, tmp_path):
         code = main(["check", "--config", str(tmp_path / "missing.json")])
@@ -222,11 +242,26 @@ class TestSweepCommand:
         assert main(["sweep", "--config",
                      _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
                      "--out", out]) == EXIT_OK
-        with open(out) as fh:
-            rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         assert [row[0] for row in rows] == ["0.29999999999999999", '"abc"',
                                             "null"]
         assert [row[2] for row in rows].count("infeasible") == 2
+
+    def test_cells_with_commas_and_quotes_are_csv_quoted(self, tmp_path):
+        sweep_cfg = {"base": load_config("certified-decay"),
+                     "axes": [{"path": "weights.beta0",
+                               "values": [0.3, "abc", None, [1, 2]]}],
+                     "n": 11, "horizon_s": 0.5}
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", out]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 7 for row in rows)
+        assert [json.loads(row[0]) for row in rows[2:]] == ["abc", None,
+                                                            [1, 2]]
 
 
 class TestReport:

@@ -218,7 +218,7 @@ def _fake_trajectory(ts, energies, k1=0.0, k2=0.0, k3=0.0):
                       ("K3", k3), ("L", math.nan)):
         data[:, COLUMNS.index(name)] = col
     return Trajectory(None, None, None, dt=ts[1] - ts[0] if len(ts) > 1 else 1.0,
-                      dx=0.01, data=data)
+                      grid=Grid(101, 1.0), data=data)
 
 
 class TestDecayFit:

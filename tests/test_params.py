@@ -289,12 +289,17 @@ def test_table_delay_lengths_must_match():
     (DelayProfile, "d"), (WeightProfiles, "beta0"), (WeightProfiles, "M1"),
     (DelayProfile, "table_t"), (DelayProfile, "table_tau"),
 ])
-@pytest.mark.parametrize("value", ["0.4", None, True])
+@pytest.mark.parametrize("value", [
+    "0.4", None, True, math.inf, -math.inf, math.nan,
+    pytest.param(10**400, id="int-beyond-float-range")])
 def test_float_field_must_be_a_number(cls, name, value):
     # a table field holds one number per entry; check one bad entry
     table = name.startswith("table")
-    with pytest.raises(TypeError, match=f"{cls.__name__}.{name} must be a "
-                                        "number"):
+    # inf, nan and an int too large for a float are numbers, not finite ones
+    error, what = ((TypeError, "a number")
+                   if isinstance(value, (str, bool, type(None)))
+                   else (ValueError, "finite"))
+    with pytest.raises(error, match=f"{cls.__name__}.{name} must be {what}"):
         cls(**{name: (0.0, value) if table else value})
     # integers and numpy scalars are numbers
     one = np.int64(1)

@@ -255,7 +255,7 @@ def ref_energy_dissipation_check(traj, certificate, c_tol=10.0):
     cmin = certificate.c if math.isfinite(certificate.c) else 0.0
     cmin = max(cmin, 0.0)
     scale = max(recs[0]["E"], 1.0)
-    tol = c_tol * (traj.dt**2 + traj.dx**2) * scale
+    tol = c_tol * (traj.dt**2 + traj.grid.dx**2) * scale
 
     n_violations = 0
     worst_margin = -math.inf
@@ -337,7 +337,8 @@ def test_dissipation_check_tie_reports_first_pair(certified_scenario):
     # equal margins on every pair: the first pair is the worst one
     data = np.zeros((5, len(solver.COLUMNS)))
     data[:, 0] = 0.1 * np.arange(5)
-    traj = solver.Trajectory(None, None, None, dt=0.1, dx=0.01, data=data)
+    traj = solver.Trajectory(None, None, None, dt=0.1, grid=Grid(101, 1.0),
+                             data=data)
     cert = certified_scenario.build_certificate()
     got = energy_dissipation_check(traj, cert)
     assert repr(got) == repr(ref_energy_dissipation_check(traj, cert))

@@ -184,6 +184,10 @@ def test_table_delay_length_mismatch_rejected_at_load():
     ("delay", "times_s", [0, "10", 20]),
     ("delay", "values_s", [0.5, True, 0.5]),
     ("delay", "values_s", [0.5, None, 0.5]),
+    ("numerics", "horizon_s", math.inf), ("delay", "tau_bar_s", math.inf),
+    ("beam", "length_m", -math.inf), ("weights", "beta0", math.nan),
+    ("certificate", "lambda", math.inf),
+    ("delay", "values_s", [0.5, math.nan, 0.5]),
 ])
 def test_non_number_rejected_at_load(section, key, value):
     cfg = load_config("certified-decay")
@@ -192,7 +196,11 @@ def test_non_number_rejected_at_load(section, key, value):
                         "values_s": [0.5, 0.5, 0.5], "tau0_s": 0.4,
                         "tau_bar_s": 0.6, "slope_bound": 0.0}
     cfg[section][key] = value
-    with pytest.raises(ConfigError, match="must be a number"):
+    # inf and nan are numbers, but not finite ones
+    non_finite = any(isinstance(v, float) and not math.isfinite(v)
+                     for v in (value if isinstance(value, list) else [value]))
+    with pytest.raises(ConfigError, match="must be finite" if non_finite
+                       else "must be a number"):
         Scenario.from_dict(cfg)
 
 

@@ -286,6 +286,29 @@ class TestSteppers:
             slope = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * g.dx)
             assert abs(slope) <= 1e-8 * scale
 
+    def test_implicit_band_matches_fresh_build(self, certified_scenario):
+        # each step rewrites the cached band's delta1/dt diagonal; adding to
+        # it instead would drift from a fresh build once delta1 varies
+        from piezobeam.solver import _implicit_matrix
+        sc = certified_scenario
+        g = Grid(51, sc.beam.length)
+        op = SpatialOperator(sc.beam, g)
+        dt = 0.01
+        buf = init_history(g, sc.delay, lambda x, s: np.zeros_like(x), dt)
+        v0 = np.sin(math.pi * g.x / 2.0)
+        st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
+        for _ in range(5):
+            st = step_implicit(st, buf, op, sc.weights, sc.delay, dt)
+        t_new = st.t + dt
+        ab, d1 = _implicit_matrix(op, sc.weights, dt, t_new)
+        fresh, fresh_d1 = _implicit_matrix(SpatialOperator(sc.beam, g),
+                                           sc.weights, dt, t_new)
+        assert d1 == fresh_d1 != sc.weights.delta1(0.0)
+        assert np.array_equal(ab, fresh)
+        # the cache holds one band and its v-row diagonal, nothing more
+        cached_dt, band, diag = op._implicit_cache
+        assert cached_dt == dt and band is ab and diag.shape == (g.n - 2,)
+
     def test_newest_history_matches_current_vt(self):
         g = Grid(51, 1.0)
         op = SpatialOperator(BEAM, g)
@@ -367,12 +390,33 @@ class TestRun:
         e = traj.energies
         assert np.all(np.diff(e) <= 1e-12 * e[0])
 
+    @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
+    def test_fields_are_the_recorded_states(self, certified_scenario,
+                                            integrator):
+        sc = dataclasses.replace(certified_scenario, n=51, horizon=1.01,
+                                 integrator=integrator, output_stride=3,
+                                 field_stride=6)
+        traj = run(sc)
+        n_steps = round(sc.horizon / traj.dt)
+        # the last step is off both strides, so it is recorded on its own
+        assert n_steps % sc.output_stride and n_steps % sc.field_stride
+        steps = list(range(0, n_steps, sc.field_stride)) + [n_steps]
+        assert [round(st.t / traj.dt) for st in traj.fields] == steps
+        rows = [k // sc.output_stride for k in steps[:-1]] + [len(traj) - 1]
+        assert [st.t for st in traj.fields] == traj.times[rows].tolist()
+        assert traj.grid == Grid(sc.n, sc.beam.length)
+        assert all(st._core[0].grid is traj.grid for st in traj.fields)
+        # snapshots rely on no state being modified in place
+        arrays = [f for st in traj.fields for f in (st.v, st.vt, st.p, st.pt)]
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
     def test_boundary_invariants(self, certified_scenario):
         sc = dataclasses.replace(certified_scenario, horizon=1.0, n=101,
                                  field_stride=50)
         traj = run(sc)
         assert traj.fields
-        dx = traj.dx
+        dx = traj.grid.dx
         for snap in traj.fields:
             assert snap.v[0] == 0.0
             assert snap.p[0] == 0.0
