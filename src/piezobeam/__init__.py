@@ -22,6 +22,7 @@ from .solver import (
     Trajectory,
     cfl_timestep,
     init_history,
+    profile_table,
     run,
     step_explicit,
     step_implicit,

@@ -119,6 +119,8 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     cfg = load_config(args.config)
     spec = SweepSpec.from_dict(cfg)
     records = execute(spec, workers=args.threads)

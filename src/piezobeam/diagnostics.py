@@ -23,20 +23,20 @@ from .errors import InsufficientDataError, MultiplierSearchError, UndefinedRatio
 MAX_DOUBLINGS = 64  # per multiplier, in select_multipliers
 
 
-def energy(state, history, operator, delay, weights, certificate, multipliers):
-    """The trajectory row at the state's time, in solver.COLUMNS order.
+def energy(state, history, operator, tau_t, d1, certificate, multipliers):
+    """The trajectory row at the state's time t, in solver.COLUMNS order;
+    tau_t and d1 are tau(t) and delta1(t), from the run's profile_table.
 
-    E adds to the delay-free energy a delay term of weight xi_bar * delta1(t);
+    E adds to the delay-free energy a delay term of weight xi_bar * d1;
     an invalid certificate (non-finite xi_bar) contributes no delay energy.
     L = N*E + N1*K1 + N2*K2 + N3*K3 is NaN when multipliers is None.
     """
     xi_bar = certificate.xi_bar if math.isfinite(certificate.xi_bar) else 0.0
     lam = certificate.lam if math.isfinite(certificate.lam) else 0.0
     t = state.t
-    xi_t = xi_bar * float(weights.delta1(t))
+    xi_t = xi_bar * d1
     core = state.core_energy(operator)
 
-    tau_t = float(delay.tau(t))
     int_vt2_delayed = history.square_integral_at(t - tau_t)
     kernel = history.weighted_square_integral(t, tau_t, lam)
     delay_term = 0.5 * xi_t * kernel

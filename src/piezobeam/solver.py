@@ -9,7 +9,9 @@ trapezoid weight vector of every spatial integral, the history's included;
 the SpatialOperator owns the 2x2 coefficient matrix of its stencil and wave
 speed; both steppers end in one tail (blow-up guard, history push, evict).
 Each state caches its delay-free energy parts, so the guard and the record
-(diagnostics.energy, one call per trajectory row) share one evaluation.
+(diagnostics.energy, one call per trajectory row) share one evaluation, and
+an explicit step caches the new state's acceleration, the next step's first.
+The steppers and the record read the profiles from run()'s profile_table.
 No state is modified in place, so the trajectory keeps the recorded states
 themselves as its field snapshots, with the run's Grid beside them.
 
@@ -88,7 +90,7 @@ class CoreEnergy(NamedTuple):
 @dataclass
 class SimState:
     """Fields at time t; never modified in place, which the initial state
-    (initial_fields' own arrays) and the recorded field snapshots rely on."""
+    (initial_fields' own arrays), the field snapshots and caches rely on."""
 
     t: float
     v: np.ndarray
@@ -97,12 +99,29 @@ class SimState:
     pt: np.ndarray
     _core: tuple | None = field(default=None, init=False, repr=False,
                                 compare=False)
+    _acc: tuple | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def core_energy(self, operator):
         """Delay-free energy parts on operator's grid, computed once."""
         if self._core is None or self._core[0] is not operator:
             self._core = (operator, _core_energy(self, operator))
         return self._core[1]
+
+    def acceleration(self, operator):
+        """operator.apply(v, p), computed once, or stored by step_explicit."""
+        if self._acc is None or self._acc[0] is not operator:
+            self._acc = (operator, operator.apply(self.v, self.p))
+        return self._acc[1]
+
+
+def profile_table(delay, weights, dt, n_steps):
+    """Row k: (t_k, tau, delta1, delta1 at t_k + dt/2, delta2) at t_k, which
+    adds dt k times to 0.0 as the steps do; the profiles evaluate
+    elementwise, so each entry is the scalar evaluation's float."""
+    t = np.add.accumulate(np.r_[0.0, np.full(n_steps, dt)])
+    return np.column_stack((t, delay.tau(t), weights.delta1(t),
+                            weights.delta1(t + 0.5 * dt), weights.delta2(t)))
 
 
 class SpatialOperator:
@@ -272,8 +291,8 @@ class HistoryBuffer:
         if t_lo < times[0] - eps:
             raise HistoryUnderrunError(
                 f"delay-energy window start {t_lo:.9g} precedes history start")
-        a = int(np.searchsorted(times, t_lo - eps, side="left"))
-        b = int(np.searchsorted(times, t + eps, side="right"))
+        a = int(times.searchsorted(t_lo - eps, side="left"))
+        b = int(times.searchsorted(t + eps, side="right"))
         ts = times[a:b]
         f = self._sq[self._lo + a:self._lo + b] * np.exp(lam * (ts - t))
         total = (0.5 * float(np.dot(ts[1:] - ts[:-1], f[1:] + f[:-1]))
@@ -350,48 +369,41 @@ def _finish_step(state, new, history, operator, label):
     return new
 
 
-def step_explicit(state, history, operator, weights, delay, dt):
-    """One central-difference step with semi-implicit instantaneous damping.
+def step_explicit(state, history, operator, profiles, k, dt):
+    """Central-difference step k -> k+1 with semi-implicit instantaneous
+    damping; profiles is the run's profile_table.
 
     The delayed term is frozen from the history at t - tau(t); the
     instantaneous damping is averaged between velocity levels so large
     damping gains add no extra step restriction.
     """
     pr = operator.params
-    t = state.t
-    tau_t = float(delay.tau(t))
+    t, tau_t, d1_now, d1_mid, d2_now = profiles[k].tolist()
     z = history.sample(t - tau_t)
-    d1_now = float(weights.delta1(t))
-    d1_mid = float(weights.delta1(t + 0.5 * dt))
-    d2_now = float(weights.delta2(t))
 
-    acc_v0, acc_p0 = operator.apply(state.v, state.p)
+    acc_v0, acc_p0 = state.acceleration(operator)
     total_v0 = acc_v0 - (d1_now * state.vt + d2_now * z) / pr.rho
 
     v_new = state.v + dt * state.vt + 0.5 * dt**2 * total_v0
     p_new = state.p + dt * state.pt + 0.5 * dt**2 * acc_p0
-    v_new[0] = 0.0
-    p_new[0] = 0.0
+    v_new[0] = p_new[0] = 0.0
 
     acc_v1, acc_p1 = operator.apply(v_new, p_new)
     pt_new = state.pt + 0.5 * dt * (acc_p0 + acc_p1)
-    denom = pr.rho + 0.5 * dt * d1_mid
-    vt_new = (
-        (pr.rho - 0.5 * dt * d1_mid) * state.vt
-        + 0.5 * dt * pr.rho * (acc_v0 + acc_v1)
-        - dt * d2_now * z
-    ) / denom
-    vt_new[0] = 0.0
-    pt_new[0] = 0.0
+    vt_new = ((pr.rho - 0.5 * dt * d1_mid) * state.vt
+              + 0.5 * dt * pr.rho * (acc_v0 + acc_v1)
+              - dt * d2_now * z) / (pr.rho + 0.5 * dt * d1_mid)
+    vt_new[0] = pt_new[0] = 0.0
 
-    return _finish_step(state, SimState(t + dt, v_new, vt_new, p_new, pt_new),
-                        history, operator, "explicit step")
+    new = SimState(t + dt, v_new, vt_new, p_new, pt_new)
+    new._acc = (operator, (acc_v1, acc_p1))
+    return _finish_step(state, new, history, operator, "explicit step")
 
 
-def _implicit_matrix(operator, weights, dt, t_new):
+def _implicit_matrix(operator, dt, d1):
     """Banded backward-Euler matrix, interleaved (v,p), cached per (operator,
-    dt) with its v-row diagonal before delta1/dt; each call rewrites only
-    that diagonal, since solve_banded does not write the band."""
+    dt) with its v-row diagonal before d1/dt; each call rewrites only that
+    diagonal for delta1 = d1, since solve_banded does not write the band."""
     pr = operator.params
     n = operator.grid.n
     dx2 = operator.grid.dx**2
@@ -432,25 +444,22 @@ def _implicit_matrix(operator, weights, dt, t_new):
         cache = operator._implicit_cache = (dt, ab, ab[nb, 2:-2:2].copy())
 
     _, ab, diag = cache
-    d1 = float(weights.delta1(t_new))
     ab[nb, 2:-2:2] = diag + d1 / dt
-    return ab, d1
+    return ab
 
 
-def step_implicit(state, history, operator, weights, delay, dt):
-    """Backward-Euler step, implicit in the wave part, explicit in the delay.
+def step_implicit(state, history, operator, profiles, k, dt):
+    """Backward-Euler step k -> k+1, implicit in the wave part, explicit in
+    the delay; profiles is the run's profile_table.
 
     Solves the discrete resolvent system for the new displacements; the
     zero-slope condition at x=L is imposed as a direct row constraint, so the
     implicit solution satisfies it to solver roundoff.
     """
     pr = operator.params
-    t_new = state.t + dt
-    tau_new = float(delay.tau(t_new))
+    t_new, tau_new, d1, _, d2_new = profiles[k + 1].tolist()
     z = history.sample(t_new - tau_new)
-    d2_new = float(weights.delta2(t_new))
-
-    ab, d1 = _implicit_matrix(operator, weights, dt, t_new)
+    ab = _implicit_matrix(operator, dt, d1)
 
     # interior rows: v at 2i, p at 2i+1, for i in 1..n-2
     rhs = np.zeros(2 * operator.grid.n)
@@ -465,8 +474,7 @@ def step_implicit(state, history, operator, weights, delay, dt):
     p_new = sol[1::2]
     vt_new = (v_new - state.v) / dt
     pt_new = (p_new - state.p) / dt
-    vt_new[0] = 0.0
-    pt_new[0] = 0.0
+    vt_new[0] = pt_new[0] = 0.0
 
     return _finish_step(state, SimState(t_new, v_new, vt_new, p_new, pt_new),
                         history, operator, "implicit step")
@@ -533,6 +541,7 @@ def run(scenario, collect_fields=True):
     v0, v1, p0, p1, g0 = initial_fields(scenario, grid.x)
     state = SimState(0.0, v0, v1, p0, p1)
     history = init_history(grid, scenario.delay, g0, dt)
+    profiles = profile_table(scenario.delay, scenario.weights, dt, n_steps)
 
     multipliers = None
     if certificate.valid:
@@ -547,9 +556,9 @@ def run(scenario, collect_fields=True):
 
     def record(k, st):
         nonlocal filled
+        _, tau_t, d1, _, _ = profiles[k].tolist()
         traj.data[filled] = diagnostics.energy(
-            st, history, operator, scenario.delay, scenario.weights,
-            certificate, multipliers)
+            st, history, operator, tau_t, d1, certificate, multipliers)
         filled += 1
         if collect_fields and (k % scenario.field_stride == 0 or k == n_steps):
             traj.fields.append(st)
@@ -558,8 +567,7 @@ def run(scenario, collect_fields=True):
     record(0, state)
     for k in range(1, n_steps + 1):
         try:
-            state = stepper(state, history, operator, scenario.weights,
-                            scenario.delay, dt)
+            state = stepper(state, history, operator, profiles, k - 1, dt)
             if k % stride == 0 or k == n_steps:
                 record(k, state)
         except (DivergenceError, HistoryUnderrunError) as exc:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import fit_decay_rate
 from .errors import DivergenceError, InsufficientDataError, PiezobeamError, SweepSpecError
+from .params import BeamParams, DelayProfile, WeightProfiles
 from .scenario import Scenario
 from .solver import run
 
@@ -41,6 +42,11 @@ class SweepSpec:
                 raise SweepSpecError(
                     f"axis {path!r} would be overwritten by the sweep's "
                     "n / horizon_s")
+        try:  # the spec's n and horizon_s obey the Scenario's rules
+            Scenario(BeamParams(), DelayProfile(), WeightProfiles(),
+                     n=self.n, horizon=self.horizon)
+        except (PiezobeamError, TypeError, ValueError) as exc:
+            raise SweepSpecError(f"sweep n / horizon_s: {exc}") from exc
 
     @staticmethod
     def from_dict(cfg):
@@ -68,17 +74,13 @@ class SweepRecord:
 
 
 def _set_path(cfg, path, value):
-    parts = path.split(".")
-    node = cfg
-    for key in parts[:-1]:
+    parent, node = None, cfg
+    for key in path.split("."):
         if not isinstance(node, dict) or key not in node:
             raise SweepSpecError(f"parameter path {path!r} does not resolve "
                                  f"in the base scenario (missing {key!r})")
-        node = node[key]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise SweepSpecError(f"parameter path {path!r} does not resolve "
-                             f"in the base scenario (missing {parts[-1]!r})")
-    node[parts[-1]] = value
+        parent, node = node, node[key]
+    parent[key] = value
 
 
 def expand(spec):

@@ -233,6 +233,35 @@ class TestSweepCommand:
         assert code == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", 50.5), ("n", True), ("n", 2), ("horizon_s", "abc"),
+        ("horizon_s", -1)])
+    def test_bad_sweep_n_or_horizon_exits_1(self, tmp_path, capsys, key,
+                                            value):
+        sweep_cfg = {"base": load_config("certified-decay"),
+                     "axes": [{"path": "weights.beta0", "values": [0.3]}],
+                     "n": 11, "horizon_s": 0.5, key: value}
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "error: sweep n / horizon_s:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_1_exits_1(self, tmp_path, capsys, threads):
+        sweep_cfg = {"base": load_config("certified-decay"),
+                     "axes": [{"path": "weights.beta0", "values": [0.3]}],
+                     "n": 11, "horizon_s": 0.5}
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", str(out), "--threads", threads])
+        assert code == EXIT_USAGE
+        assert "--threads must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_number_axis_values_written_as_json(self, tmp_path):
         sweep_cfg = {"base": load_config("certified-decay"),
                      "axes": [{"path": "weights.beta0",

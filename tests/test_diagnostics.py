@@ -15,7 +15,6 @@ from piezobeam import (
     SimState,
     SpatialOperator,
     StabilityCertificate,
-    WeightProfiles,
     energy,
     energy_dissipation_check,
     fit_decay_rate,
@@ -54,10 +53,11 @@ def _zero_hist(grid, dt=0.01):
 
 
 def _row(state, hist, beam=BEAM):
-    """energy() of state with delta1 = 1, keyed by column name."""
+    """energy() of state with NO_DELAY's tau = 0.5 and delta1 = 1, keyed by
+    column name."""
     op = SpatialOperator(beam, Grid(len(state.v), beam.length))
-    return dict(zip(COLUMNS, energy(state, hist, op, NO_DELAY,
-                                    WeightProfiles(), NULL_CERT, None)))
+    return dict(zip(COLUMNS, energy(state, hist, op, 0.5, 1.0, NULL_CERT,
+                                    None)))
 
 
 class TestEnergy:

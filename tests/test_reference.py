@@ -30,6 +30,7 @@ from piezobeam import (
     init_history,
     load_scenario,
     lyapunov_equivalence,
+    profile_table,
     run,
     step_explicit,
     step_implicit,
@@ -144,10 +145,10 @@ def test_run_matches_reference(certified_scenario):
     e_ref = []
     k_err = []
     ks = np.column_stack([traj.column(name) for name in ("K1", "K2", "K3")])
+    table = profile_table(sc.delay, sc.weights, traj.dt, len(traj) - 1)
     for k, (t, k_got) in enumerate(zip(traj.times, ks)):
         if k:
-            state = step_explicit(state, history, op, sc.weights, sc.delay,
-                                  traj.dt)
+            state = step_explicit(state, history, op, table, k - 1, traj.dt)
             ref.push(state.t, state.vt)
             ref.evict(state.t)
         assert t == state.t
@@ -234,13 +235,47 @@ def test_guard_energy_carried_forward(certified_scenario, monkeypatch,
         return fresh(st, operator)
 
     monkeypatch.setattr(solver, "_core_energy", counting)
+    table = profile_table(sc.delay, sc.weights, dt, 20)
     for k in range(1, 21):
-        state = stepper(state, history, op, sc.weights, sc.delay, dt)
+        state = stepper(state, history, op, table, k - 1, dt)
         # once for the initial state, then once per new state
         assert len(calls) == k + 1
         assert calls[-1] is state
         assert state.core_energy(op) == fresh(state, op)
         assert len(calls) == k + 1
+
+
+def test_explicit_acceleration_carried_forward(certified_scenario,
+                                              monkeypatch):
+    # first same as last: each explicit step stores the acceleration of the
+    # state it makes, so the next step applies the stencil once, not twice
+    sc = dataclasses.replace(certified_scenario, n=51, horizon=1.0)
+    apply = SpatialOperator.apply
+    calls = []
+
+    def counting(op, v, p):
+        calls.append((v, p))
+        return apply(op, v, p)
+
+    monkeypatch.setattr(SpatialOperator, "apply", counting)
+    traj = run(sc, collect_fields=False)
+    n_steps = len(traj) - 1
+    assert n_steps > 100
+    assert len(calls) == n_steps + 1  # one per step plus the initial state
+
+    grid = Grid(51, sc.beam.length)
+    op = SpatialOperator(sc.beam, grid)
+    v0, v1, p0, p1, g0 = initial_fields(sc, grid.x)
+    state = SimState(0.0, v0, v1, p0, p1)
+    history = init_history(grid, sc.delay, g0, traj.dt)
+    table = profile_table(sc.delay, sc.weights, traj.dt, n_steps)
+    for k in range(n_steps):
+        state = step_explicit(state, history, op, table, k, traj.dt)
+        n_calls = len(calls)
+        carried = state.acceleration(op)
+        assert len(calls) == n_calls  # read from the state, not recomputed
+        for got, want in zip(carried, apply(op, state.v, state.p)):
+            assert np.array_equal(got, want)
 
 
 def ref_records(traj):

@@ -18,6 +18,7 @@ from piezobeam import (
     cfl_timestep,
     init_history,
     load_scenario,
+    profile_table,
     run,
     step_explicit,
     step_implicit,
@@ -196,6 +197,38 @@ def _zero_state(grid):
     return SimState(0.0, z.copy(), z.copy(), z.copy(), z.copy())
 
 
+SINUSOID = DelayProfile(kind="sinusoid", mean=0.5, amplitude=0.1, omega=1.8,
+                        tau0=0.4, tau_bar=0.6, d=0.19)
+TABLE = DelayProfile(kind="table", table_t=(0.0, 1.3, 2.9, 7.0),
+                     table_tau=(0.5, 0.58, 0.42, 0.5), tau0=0.4, tau_bar=0.6,
+                     d=0.1)
+EXP_COSINE = WeightProfiles(delta0=1.0, beta0=0.3, M1=0.1, M2=0.35,
+                            d1_kind="exp_floor", d1_floor=1.0, d1_excess=0.5,
+                            d1_rate=0.25, d2_kind="cosine", d2_ratio=0.3,
+                            d2_omega=1.0)
+CONSTANTS = WeightProfiles(delta0=1.0, beta0=0.3, d1_floor=1.5,
+                           d2_kind="constant", d2_value=0.3)
+
+
+@pytest.mark.parametrize("weights", [EXP_COSINE, CONSTANTS],
+                         ids=["exp_floor-cosine", "constant"])
+@pytest.mark.parametrize("delay", [SINUSOID, TABLE, NO_DELAY],
+                         ids=["sinusoid", "table", "constant"])
+def test_profile_table_matches_scalar_evaluation(delay, weights):
+    # the table evaluates the profiles on an array of step times; a host
+    # whose vector ufunc loops round differently from the scalar ones would
+    # change the steps' floats, and this test is where that shows
+    dt, n_steps = 20.0 / 6473, 6473  # beta0-sweep's step at n=101, T=20
+    table = profile_table(delay, weights, dt, n_steps)
+    assert table.shape == (n_steps + 1, 5)
+    t = 0.0
+    for k, row in enumerate(table.tolist()):
+        assert row == [t, float(delay.tau(t)), float(weights.delta1(t)),
+                       float(weights.delta1(t + 0.5 * dt)),
+                       float(weights.delta2(t))], k
+        t = t + dt
+
+
 class TestSteppers:
     @pytest.mark.parametrize("stepper", [step_explicit, step_implicit])
     def test_zero_fixed_point(self, stepper):
@@ -206,8 +239,9 @@ class TestSteppers:
         weights = WeightProfiles(delta0=1.0, beta0=0.3, d2_kind="constant",
                                  d2_value=0.3)
         st = _zero_state(g)
-        for _ in range(20):
-            st = stepper(st, buf, op, weights, NO_DELAY, dt)
+        table = profile_table(NO_DELAY, weights, dt, 20)
+        for k in range(20):
+            st = stepper(st, buf, op, table, k, dt)
         for f in (st.v, st.vt, st.p, st.pt):
             assert np.all(f == 0.0)
 
@@ -227,8 +261,9 @@ class TestSteppers:
         v0 = np.sin(math.pi * g.x / 2.0)
         st = SimState(0.0, v0.copy(), np.zeros(g.n), np.zeros(g.n),
                       np.zeros(g.n))
-        for _ in range(n_steps):
-            st = step_explicit(st, buf, op, UNDAMPED, NO_DELAY, dt)
+        table = profile_table(NO_DELAY, UNDAMPED, dt, n_steps)
+        for k in range(n_steps):
+            st = step_explicit(st, buf, op, table, k, dt)
         assert np.linalg.norm(st.v - v0) / np.linalg.norm(v0) < 0.01
 
     def test_explicit_dissipative_without_delay(self):
@@ -241,8 +276,9 @@ class TestSteppers:
         v0 = np.sin(math.pi * g.x / 2.0)
         st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
         e_prev = _core_energy(st, op).total
-        for _ in range(500):
-            st = step_explicit(st, buf, op, weights, NO_DELAY, dt)
+        table = profile_table(NO_DELAY, weights, dt, 500)
+        for k in range(500):
+            st = step_explicit(st, buf, op, table, k, dt)
             e = _core_energy(st, op).total
             assert e <= e_prev * (1.0 + 1e-12)
             e_prev = e
@@ -254,9 +290,10 @@ class TestSteppers:
         buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
+        table = profile_table(NO_DELAY, UNDAMPED, dt, 100)
         with pytest.raises(DivergenceError):
-            for _ in range(100):
-                st = step_explicit(st, buf, op, UNDAMPED, NO_DELAY, dt)
+            for k in range(100):
+                st = step_explicit(st, buf, op, table, k, dt)
 
     def test_implicit_stable_at_large_dt(self):
         from piezobeam.solver import _core_energy
@@ -267,8 +304,9 @@ class TestSteppers:
         v0 = np.sin(math.pi * g.x / 2.0)
         st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
         e0 = _core_energy(st, op).total
-        for _ in range(100):
-            st = step_implicit(st, buf, op, UNDAMPED, NO_DELAY, dt)
+        table = profile_table(NO_DELAY, UNDAMPED, dt, 100)
+        for k in range(100):
+            st = step_implicit(st, buf, op, table, k, dt)
         assert np.isfinite(_scale(st))
         assert _core_energy(st, op).total <= e0 * (1.0 + 1e-9)
 
@@ -279,8 +317,9 @@ class TestSteppers:
         buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
-        for _ in range(50):
-            st = step_implicit(st, buf, op, UNDAMPED, NO_DELAY, dt)
+        table = profile_table(NO_DELAY, UNDAMPED, dt, 50)
+        for k in range(50):
+            st = step_implicit(st, buf, op, table, k, dt)
         scale = max(1.0, _scale(st))
         for f in (st.v, st.p):
             slope = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * g.dx)
@@ -297,13 +336,13 @@ class TestSteppers:
         buf = init_history(g, sc.delay, lambda x, s: np.zeros_like(x), dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
-        for _ in range(5):
-            st = step_implicit(st, buf, op, sc.weights, sc.delay, dt)
-        t_new = st.t + dt
-        ab, d1 = _implicit_matrix(op, sc.weights, dt, t_new)
-        fresh, fresh_d1 = _implicit_matrix(SpatialOperator(sc.beam, g),
-                                           sc.weights, dt, t_new)
-        assert d1 == fresh_d1 != sc.weights.delta1(0.0)
+        table = profile_table(sc.delay, sc.weights, dt, 6)
+        for k in range(5):
+            st = step_implicit(st, buf, op, table, k, dt)
+        d1 = float(table[6, 2])  # delta1 at the sixth step's time
+        ab = _implicit_matrix(op, dt, d1)
+        fresh = _implicit_matrix(SpatialOperator(sc.beam, g), dt, d1)
+        assert d1 != sc.weights.delta1(0.0)
         assert np.array_equal(ab, fresh)
         # the cache holds one band and its v-row diagonal, nothing more
         cached_dt, band, diag = op._implicit_cache
@@ -316,8 +355,9 @@ class TestSteppers:
         buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
-        for _ in range(25):
-            st = step_explicit(st, buf, op, UNDAMPED, NO_DELAY, dt)
+        table = profile_table(NO_DELAY, UNDAMPED, dt, 25)
+        for k in range(25):
+            st = step_explicit(st, buf, op, table, k, dt)
             assert np.array_equal(buf.sample(buf.newest_time), st.vt)
             assert buf.newest_time == st.t
 

@@ -54,6 +54,18 @@ def test_spec_owned_axes_rejected(path):
         SweepSpec(_base(), axes=((path, (2, 31)),))
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 50.5, "integer"), ("n", True, "integer"), ("n", 2, ">= 3"),
+    ("horizon", "abc", "number"), ("horizon", -1, ">= 0"),
+    ("horizon", float("inf"), "finite"),
+])
+def test_bad_sweep_n_or_horizon_rejected(key, value, message):
+    # the spec owns n and horizon_s: a bad one is one config error, not one
+    # identical infeasible row per point
+    with pytest.raises(SweepSpecError, match=message):
+        SweepSpec(_base(), axes=(("weights.beta0", (0.3,)),), **{key: value})
+
+
 def test_bad_path_names_path():
     spec = SweepSpec(_base(), axes=(("weights.nonexistent", (0.1,)),))
     with pytest.raises(SweepSpecError, match="weights.nonexistent"):
