@@ -8,9 +8,6 @@ from .params import (
     StabilityCertificate,
     WeightProfiles,
     build_certificate,
-    dissipation_constants,
-    select_lambda,
-    select_xi_bar,
     validate_assumptions,
 )
 from .scenario import Scenario, load_scenario

@@ -51,14 +51,14 @@ def _print_certificate(cert):
 
 def cmd_check(args):
     scenario = Scenario.from_dict(load_config(args.config))
-    report = scenario.build_certificate()
+    cert = scenario.certificate
     print("assumption checks:")
-    for c in report.assumptions.checks:
+    for c in cert.assumptions.checks:
         status = "pass" if c.passed else "FAIL"
         print(f"  {c.name}: margin={_fmt(c.margin)} at t={_fmt(c.worst_t)} "
               f"[{status}]")
-    _print_certificate(report)
-    return EXIT_OK if report.valid else EXIT_INFEASIBLE
+    _print_certificate(cert)
+    return EXIT_OK if cert.valid else EXIT_INFEASIBLE
 
 
 def _write_outputs(traj, out_dir):

@@ -9,10 +9,6 @@ class ProfileEvaluationError(PiezobeamError):
     """A delay or weight profile returned a non-finite value."""
 
 
-class InfeasibleCertificateError(PiezobeamError):
-    """The declared profile bounds admit no decay certificate."""
-
-
 class GridError(PiezobeamError):
     """Invalid spatial grid configuration."""
 

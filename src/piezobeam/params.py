@@ -16,9 +16,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InfeasibleCertificateError, ProfileEvaluationError
+from .errors import ProfileEvaluationError
 
 LAMBDA_MAX = 10.0  # kernel rate when beta0 = 0 leaves it unbounded
+# delay-energy weight: the midpoint of its admissible open interval
+# (beta0/sqrt(1-d), 2 - beta0/sqrt(1-d)), which is symmetric about 1
+XI_BAR = 1.0
 DEFAULT_SAMPLES = 4096
 
 
@@ -331,72 +334,6 @@ def validate_assumptions(delay, weights, horizon=40.0, samples=DEFAULT_SAMPLES):
     return AssumptionReport(tuple(checks))
 
 
-def select_xi_bar(beta0, d):
-    """Midpoint of the admissible open interval for the delay-energy weight.
-
-    The interval (beta0/sqrt(1-d), 2 - beta0/sqrt(1-d)) is symmetric about 1,
-    so the midpoint is always 1 when the interval is non-empty.
-    """
-    if not 0 <= d < 1:
-        raise InfeasibleCertificateError(f"need 0 <= d < 1, got d={d}")
-    lo = beta0 / math.sqrt(1.0 - d)
-    if not 0 <= beta0 < math.sqrt(1.0 - d):
-        raise InfeasibleCertificateError(
-            f"beta0={beta0} >= sqrt(1-d)={math.sqrt(1.0 - d):.6g}: "
-            "no admissible delay-energy weight"
-        )
-    assert lo < 1.0 < 2.0 - lo
-    return 1.0
-
-
-def select_lambda(xi_bar, beta0, d, tau_bar):
-    """Exponential kernel rate: half the largest rate keeping C2 positive.
-
-    C2 > 0 requires exp(-lam * tau_bar) * xi_bar / 2 > beta0 / (2 sqrt(1-d)),
-    i.e. lam < (1/tau_bar) * log(xi_bar * sqrt(1-d) / beta0).  With beta0 = 0
-    the bound is infinite and the cap LAMBDA_MAX applies.
-    """
-    if not 0 <= d < 1:
-        raise InfeasibleCertificateError(f"need 0 <= d < 1, got d={d}")
-    if beta0 < 0 or beta0 >= xi_bar * math.sqrt(1.0 - d):
-        raise InfeasibleCertificateError(
-            f"beta0={beta0} outside [0, xi_bar*sqrt(1-d))"
-        )
-    if beta0 == 0.0:
-        return LAMBDA_MAX
-    return 0.5 * math.log(xi_bar * math.sqrt(1.0 - d) / beta0) / tau_bar
-
-
-@dataclass(frozen=True)
-class DissipationConstants:
-    c1: float
-    c2: float
-    c3: float
-
-    @property
-    def flags(self):
-        return (self.c1 > 0, self.c2 > 0, self.c3 > 0)
-
-    @property
-    def all_positive(self):
-        return all(self.flags)
-
-
-def dissipation_constants(delta0, beta0, d, xi_bar, lam, tau_bar):
-    """Closed forms for the three per-term dissipation constants.
-
-    Negative values are reported, not raised; certificate validity consumes
-    the positivity flags.
-    """
-    root = math.sqrt(1.0 - d)
-    c1 = delta0 * (1.0 - beta0 / (2.0 * root) - xi_bar / 2.0)
-    c2 = delta0 * (1.0 - d) * (
-        math.exp(-lam * tau_bar) * xi_bar / 2.0 - beta0 / (2.0 * root)
-    )
-    c3 = lam * xi_bar * delta0 / 2.0
-    return DissipationConstants(c1, c2, c3)
-
-
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Decay certificate: delay-energy weight, kernel rate, and dissipation constants.
@@ -434,34 +371,55 @@ class StabilityCertificate:
 def build_certificate(delay, weights, horizon=40.0, xi_bar=None, lam=None):
     """Assemble the full certificate: assumption checks, weight, rate, constants.
 
-    Infeasible configurations yield an invalid certificate whose diagnostics
-    name the violated inequalities; nothing is raised unless a profile
-    evaluates non-finite.
+    xi_bar defaults to XI_BAR.  Feasibility is checked here, overrides
+    included: 0 <= d < 1 always, and 0 <= beta0 < xi_bar * sqrt(1-d) when
+    lam is derived.  The derived lam is half the largest rate keeping C2
+    positive, (1/tau_bar) * log(xi_bar * sqrt(1-d) / beta0), or LAMBDA_MAX
+    when beta0 = 0 leaves that rate unbounded.
+
+    Infeasible configurations, and C1..C3 <= 0, yield an invalid certificate
+    whose diagnostics name the violated inequalities; nothing is raised
+    unless a profile evaluates non-finite.
     """
     report = validate_assumptions(delay, weights, horizon=horizon)
     diagnostics = list(report.violated)
 
-    beta0, d = weights.beta0, delay.d
-    try:
-        xi = select_xi_bar(beta0, d) if xi_bar is None else float(xi_bar)
-        rate = (select_lambda(xi, beta0, d, delay.tau_bar) if lam is None
-                else float(lam))
-    except InfeasibleCertificateError as exc:
+    beta0, d, tau_bar = weights.beta0, delay.d, delay.tau_bar
+    xi = XI_BAR if xi_bar is None else float(xi_bar)
+    infeasible = None
+    if not 0 <= d < 1:
+        infeasible = f"need 0 <= d < 1, got d={d}"
+    elif lam is None and not 0 <= beta0 < xi * math.sqrt(1.0 - d):
+        bound = "sqrt(1-d)" if xi_bar is None else "xi_bar*sqrt(1-d)"
+        infeasible = (f"beta0={beta0} >= {bound}={xi * math.sqrt(1.0 - d):.6g}"
+                      ": no admissible delay-energy weight")
+    if infeasible:
         if "delay_weight_ratio" not in diagnostics:
             diagnostics.append("delay_weight_ratio")
-        diagnostics.append(str(exc))
+        diagnostics.append(infeasible)
         return StabilityCertificate(
             math.nan, math.nan, math.nan, math.nan, math.nan,
             valid=False, diagnostics=tuple(diagnostics), assumptions=report,
         )
 
-    cons = dissipation_constants(weights.delta0, beta0, d, xi, rate, delay.tau_bar)
-    for flag, name in zip(cons.flags, ("C1", "C2", "C3")):
-        if not flag:
-            diagnostics.append(f"dissipation_constant_{name}_nonpositive")
+    root, delta0 = math.sqrt(1.0 - d), weights.delta0
+    if lam is not None:
+        rate = float(lam)
+    elif beta0 == 0.0:
+        rate = LAMBDA_MAX
+    else:
+        rate = 0.5 * math.log(xi * root / beta0) / tau_bar
+    c1 = delta0 * (1.0 - beta0 / (2.0 * root) - xi / 2.0)
+    c2 = delta0 * (1.0 - d) * (
+        math.exp(-rate * tau_bar) * xi / 2.0 - beta0 / (2.0 * root))
+    c3 = rate * xi * delta0 / 2.0
+    nonpositive = [name for name, c in zip(("C1", "C2", "C3"), (c1, c2, c3))
+                   if not c > 0]
+    diagnostics += [f"dissipation_constant_{name}_nonpositive"
+                    for name in nonpositive]
 
-    valid = report.passed and cons.all_positive
+    valid = report.passed and not nonpositive
     return StabilityCertificate(
-        xi, rate, cons.c1, cons.c2, cons.c3,
+        xi, rate, c1, c2, c3,
         valid=valid, diagnostics=tuple(diagnostics), assumptions=report,
     )

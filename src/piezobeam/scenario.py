@@ -12,6 +12,7 @@ back in time as the delay history.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -101,7 +102,9 @@ class Scenario:
         if self.output_stride < 1 or self.field_stride < 1:
             raise ConfigError("strides must be >= 1")
 
-    def build_certificate(self):
+    @functools.cached_property
+    def certificate(self):
+        """The scenario's decay certificate, built on first access."""
         return build_certificate(
             self.delay, self.weights,
             horizon=max(self.horizon, 1.0),

@@ -530,7 +530,7 @@ def run(scenario, collect_fields=True):
     """
     grid = Grid(scenario.n, scenario.beam.length)
     operator = SpatialOperator(scenario.beam, grid)
-    certificate = scenario.build_certificate()
+    certificate = scenario.certificate
 
     dt0 = cfl_timestep(operator, scenario.delay, scenario.cfl_safety)
     if scenario.dt is not None:

@@ -36,6 +36,8 @@ class SweepSpec:
         if not self.axes:
             raise SweepSpecError("sweep needs at least one axis")
         for path, values in self.axes:
+            if not isinstance(path, str):
+                raise SweepSpecError(f"axis path must be a string, got {path!r}")
             if not len(values):
                 raise SweepSpecError(f"axis {path!r} has no values")
             if path in ("numerics.n", "numerics.horizon_s"):  # see expand
@@ -52,11 +54,15 @@ class SweepSpec:
     def from_dict(cfg):
         try:
             base = cfg["base"]
-            axes = tuple((a["path"], tuple(a["values"])) for a in cfg["axes"])
+            axes = tuple((a["path"], a["values"]) for a in cfg["axes"])
         except (KeyError, TypeError) as exc:
             raise SweepSpecError(f"malformed sweep config: {exc}") from exc
+        for path, values in axes:
+            if not isinstance(values, list):
+                raise SweepSpecError(
+                    f"axis {path!r} values must be a list, got {values!r}")
         return SweepSpec(
-            base=base, axes=axes,
+            base=base, axes=tuple((p, tuple(v)) for p, v in axes),
             n=cfg.get("n", SWEEP_DEFAULT_N),
             horizon=cfg.get("horizon_s", SWEEP_DEFAULT_HORIZON),
         )
@@ -101,7 +107,7 @@ def _run_one(item):
     combo, cfg = item
     try:
         scenario = Scenario.from_dict(cfg)
-        certificate = scenario.build_certificate()
+        certificate = scenario.certificate
     except PiezobeamError as exc:
         return SweepRecord(combo, False, [str(exc)], status="infeasible")
     if not certificate.valid:
@@ -126,9 +132,10 @@ def _run_one(item):
 
 
 def execute(spec, workers=1):
-    """Run every grid point, in worker processes when workers > 1; aggregate
-    order matches expansion order."""
+    """Run every grid point, in up to one worker process per point when
+    workers > 1; aggregate order matches expansion order."""
     items = expand(spec)
+    workers = min(workers, len(items))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, items))

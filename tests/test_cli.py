@@ -32,6 +32,15 @@ def _quick_cfg(**numerics):
     return cfg
 
 
+def _overridden_cfg(slope_bound):
+    """Both certificate overrides given, so neither xi_bar nor lambda is
+    derived from the slope bound."""
+    cfg = _quick_cfg(horizon_s=1.0)
+    cfg["delay"]["slope_bound"] = slope_bound
+    cfg["certificate"] = {"xi_bar": 1.0, "lambda": 0.5}
+    return cfg
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     """One moderately long certified run shared by simulate/report tests."""
@@ -56,6 +65,16 @@ class TestCheck:
         code = main(["check", "--config", _write_cfg(tmp_path, cfg)])
         assert code == EXIT_INFEASIBLE
         assert "delay_weight_ratio" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("d", [1.0, 1.5])
+    def test_slope_bound_from_1_with_both_overrides_exits_2(self, tmp_path,
+                                                            capsys, d):
+        code = main(["check", "--config",
+                     _write_cfg(tmp_path, _overridden_cfg(d))])
+        assert code == EXIT_INFEASIBLE
+        out = capsys.readouterr().out
+        assert f"  violated: need 0 <= d < 1, got d={d}\n" in out
+        assert "valid: False" in out
 
     @pytest.mark.parametrize("key,value", [("cfl_safety", 1.5),
                                            ("dt_s", 0.0), ("n", 50.5),
@@ -162,6 +181,17 @@ class TestSimulate:
                 second = fh.read()
             assert first == second, name
 
+    def test_slope_bound_1_with_both_overrides_runs_invalid(self, tmp_path):
+        out = str(tmp_path / "out")
+        code = main(["simulate", "--config",
+                     _write_cfg(tmp_path, _overridden_cfg(1.0)),
+                     "--out", out])
+        assert code == EXIT_OK
+        with open(os.path.join(out, "summary.json")) as fh:
+            cert = json.load(fh)["certificate"]
+        assert cert["valid"] is False
+        assert "need 0 <= d < 1, got d=1.0" in cert["diagnostics"]
+
     def test_divergent_run_exits_4_with_partial_output(self, tmp_path):
         # force an unstable explicit step with a huge dt override
         cfg = _quick_cfg(horizon_s=5.0)
@@ -216,22 +246,49 @@ class TestSweepCommand:
                 blobs.append(fh.read())
         assert blobs[0] == blobs[1]
 
-    @pytest.mark.parametrize("case", ["no axes", "no base", "bad path"])
+    @pytest.mark.parametrize("case", ["no axes", "no base", "bad path",
+                                      "int path", "string values",
+                                      "object values"])
     def test_bad_spec_exits_1(self, tmp_path, capsys, case):
         sweep_cfg = {"base": load_config("certified-decay"),
                      "axes": [{"path": "weights.beta0", "values": [0.3]}],
                      "n": 11, "horizon_s": 0.5}
+        axis = sweep_cfg["axes"][0]
         if case == "no axes":
             sweep_cfg["axes"] = []
         elif case == "no base":
             del sweep_cfg["base"]
+        elif case == "bad path":
+            axis["path"] = "weights.nonexistent"
+        elif case == "int path":
+            axis["path"] = 5
+        elif case == "string values":
+            axis["values"] = "0.3"
         else:
-            sweep_cfg["axes"][0]["path"] = "weights.nonexistent"
+            axis["values"] = {"0.3": 1}
+        out = tmp_path / "sweep.csv"
         code = main(["sweep", "--config",
                      _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
-                     "--out", str(tmp_path / "sweep.csv")])
+                     "--out", str(out)])
         assert code == EXIT_USAGE
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_slope_bound_from_1_with_both_overrides_is_infeasible_row(
+            self, tmp_path):
+        sweep_cfg = {"base": _overridden_cfg(0.19),
+                     "axes": [{"path": "delay.slope_bound",
+                               "values": [0.5, 1.5]}],
+                     "n": 11, "horizon_s": 0.5}
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", out]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[2] for row in rows] == ["ok", "infeasible"]
+        assert "need 0 <= d < 1, got d=1.5" in rows[1][-1].split(";")
 
     @pytest.mark.parametrize("key, value", [
         ("n", 50.5), ("n", True), ("n", 2), ("horizon_s", "abc"),

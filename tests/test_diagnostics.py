@@ -178,7 +178,7 @@ class TestSelectMultipliers:
     def test_n3_doubling_oracle(self, certified_scenario):
         # with beta = 1 the coupling inequality is m - 3 > 1, i.e. m > 4:
         # the doubling search from 1 lands on 8
-        cert = certified_scenario.build_certificate()
+        cert = certified_scenario.certificate
         mult = select_multipliers(certified_scenario.beam,
                                   certified_scenario.weights, cert)
         assert mult.n3 == 8.0
@@ -188,7 +188,7 @@ class TestSelectMultipliers:
         assert lhs[0] <= 1.0  # 4 - 3 = 1 fails the strict test
 
     def test_substitute_and_check(self, certified_scenario):
-        cert = certified_scenario.build_certificate()
+        cert = certified_scenario.certificate
         mult = select_multipliers(certified_scenario.beam,
                                   certified_scenario.weights, cert)
         lhs = multiplier_inequalities(certified_scenario.beam,
@@ -200,7 +200,7 @@ class TestSelectMultipliers:
         assert abs(default_poincare_constant(1.0) - (2.0 / math.pi)**2) < 1e-15
 
     def test_zero_c_prime_rejected(self, certified_scenario):
-        cert = certified_scenario.build_certificate()
+        cert = certified_scenario.certificate
         # c' = (2L/pi)^2 underflows to 0 for this L
         beam = dataclasses.replace(certified_scenario.beam, length=1e-200)
         with pytest.raises(MultiplierSearchError, match="Poincare"):

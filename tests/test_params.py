@@ -16,12 +16,9 @@ from piezobeam import (
     DelayProfile,
     WeightProfiles,
     build_certificate,
-    dissipation_constants,
-    select_lambda,
-    select_xi_bar,
     validate_assumptions,
 )
-from piezobeam.errors import InfeasibleCertificateError
+from piezobeam.params import XI_BAR
 
 
 def test_beam_params_alpha1():
@@ -100,42 +97,60 @@ class TestValidateAssumptions:
         assert rep.passed
 
 
+def _cert(beta0, d, tau_bar=0.6, delta0=1.0, **overrides):
+    """build_certificate on a constant delay tau_bar with slope bound d,
+    delta1 = delta0 and delta2 = 0, so the arithmetic sees exactly these
+    bounds; overrides are its xi_bar and lam."""
+    delay = DelayProfile(kind="constant", mean=tau_bar, tau0=tau_bar,
+                         tau_bar=tau_bar, d=d)
+    weights = WeightProfiles(delta0=delta0, beta0=beta0, d1_floor=delta0)
+    return build_certificate(delay, weights, **overrides)
+
+
 class TestSelectXiBar:
+    """The delay-energy weight build_certificate selects: XI_BAR."""
+
     def test_symmetric_interval_midpoint(self):
-        assert select_xi_bar(0.0, 0.0) == 1.0
+        assert XI_BAR == 1.0
+        assert _cert(0.0, 0.0).xi_bar == 1.0
 
     def test_reference_interval(self):
         # interval (0.3/0.9, 2 - 0.3/0.9) = (1/3, 5/3)
         lo = 0.3 / math.sqrt(1.0 - 0.19)
         assert abs(lo - 1.0 / 3.0) < 1e-12
-        xi = select_xi_bar(0.3, 0.19)
+        xi = _cert(0.3, 0.19).xi_bar
         assert lo < xi < 2.0 - lo
         assert xi == 1.0
 
     def test_boundary_infeasible(self):
-        with pytest.raises(InfeasibleCertificateError):
-            select_xi_bar(0.9, 0.19)
+        cert = _cert(0.9, 0.19)
+        assert not cert.valid
+        assert math.isnan(cert.xi_bar)
+        assert cert.diagnostics[-1] == (
+            "beta0=0.9 >= sqrt(1-d)=0.9: no admissible delay-energy weight")
 
     @given(d=st.floats(0.0, 0.95), frac=st.floats(0.0, 0.999))
     @settings(max_examples=200, deadline=None)
     def test_always_interior_with_margin(self, d, frac):
         beta0 = frac * math.sqrt(1.0 - d)
-        xi = select_xi_bar(beta0, d)
+        xi = _cert(beta0, d).xi_bar
         lo = beta0 / math.sqrt(1.0 - d)
         assert xi - lo >= 1e-9
         assert (2.0 - lo) - xi >= 1e-9
 
 
 class TestSelectLambda:
+    """The kernel rate build_certificate derives when lam is not given."""
+
     def test_reference_value(self):
-        lam = select_lambda(1.0, 0.3, 0.19, 0.6)
+        lam = _cert(0.3, 0.19, tau_bar=0.6).lam
         assert abs(lam - math.log(3.0) / 1.2) < 1e-15
 
     def test_no_delay_weight_cap(self):
-        assert select_lambda(1.0, 0.0, 0.0, 0.6) == 10.0
+        assert _cert(0.0, 0.0, tau_bar=0.6).lam == 10.0
 
     def test_near_boundary_small_positive(self):
-        lam = select_lambda(1.0, 0.899, 0.19, 1.0)
+        lam = _cert(0.899, 0.19, tau_bar=1.0).lam
         assert abs(lam - 0.5 * math.log(0.9 / 0.899)) < 1e-15
         assert 0 < lam < 1e-3
 
@@ -144,44 +159,46 @@ class TestSelectLambda:
     @settings(max_examples=200, deadline=None)
     def test_c2_critical_rate_bracketing(self, d, frac, tau_bar, delta0):
         beta0 = frac * math.sqrt(1.0 - d)
-        lam = select_lambda(1.0, beta0, d, tau_bar)
-        assert dissipation_constants(delta0, beta0, d, 1.0, lam, tau_bar).c2 > 0
-        assert dissipation_constants(delta0, beta0, d, 1.0, 2.0 * lam,
-                                     tau_bar).c2 <= 1e-12
+        cert = _cert(beta0, d, tau_bar, delta0)
+        assert cert.c2 > 0
+        assert _cert(beta0, d, tau_bar, delta0, lam=2.0 * cert.lam).c2 <= 1e-12
 
 
-class TestDissipationConstants:
+class TestCertificateConstants:
+    """C1..C3 of build_certificate at a fixed xi_bar = 1 and lam."""
+
     def test_no_delay_reference(self):
-        cons = dissipation_constants(1.0, 0.0, 0.0, 1.0, 1.0, 0.5)
-        assert abs(cons.c1 - 0.5) < 1e-15
-        assert abs(cons.c2 - math.exp(-0.5) / 2.0) < 1e-15
-        assert abs(cons.c3 - 0.5) < 1e-15
-        assert cons.all_positive
+        cert = _cert(0.0, 0.0, tau_bar=0.5, lam=1.0)
+        assert abs(cert.c1 - 0.5) < 1e-15
+        assert abs(cert.c2 - math.exp(-0.5) / 2.0) < 1e-15
+        assert abs(cert.c3 - 0.5) < 1e-15
+        assert cert.valid and cert.diagnostics == ()
 
     def test_certified_reference(self):
         lam = math.log(3.0) / 1.2
-        cons = dissipation_constants(1.0, 0.3, 0.19, 1.0, lam, 0.6)
+        cert = _cert(0.3, 0.19, tau_bar=0.6, lam=lam)
         # C1 = 1 - 1/6 - 1/2 = 1/3
-        assert abs(cons.c1 - 1.0 / 3.0) < 1e-15
+        assert abs(cert.c1 - 1.0 / 3.0) < 1e-15
         # e^{-lam tau_bar} = sqrt(0.3/0.9) = 1/sqrt(3) by construction of lam
         c2 = 0.81 * (math.exp(-lam * 0.6) / 2.0 - 1.0 / 6.0)
-        assert abs(cons.c2 - c2) < 1e-15
-        assert abs(cons.c2 - 0.0988) < 5e-5
-        assert abs(cons.c3 - lam / 2.0) < 1e-15
+        assert abs(cert.c2 - c2) < 1e-15
+        assert abs(cert.c2 - 0.0988) < 5e-5
+        assert abs(cert.c3 - lam / 2.0) < 1e-15
 
     def test_double_rate_kills_c2(self):
-        lam = select_lambda(1.0, 0.3, 0.19, 0.6)
-        cons = dissipation_constants(1.0, 0.3, 0.19, 1.0, 2.0 * lam, 0.6)
-        assert cons.c2 <= 0
-        assert not cons.flags[1]
+        lam = _cert(0.3, 0.19, tau_bar=0.6).lam
+        cert = _cert(0.3, 0.19, tau_bar=0.6, lam=2.0 * lam)
+        assert cert.c2 <= 0
+        assert not cert.valid
+        assert cert.diagnostics == ("dissipation_constant_C2_nonpositive",)
 
     @given(b_lo=st.floats(0.0, 0.8), b_hi=st.floats(0.0, 0.8))
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_beta0(self, b_lo, b_hi):
         if b_lo > b_hi:
             b_lo, b_hi = b_hi, b_lo
-        lo = dissipation_constants(1.0, b_lo, 0.19, 1.0, 0.5, 0.6)
-        hi = dissipation_constants(1.0, b_hi, 0.19, 1.0, 0.5, 0.6)
+        lo = _cert(b_lo, 0.19, tau_bar=0.6, lam=0.5)
+        hi = _cert(b_hi, 0.19, tau_bar=0.6, lam=0.5)
         assert hi.c1 <= lo.c1 + 1e-15
         assert hi.c2 <= lo.c2 + 1e-15
 
@@ -207,6 +224,29 @@ class TestBuildCertificate:
         assert not cert.valid
         assert "delay_weight_ratio" in cert.diagnostics
         assert math.isnan(cert.xi_bar)
+
+    @pytest.mark.parametrize("d", [1.0, 1.5, -0.1])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"xi_bar": 1.0}, {"lam": 0.5}, {"xi_bar": 1.0, "lam": 0.5}])
+    def test_slope_bound_outside_unit_interval_is_data(self, d, overrides):
+        # every path, overrides included, checks 0 <= d < 1 before any
+        # sqrt(1 - d); nothing is raised
+        cert = _cert(0.3, d, **overrides)
+        assert not cert.valid
+        assert cert.diagnostics[-2:] == ("delay_weight_ratio",
+                                         f"need 0 <= d < 1, got d={d}")
+        assert all(math.isnan(v) for v in (cert.xi_bar, cert.lam, cert.c))
+
+    def test_xi_bar_override_bounds_beta0(self):
+        # a derived lam needs beta0 < xi_bar * sqrt(1-d) = 0.5 * 0.9
+        cert = _cert(0.5, 0.19, xi_bar=0.5)
+        assert not cert.valid
+        assert cert.diagnostics[-1] == ("beta0=0.5 >= xi_bar*sqrt(1-d)=0.45: "
+                                        "no admissible delay-energy weight")
+        # a given lam skips it: the constants are reported, not NaN
+        cert = _cert(0.5, 0.19, xi_bar=0.5, lam=0.1)
+        assert cert.xi_bar == 0.5 and cert.lam == 0.1
+        assert cert.c2 <= 0 < cert.c3
 
     def test_increasing_damping_diagnostic(self):
         delay = DelayProfile(kind="constant", mean=0.5, tau0=0.4, tau_bar=0.6)

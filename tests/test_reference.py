@@ -374,7 +374,7 @@ def test_dissipation_check_tie_reports_first_pair(certified_scenario):
     data[:, 0] = 0.1 * np.arange(5)
     traj = solver.Trajectory(None, None, None, dt=0.1, grid=Grid(101, 1.0),
                              data=data)
-    cert = certified_scenario.build_certificate()
+    cert = certified_scenario.certificate
     got = energy_dissipation_check(traj, cert)
     assert repr(got) == repr(ref_energy_dissipation_check(traj, cert))
     assert got.worst_t == 0.1

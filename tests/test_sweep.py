@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piezobeam import SweepSpec, execute, expand
-from piezobeam import sweep
+from piezobeam import SweepSpec, build_certificate, execute, expand
+from piezobeam import scenario, sweep
 from piezobeam.errors import ConfigError, HistoryUnderrunError, SweepSpecError
 from piezobeam.scenario import load_config
 
@@ -88,6 +88,22 @@ def test_malformed_dict():
         SweepSpec.from_dict({"axes": []})
 
 
+@pytest.mark.parametrize("values", ["0.3", {"0.3": 1}, 0.3, None],
+                         ids=["string", "object", "number", "null"])
+def test_from_dict_values_must_be_a_list(values):
+    # a string would otherwise be swept character by character, an object
+    # key by key
+    with pytest.raises(SweepSpecError, match="values must be a list"):
+        SweepSpec.from_dict({"base": _base(), "axes": [
+            {"path": "weights.beta0", "values": values}]})
+
+
+@pytest.mark.parametrize("path", [5, None, ["weights", "beta0"]])
+def test_non_string_path_rejected(path):
+    with pytest.raises(SweepSpecError, match="path must be a string"):
+        SweepSpec(_base(), axes=((path, (0.3,)),))
+
+
 @pytest.fixture(scope="module")
 def small_spec():
     base = _base()
@@ -136,8 +152,52 @@ class TestExecute:
     def test_matches_standalone_certificate(self, small_spec, small_records):
         from piezobeam import Scenario
         for rec, (_, cfg) in zip(small_records, expand(small_spec)):
-            cert = Scenario.from_dict(cfg).build_certificate()
+            cert = Scenario.from_dict(cfg).certificate
             assert cert.valid == rec.valid
+
+
+@pytest.mark.parametrize("n_points, pools", [(1, []), (2, [2]), (3, [3])])
+def test_pool_never_exceeds_point_count(monkeypatch, n_points, pools):
+    # a fork-started pool forks all max_workers at the first submit, so
+    # --threads 5000 on a few points must not ask for 5000 processes; the
+    # fake pool runs in this process and records the size it was given
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+    spec = SweepSpec(_base(), axes=(("weights.beta0", (0.3, 0.5, 0.7)[
+        :n_points]),), n=11, horizon=0.5)
+    records = execute(spec, workers=5000)
+    assert seen == pools
+    assert [r.status for r in records] == ["ok"] * n_points
+
+
+def test_point_builds_one_certificate(monkeypatch):
+    # run() reads the certificate the point already built
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return build_certificate(*args, **kwargs)
+
+    monkeypatch.setattr(scenario, "build_certificate", counting_build)
+    spec = SweepSpec(_base(), axes=(("weights.beta0", (0.3, 1.2)),), n=11,
+                     horizon=0.5)
+    records = execute(spec)
+    assert [r.status for r in records] == ["ok", "infeasible"]
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("error", [HistoryUnderrunError, ConfigError])
