@@ -157,6 +157,8 @@ class DelayProfile:
             return np.array([])
         # tau extrema at omega*t = pi/2 + k*pi; tau' extrema at omega*t = k*pi
         half = math.pi / (2 * abs(self.omega))
+        if half > horizon:  # inf for a subnormal omega, which arange rejects
+            return np.array([0.0])
         pts = np.arange(0.0, horizon + half, half)
         return pts[pts <= horizon]
 
@@ -372,14 +374,15 @@ def build_certificate(delay, weights, horizon=40.0, xi_bar=None, lam=None):
     """Assemble the full certificate: assumption checks, weight, rate, constants.
 
     xi_bar defaults to XI_BAR.  Feasibility is checked here, overrides
-    included: 0 <= d < 1 always, and 0 <= beta0 < xi_bar * sqrt(1-d) when
-    lam is derived.  The derived lam is half the largest rate keeping C2
-    positive, (1/tau_bar) * log(xi_bar * sqrt(1-d) / beta0), or LAMBDA_MAX
-    when beta0 = 0 leaves that rate unbounded.
+    included: 0 <= d < 1 always, and tau_bar > 0 and 0 <= beta0 < xi_bar *
+    sqrt(1-d) when lam is derived.  The derived lam is half the largest
+    rate keeping C2 positive, (1/tau_bar) * log(xi_bar * sqrt(1-d) /
+    beta0), or LAMBDA_MAX when beta0 = 0 leaves that rate unbounded.
 
     Infeasible configurations, and C1..C3 <= 0, yield an invalid certificate
     whose diagnostics name the violated inequalities; nothing is raised
-    unless a profile evaluates non-finite.
+    unless a profile evaluates non-finite.  C2 is inf when a given lam
+    puts exp(-lam * tau_bar) past the float range.
     """
     report = validate_assumptions(delay, weights, horizon=horizon)
     diagnostics = list(report.violated)
@@ -388,15 +391,16 @@ def build_certificate(delay, weights, horizon=40.0, xi_bar=None, lam=None):
     xi = XI_BAR if xi_bar is None else float(xi_bar)
     infeasible = None
     if not 0 <= d < 1:
-        infeasible = f"need 0 <= d < 1, got d={d}"
+        infeasible = "delay_weight_ratio", f"need 0 <= d < 1, got d={d}"
+    elif lam is None and not tau_bar > 0:
+        infeasible = "delay_upper_bound", f"need tau_bar > 0, got {tau_bar}"
     elif lam is None and not 0 <= beta0 < xi * math.sqrt(1.0 - d):
         bound = "sqrt(1-d)" if xi_bar is None else "xi_bar*sqrt(1-d)"
-        infeasible = (f"beta0={beta0} >= {bound}={xi * math.sqrt(1.0 - d):.6g}"
+        infeasible = ("delay_weight_ratio",
+                      f"beta0={beta0} >= {bound}={xi * math.sqrt(1.0 - d):.6g}"
                       ": no admissible delay-energy weight")
     if infeasible:
-        if "delay_weight_ratio" not in diagnostics:
-            diagnostics.append("delay_weight_ratio")
-        diagnostics.append(infeasible)
+        diagnostics += [item for item in infeasible if item not in diagnostics]
         return StabilityCertificate(
             math.nan, math.nan, math.nan, math.nan, math.nan,
             valid=False, diagnostics=tuple(diagnostics), assumptions=report,
@@ -409,9 +413,12 @@ def build_certificate(delay, weights, horizon=40.0, xi_bar=None, lam=None):
         rate = LAMBDA_MAX
     else:
         rate = 0.5 * math.log(xi * root / beta0) / tau_bar
+    try:
+        decay = math.exp(-rate * tau_bar)
+    except OverflowError:
+        decay = math.inf
     c1 = delta0 * (1.0 - beta0 / (2.0 * root) - xi / 2.0)
-    c2 = delta0 * (1.0 - d) * (
-        math.exp(-rate * tau_bar) * xi / 2.0 - beta0 / (2.0 * root))
+    c2 = delta0 * (1.0 - d) * (decay * xi / 2.0 - beta0 / (2.0 * root))
     c3 = rate * xi * delta0 / 2.0
     nonpositive = [name for name, c in zip(("C1", "C2", "C3"), (c1, c2, c3))
                    if not c > 0]

@@ -18,7 +18,7 @@ themselves as its field snapshots, with the run's Grid beside them.
 Two integrators: an explicit central-difference (velocity-Verlet style) scheme
 with semi-implicit treatment of the instantaneous damping, and a backward-Euler
 resolvent step that is implicit in the stiff wave part and explicit in the
-delay.
+delay, as two scalar tridiagonal solves after one 2x2 rotation of (v, p).
 """
 
 from __future__ import annotations
@@ -401,77 +401,70 @@ def step_explicit(state, history, operator, profiles, k, dt):
 
 
 def _implicit_matrix(operator, dt, d1):
-    """Banded backward-Euler matrix, interleaved (v,p), cached per (operator,
-    dt) with its v-row diagonal before d1/dt; each call rewrites only that
-    diagonal for delta1 = d1, since solve_banded does not write the band."""
+    """step_implicit's system for delta1 = d1: the (1, 1) bands of
+    I + m1 D and I + m2 D, and T = A0^{-1/2} R.
+
+    D's band (its last row is (2/3, -2/3)/dx^2) is built once per operator,
+    read-only.  S = A0^{-1/2} A1 A0^{-1/2} (s11 = -alpha/a, s22 = -beta/c,
+    s12 = gamma beta/sqrt(a c)) is negative definite like A1 (det A1 =
+    beta alpha1 > 0), so both bands are diagonally dominant.  theta =
+    atan2(2 s12, s11 - s22)/2 gives S = R diag(m1, m2) R^T for any gamma,
+    0 included; m1 = det S / m2 avoids the closed form's cancellation.
+    """
     pr = operator.params
-    n = operator.grid.n
-    dx2 = operator.grid.dx**2
-    nb = 4  # bandwidth; the one-sided boundary rows reach offset 4
+    if operator._implicit_cache is None:
+        dx2 = operator.grid.dx**2
+        band = np.full((3, operator.grid.n - 2), 1.0 / dx2)
+        band[1] = -2.0 / dx2
+        band[1, -1] = -2.0 / (3.0 * dx2)
+        band[2, -2:-1] = 2.0 / (3.0 * dx2)  # empty when n = 3
+        band.flags.writeable = False
+        operator._implicit_cache = band
+    band = operator._implicit_cache
 
-    cache = operator._implicit_cache
-    if cache is None or cache[0] != dt:
-        ab = np.zeros((2 * nb + 1, 2 * n))
-
-        def put(rows, cols, val):
-            ab[nb + rows - cols, cols] += val
-
-        i = np.arange(1, n - 1)
-        rv = 2 * i
-        rp = 2 * i + 1
-        # v rows: (rho/dt^2) w - alpha D2 w + gamma beta D2 q  (+ delta1/dt later)
-        put(rv, rv, pr.rho / dt**2 + 2.0 * pr.alpha / dx2)
-        put(rv, rv - 2, -pr.alpha / dx2)
-        put(rv, rv + 2, -pr.alpha / dx2)
-        put(rv, rv + 1, -2.0 * pr.gamma * pr.beta / dx2)
-        put(rv, rv - 1, pr.gamma * pr.beta / dx2)
-        put(rv, rv + 3, pr.gamma * pr.beta / dx2)
-        # p rows: (mu/dt^2) q - beta D2 q + gamma beta D2 w
-        put(rp, rp, pr.mu / dt**2 + 2.0 * pr.beta / dx2)
-        put(rp, rp - 2, -pr.beta / dx2)
-        put(rp, rp + 2, -pr.beta / dx2)
-        put(rp, rp - 1, -2.0 * pr.gamma * pr.beta / dx2)
-        put(rp, rp - 3, pr.gamma * pr.beta / dx2)
-        put(rp, rp + 1, pr.gamma * pr.beta / dx2)
-        # Dirichlet rows at node 0
-        put(0, 0, 1.0)
-        put(1, 1, 1.0)
-        # second-order one-sided zero-slope rows at node n-1 (v, then p)
-        for row in (2 * n - 2, 2 * n - 1):
-            put(row, row, 3.0)
-            put(row, row - 2, -4.0)
-            put(row, row - 4, 1.0)
-        cache = operator._implicit_cache = (dt, ab, ab[nb, 2:-2:2].copy())
-
-    _, ab, diag = cache
-    ab[nb, 2:-2:2] = diag + d1 / dt
-    return ab
+    a, c = pr.rho / dt**2 + d1 / dt, pr.mu / dt**2
+    s11, s22 = -pr.alpha / a, -pr.beta / c
+    s12 = pr.gamma * pr.beta / math.sqrt(a * c)
+    theta = 0.5 * math.atan2(2.0 * s12, s11 - s22)
+    m2 = 0.5 * (s11 + s22 - math.hypot(s11 - s22, 2.0 * s12))
+    m1 = pr.beta * pr.alpha1 / (a * c * m2)
+    bands = [m * band + [[0.0], [1.0], [0.0]] for m in (m1, m2)]
+    cs, sn = math.cos(theta), math.sin(theta)
+    ra, rc = 1.0 / math.sqrt(a), 1.0 / math.sqrt(c)
+    return bands, ((ra * cs, -ra * sn), (rc * sn, rc * cs))
 
 
 def step_implicit(state, history, operator, profiles, k, dt):
     """Backward-Euler step k -> k+1, implicit in the wave part, explicit in
     the delay; profiles is the run's profile_table.
 
-    Solves the discrete resolvent system for the new displacements; the
-    zero-slope condition at x=L is imposed as a direct row constraint, so the
-    implicit solution satisfies it to solver roundoff.
+    With u_0 = 0 and the zero-slope row u_{n-1} = (4 u_{n-2} - u_{n-3})/3
+    eliminated, both fields share the interior second difference D, and
+    (A0 + A1 D)[w; q] = r, with A0 = diag(a, c), a = rho/dt^2 + delta1/dt,
+    c = mu/dt^2, A1 = [[-alpha, gamma beta], [gamma beta, -beta]].  As
+    A0 + A1 D = A0^{1/2} R (I + diag(m1, m2) D) R^T A0^{1/2}, [w; q] =
+    T (I + m_i D)^{-1} T^T r with T = A0^{-1/2} R: two tridiagonal solves.
     """
     pr = operator.params
     t_new, tau_new, d1, _, d2_new = profiles[k + 1].tolist()
     z = history.sample(t_new - tau_new)
-    ab = _implicit_matrix(operator, dt, d1)
+    bands, ((t11, t12), (t21, t22)) = _implicit_matrix(operator, dt, d1)
 
-    # interior rows: v at 2i, p at 2i+1, for i in 1..n-2
-    rhs = np.zeros(2 * operator.grid.n)
-    rhs[2:-2:2] = ((pr.rho / dt**2 + d1 / dt) * state.v[1:-1]
-                   + pr.rho * state.vt[1:-1] / dt - d2_new * z[1:-1])
-    rhs[3:-2:2] = pr.mu * state.p[1:-1] / dt**2 + pr.mu * state.pt[1:-1] / dt
-
-    sol = solve_banded((4, 4), ab, rhs)
-    if not np.all(np.isfinite(sol)):
+    r_v = ((pr.rho / dt**2 + d1 / dt) * state.v[1:-1]
+           + pr.rho * state.vt[1:-1] / dt - d2_new * z[1:-1])
+    r_p = pr.mu * state.p[1:-1] / dt**2 + pr.mu * state.pt[1:-1] / dt
+    # a non-finite input propagates to u1, u2, which are checked
+    u1 = solve_banded((1, 1), bands[0], t11 * r_v + t21 * r_p,
+                      check_finite=False)
+    u2 = solve_banded((1, 1), bands[1], t12 * r_v + t22 * r_p,
+                      check_finite=False)
+    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
         raise DivergenceError("implicit solve returned non-finite values")
-    v_new = sol[0::2]
-    p_new = sol[1::2]
+    v_new, p_new = np.zeros((2, operator.grid.n))
+    v_new[1:-1] = t11 * u1 + t12 * u2
+    p_new[1:-1] = t21 * u1 + t22 * u2
+    for f in (v_new, p_new):
+        f[-1] = (4.0 * f[-2] - f[-3]) / 3.0
     vt_new = (v_new - state.v) / dt
     pt_new = (p_new - state.p) / dt
     vt_new[0] = pt_new[0] = 0.0

@@ -76,6 +76,21 @@ class TestCheck:
         assert f"  violated: need 0 <= d < 1, got d={d}\n" in out
         assert "valid: False" in out
 
+    @pytest.mark.parametrize("section,key,value,reason", [
+        ("delay", "tau_bar_s", 0.0, "need tau_bar > 0, got 0.0"),
+        ("certificate", "lambda", -2000.0,
+         "dissipation_constant_C3_nonpositive")])
+    def test_nonpositive_tau_bar_or_lambda_exits_2(self, tmp_path, capsys,
+                                                   section, key, value,
+                                                   reason):
+        cfg = load_config("certified-decay")
+        cfg[section][key] = value
+        code = main(["check", "--config", _write_cfg(tmp_path, cfg)])
+        assert code == EXIT_INFEASIBLE
+        out = capsys.readouterr().out
+        assert f"  violated: {reason}\n" in out
+        assert "valid: False" in out
+
     @pytest.mark.parametrize("key,value", [("cfl_safety", 1.5),
                                            ("dt_s", 0.0), ("n", 50.5),
                                            ("n", "101"),
@@ -289,6 +304,24 @@ class TestSweepCommand:
             rows = list(csv.reader(fh))[1:]
         assert [row[2] for row in rows] == ["ok", "infeasible"]
         assert "need 0 <= d < 1, got d=1.5" in rows[1][-1].split(";")
+
+    @pytest.mark.parametrize("path,values,reason", [
+        ("delay.tau_bar_s", [0.6, 0.0], "need tau_bar > 0, got 0.0"),
+        ("certificate.lambda", [0.5, -2000.0],
+         "dissipation_constant_C3_nonpositive")])
+    def test_nonpositive_tau_bar_or_lambda_is_infeasible_row(
+            self, tmp_path, path, values, reason):
+        sweep_cfg = {"base": _quick_cfg(),
+                     "axes": [{"path": path, "values": values}],
+                     "n": 11, "horizon_s": 0.5}
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", out]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[2] for row in rows] == ["ok", "infeasible"]
+        assert reason in rows[1][-1].split(";")
 
     @pytest.mark.parametrize("key, value", [
         ("n", 50.5), ("n", True), ("n", 2), ("horizon_s", "abc"),

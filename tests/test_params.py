@@ -18,6 +18,7 @@ from piezobeam import (
     build_certificate,
     validate_assumptions,
 )
+from piezobeam.errors import ProfileEvaluationError
 from piezobeam.params import XI_BAR
 
 
@@ -248,6 +249,31 @@ class TestBuildCertificate:
         assert cert.xi_bar == 0.5 and cert.lam == 0.1
         assert cert.c2 <= 0 < cert.c3
 
+    @pytest.mark.parametrize("tau_bar", [0.0, -0.5])
+    @pytest.mark.parametrize("overrides", [{}, {"xi_bar": 1.0}])
+    def test_nonpositive_tau_bar_with_derived_lambda_is_data(self, tau_bar,
+                                                             overrides):
+        # the derived lam divides by tau_bar
+        cert = _cert(0.3, 0.19, tau_bar=tau_bar, **overrides)
+        assert not cert.valid
+        assert "delay_upper_bound" in cert.diagnostics
+        assert cert.diagnostics[-1] == f"need tau_bar > 0, got {tau_bar}"
+        assert all(math.isnan(v) for v in (cert.xi_bar, cert.lam, cert.c))
+
+    @pytest.mark.parametrize("lam,tau_bar,c2", [
+        (-2000.0, 0.6, math.inf), (0.5, -2000.0, math.inf),
+        (-1.0, 0.6, 0.81 * (math.exp(0.6) / 2.0 - 1.0 / 6.0))])
+    def test_given_lambda_past_exp_range_is_data(self, lam, tau_bar, c2):
+        # exp(-lam * tau_bar) overflows for the first two; the constants
+        # stay reported, as for any given lam
+        cert = _cert(0.3, 0.19, tau_bar=tau_bar, lam=lam)
+        assert not cert.valid
+        assert cert.lam == lam and cert.c2 == pytest.approx(c2, rel=1e-15)
+        if lam < 0:
+            assert "dissipation_constant_C3_nonpositive" in cert.diagnostics
+        else:
+            assert "delay_lower_bound" in cert.diagnostics
+
     def test_increasing_damping_diagnostic(self):
         delay = DelayProfile(kind="constant", mean=0.5, tau0=0.4, tau_bar=0.6)
         weights = WeightProfiles(delta0=1.0, beta0=0.0, d1_kind="exp_floor",
@@ -256,6 +282,62 @@ class TestBuildCertificate:
         cert = build_certificate(delay, weights)
         assert not cert.valid
         assert "damping_monotone" in cert.diagnostics
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _finite_profiles(draw):
+    """Delay and weight profiles of every kind, each float field any finite
+    value but omega: the sinusoid's critical times number about
+    |omega| * horizon, so |omega| stays below 1e3 (subnormals included)."""
+    kind = draw(st.sampled_from(["constant", "sinusoid", "table"]))
+    table = {}
+    if kind == "table":
+        ts = sorted(draw(st.lists(FINITE, min_size=2, max_size=4,
+                                  unique=True)))
+        table = {"table_t": ts, "table_tau": draw(
+            st.lists(FINITE, min_size=len(ts), max_size=len(ts)))}
+    delay = DelayProfile(
+        kind=kind, omega=draw(st.floats(-1e3, 1e3)), **table,
+        **{name: draw(FINITE)
+           for name in ("tau0", "tau_bar", "d", "mean", "amplitude")})
+    weights = WeightProfiles(
+        d1_kind=draw(st.sampled_from(["constant", "exp_floor"])),
+        d2_kind=draw(st.sampled_from(["zero", "constant", "cosine"])),
+        **{name: draw(FINITE)
+           for name in ("delta0", "beta0", "M1", "M2", "d1_floor",
+                        "d1_excess", "d1_rate", "d2_value", "d2_ratio",
+                        "d2_omega")})
+    return delay, weights
+
+
+@given(profiles=_finite_profiles(), xi_bar=st.none() | FINITE,
+       lam=st.none() | FINITE)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_build_certificate_never_raises_on_finite_fields(profiles, xi_bar,
+                                                         lam):
+    delay, weights = profiles
+    try:
+        cert = build_certificate(delay, weights, xi_bar=xi_bar, lam=lam)
+    except ProfileEvaluationError:
+        # the one documented error: a profile evaluated to inf or nan,
+        # which profiles that return their own fields never do
+        assert not (delay.kind == weights.d1_kind == "constant"
+                    and weights.d2_kind != "cosine")
+        return
+    assert cert.valid == (cert.diagnostics == ())
+    assert not cert.valid or cert.c > 0
+
+
+def test_subnormal_omega_sinusoid_has_critical_time_zero():
+    # pi / (2 omega) is inf, a step that np.arange cannot size
+    delay = DelayProfile(kind="sinusoid", mean=0.5, amplitude=0.1,
+                         omega=5e-324, tau0=0.4, tau_bar=0.6)
+    assert delay.critical_times(40.0).tolist() == [0.0]
+    assert build_certificate(delay, WeightProfiles()).valid
 
 
 def test_delay_profile_table_round_trip():

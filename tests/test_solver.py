@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from piezobeam import (
     BeamParams,
@@ -229,6 +230,47 @@ def test_profile_table_matches_scalar_evaluation(delay, weights):
         t = t + dt
 
 
+def _refined_interleaved_step(state, z, operator, dt, d1, d2):
+    """Backward-Euler (v, p) from the interleaved (v, p) system that keeps
+    the Dirichlet rows at node 0 and the one-sided zero-slope rows
+    3u_{n-1} - 4u_{n-2} + u_{n-3} = 0 at x=L: long-double entries and
+    residuals, float64 banded corrections (iterative refinement)."""
+    ld = np.longdouble
+    pr, n = operator.params, operator.grid.n
+    dt, dx2 = ld(dt), ld(operator.grid.dx) ** 2
+    rho, mu, alpha, beta = (ld(c) for c in (pr.rho, pr.mu, pr.alpha, pr.beta))
+    gb = ld(pr.gamma) * beta / dx2
+    rv = 2 * np.arange(1, n - 1)
+    rp = rv + 1
+    ends = np.array([2 * n - 2, 2 * n - 1])
+    entries = [
+        (rv, rv, rho / dt**2 + ld(d1) / dt + 2 * alpha / dx2),
+        (rv, rv - 2, -alpha / dx2), (rv, rv + 2, -alpha / dx2),
+        (rv, rv - 1, gb), (rv, rv + 1, -2 * gb), (rv, rv + 3, gb),
+        (rp, rp, mu / dt**2 + 2 * beta / dx2),
+        (rp, rp - 2, -beta / dx2), (rp, rp + 2, -beta / dx2),
+        (rp, rp - 3, gb), (rp, rp - 1, -2 * gb), (rp, rp + 1, gb),
+        (np.arange(2), np.arange(2), ld(1)),
+        (ends, ends, ld(3)), (ends, ends - 2, ld(-4)), (ends, ends - 4, ld(1)),
+    ]
+    rows = np.concatenate([r for r, _, _ in entries])
+    cols = np.concatenate([c for _, c, _ in entries])
+    vals = np.concatenate([np.full(len(r), v, dtype=ld)
+                           for r, _, v in entries])
+    band = np.zeros((9, 2 * n))
+    band[4 + rows - cols, cols] = vals
+    rhs = np.zeros(2 * n, dtype=ld)
+    rhs[rv] = ((rho / dt**2 + ld(d1) / dt) * state.v[1:-1]
+               + rho * state.vt[1:-1] / dt - ld(d2) * z[1:-1])
+    rhs[rp] = mu * state.p[1:-1] / dt**2 + mu * state.pt[1:-1] / dt
+    sol = np.zeros(2 * n, dtype=ld)
+    for _ in range(4):
+        residual = rhs.copy()
+        np.add.at(residual, rows, -vals * sol[cols])
+        sol += solve_banded((4, 4), band, residual.astype(float))
+    return sol[0::2], sol[1::2]
+
+
 class TestSteppers:
     @pytest.mark.parametrize("stepper", [step_explicit, step_implicit])
     def test_zero_fixed_point(self, stepper):
@@ -326,8 +368,8 @@ class TestSteppers:
             assert abs(slope) <= 1e-8 * scale
 
     def test_implicit_band_matches_fresh_build(self, certified_scenario):
-        # each step rewrites the cached band's delta1/dt diagonal; adding to
-        # it instead would drift from a fresh build once delta1 varies
+        # the operator caches the D band once; each step scales its own two
+        # bands from it, so the cache is never written however delta1 varies
         from piezobeam.solver import _implicit_matrix
         sc = certified_scenario
         g = Grid(51, sc.beam.length)
@@ -337,16 +379,66 @@ class TestSteppers:
         v0 = np.sin(math.pi * g.x / 2.0)
         st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
         table = profile_table(sc.delay, sc.weights, dt, 6)
-        for k in range(5):
+        st = step_implicit(st, buf, op, table, 0, dt)
+        band = op._implicit_cache
+        for k in range(1, 5):
             st = step_implicit(st, buf, op, table, k, dt)
         d1 = float(table[6, 2])  # delta1 at the sixth step's time
-        ab = _implicit_matrix(op, dt, d1)
-        fresh = _implicit_matrix(SpatialOperator(sc.beam, g), dt, d1)
+        bands, rotation = _implicit_matrix(op, dt, d1)
+        fresh = SpatialOperator(sc.beam, g)
+        fresh_bands, fresh_rotation = _implicit_matrix(fresh, dt, d1)
         assert d1 != sc.weights.delta1(0.0)
-        assert np.array_equal(ab, fresh)
-        # the cache holds one band and its v-row diagonal, nothing more
-        cached_dt, band, diag = op._implicit_cache
-        assert cached_dt == dt and band is ab and diag.shape == (g.n - 2,)
+        assert op._implicit_cache is band and not band.flags.writeable
+        assert band.shape == (3, g.n - 2)
+        assert np.array_equal(band, fresh._implicit_cache)
+        assert rotation == fresh_rotation
+        for b, fb in zip(bands, fresh_bands, strict=True):
+            assert np.array_equal(b, fb) and not np.shares_memory(b, band)
+        # D is the interior second difference with u_0 = 0 and
+        # u_{n-1} = (4 u_{n-2} - u_{n-3}) / 3 eliminated
+        u = np.zeros(g.n)
+        u[1:-1] = np.cos(3.0 * g.x[1:-1]) + g.x[1:-1]
+        u[-1] = (4.0 * u[-2] - u[-3]) / 3.0
+        du = band[1] * u[1:-1]
+        du[:-1] += band[0, 1:] * u[2:-1]
+        du[1:] += band[2, :-1] * u[1:-2]
+        d2u = np.zeros(g.n)
+        d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / g.dx**2
+        assert np.allclose(du, d2u[1:-1], rtol=1e-12, atol=1e-9)
+
+    @pytest.mark.parametrize("beam,weights,n", [
+        (None, None, 51),
+        (None, None, 1601),
+        (None, None, 3),
+        (None, None, 4),
+        (BeamParams(rho=1.0, alpha=2.0, gamma=0.0, mu=1.0, beta=1.0), None,
+         51),
+        # alpha/a = beta/c: s11 = s22 and s12 = 0, so theta = atan2(0, 0)/2
+        (BeamParams(rho=1.0, alpha=1.0, gamma=0.0, mu=1.0, beta=1.0),
+         UNDAMPED, 51),
+    ], ids=["n51", "n1601", "n3", "n4", "gamma0", "gamma0-equal-ratios"])
+    def test_implicit_step_matches_refined_interleaved_solve(
+            self, certified_scenario, beam, weights, n):
+        sc = certified_scenario
+        beam = beam or sc.beam
+        weights = weights or sc.weights
+        g = Grid(n, beam.length)
+        op = SpatialOperator(beam, g)
+        dt = 0.005
+        buf = init_history(g, sc.delay, lambda x, s: 0.3 * np.sin(x + s), dt)
+        x = g.x
+        fields = (np.sin(np.pi * x / 2.0), 0.5 * x * (1.0 - x), 0.2 * x**2,
+                  np.cos(x) - 1.0)
+        for f in fields:  # the discrete zero slope the step imposes
+            f[-1] = (4.0 * f[-2] - f[-3]) / 3.0
+        st = SimState(0.0, *fields)
+        table = profile_table(sc.delay, weights, dt, 1)
+        t_new, tau_new, d1, _, d2 = table[1].tolist()
+        z = buf.sample(t_new - tau_new).copy()
+        new = step_implicit(st, buf, op, table, 0, dt)
+        ref = np.concatenate(_refined_interleaved_step(st, z, op, dt, d1, d2))
+        got = np.concatenate([new.v, new.p])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_newest_history_matches_current_vt(self):
         g = Grid(51, 1.0)
