@@ -145,21 +145,19 @@ class DelayProfile:
         t = np.asarray(t, dtype=float)
         if self.kind != "sinusoid":
             return np.zeros_like(t)[()]
-        return -self.amplitude * self.omega**2 * np.sin(self.omega * t)
+        return -self.amplitude * np.square(self.omega) * np.sin(self.omega * t)
 
     def critical_times(self, horizon):
         """Extrema of tau and tau' inside [0, horizon]: a table's vertices or
-        a sinusoid's analytic peaks."""
+        a sinusoid's analytic peaks over its first period, as they repeat."""
         if self.kind == "table":
             tt = np.asarray(self.table_t)
             return tt[(tt >= 0.0) & (tt <= horizon)]
         if self.kind != "sinusoid" or self.omega == 0.0:
             return np.array([])
-        # tau extrema at omega*t = pi/2 + k*pi; tau' extrema at omega*t = k*pi
-        half = math.pi / (2 * abs(self.omega))
-        if half > horizon:  # inf for a subnormal omega, which arange rejects
-            return np.array([0.0])
-        pts = np.arange(0.0, horizon + half, half)
+        # tau extrema at omega*t = pi/2 + k*pi, tau' at k*pi; t = 0 is not
+        # 0 * step, which is nan when a subnormal omega makes the step inf
+        pts = np.r_[0.0, math.pi / (2 * abs(self.omega)) * np.arange(1, 5)]
         return pts[pts <= horizon]
 
 
@@ -279,10 +277,8 @@ def validate_assumptions(delay, weights, horizon=40.0, samples=DEFAULT_SAMPLES):
     if samples < 2:
         raise ValueError("samples must be >= 2")
 
-    ts = np.linspace(0.0, horizon, samples)
-    crit = delay.critical_times(horizon)
-    if crit.size:
-        ts = np.unique(np.concatenate([ts, crit]))
+    ts = np.unique(np.r_[np.linspace(0.0, horizon, samples),
+                         delay.critical_times(horizon)])
 
     values = {"tau": delay.tau(ts), "tau'": delay.tau_prime(ts),
               "tau''": delay.tau_second(ts), "delta1": weights.delta1(ts),

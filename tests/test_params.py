@@ -5,10 +5,11 @@ reproduce them with a pocket calculator.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piezobeam import (
@@ -290,8 +291,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 @st.composite
 def _finite_profiles(draw):
     """Delay and weight profiles of every kind, each float field any finite
-    value but omega: the sinusoid's critical times number about
-    |omega| * horizon, so |omega| stays below 1e3 (subnormals included)."""
+    value."""
     kind = draw(st.sampled_from(["constant", "sinusoid", "table"]))
     table = {}
     if kind == "table":
@@ -300,9 +300,10 @@ def _finite_profiles(draw):
         table = {"table_t": ts, "table_tau": draw(
             st.lists(FINITE, min_size=len(ts), max_size=len(ts)))}
     delay = DelayProfile(
-        kind=kind, omega=draw(st.floats(-1e3, 1e3)), **table,
+        kind=kind, **table,
         **{name: draw(FINITE)
-           for name in ("tau0", "tau_bar", "d", "mean", "amplitude")})
+           for name in ("tau0", "tau_bar", "d", "mean", "amplitude",
+                        "omega")})
     weights = WeightProfiles(
         d1_kind=draw(st.sampled_from(["constant", "exp_floor"])),
         d2_kind=draw(st.sampled_from(["zero", "constant", "cosine"])),
@@ -317,6 +318,9 @@ def _finite_profiles(draw):
        lam=st.none() | FINITE)
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# once an np.arange of 1e155 critical times, then omega**2's OverflowError
+@example(profiles=(DelayProfile(kind="sinusoid", omega=1.4e154),
+                   WeightProfiles()), xi_bar=None, lam=None)
 def test_build_certificate_never_raises_on_finite_fields(profiles, xi_bar,
                                                          lam):
     delay, weights = profiles
@@ -338,6 +342,18 @@ def test_subnormal_omega_sinusoid_has_critical_time_zero():
                          omega=5e-324, tau0=0.4, tau_bar=0.6)
     assert delay.critical_times(40.0).tolist() == [0.0]
     assert build_certificate(delay, WeightProfiles()).valid
+
+
+def test_fast_sinusoid_critical_times_span_one_period():
+    # about 2.5e8 peaks lie in [0, 40]; the first period's repeat them all
+    delay = DelayProfile(kind="sinusoid", mean=0.5, amplitude=0.1,
+                         omega=1e7, tau0=0.4, tau_bar=0.6)
+    crit = delay.critical_times(40.0)
+    assert crit.tolist() == [k * (math.pi / 2e7) for k in range(5)]
+    start = time.perf_counter()
+    cert = build_certificate(delay, WeightProfiles())
+    assert time.perf_counter() - start < 5.0
+    assert "delay_slope_bound" in cert.diagnostics
 
 
 def test_delay_profile_table_round_trip():

@@ -368,8 +368,10 @@ class TestSteppers:
             assert abs(slope) <= 1e-8 * scale
 
     def test_implicit_band_matches_fresh_build(self, certified_scenario):
-        # the operator caches the D band once; each step scales its own two
-        # bands from it, so the cache is never written however delta1 varies
+        # the operator caches a read-only template once; each step refills
+        # its own diagonals from it, so the template is never written
+        # however delta1 varies, and LAPACK's in-place factorisation of the
+        # buffers never reaches the next step
         from piezobeam.solver import _implicit_matrix
         sc = certified_scenario
         g = Grid(51, sc.beam.length)
@@ -380,31 +382,43 @@ class TestSteppers:
         st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
         table = profile_table(sc.delay, sc.weights, dt, 6)
         st = step_implicit(st, buf, op, table, 0, dt)
-        band = op._implicit_cache
+        template, diag, off = op._implicit_cache
         for k in range(1, 5):
             st = step_implicit(st, buf, op, table, k, dt)
         d1 = float(table[6, 2])  # delta1 at the sixth step's time
-        bands, rotation = _implicit_matrix(op, dt, d1)
+        got = _implicit_matrix(op, dt, d1)
         fresh = SpatialOperator(sc.beam, g)
-        fresh_bands, fresh_rotation = _implicit_matrix(fresh, dt, d1)
+        expected = _implicit_matrix(fresh, dt, d1)
         assert d1 != sc.weights.delta1(0.0)
-        assert op._implicit_cache is band and not band.flags.writeable
-        assert band.shape == (3, g.n - 2)
-        assert np.array_equal(band, fresh._implicit_cache)
-        assert rotation == fresh_rotation
-        for b, fb in zip(bands, fresh_bands, strict=True):
-            assert np.array_equal(b, fb) and not np.shares_memory(b, band)
-        # D is the interior second difference with u_0 = 0 and
-        # u_{n-1} = (4 u_{n-2} - u_{n-3}) / 3 eliminated
+        assert op._implicit_cache[0] is template
+        assert not template.flags.writeable
+        assert template.shape == (3, g.n - 2)
+        assert np.array_equal(template, fresh._implicit_cache[0])
+        assert got[0] is diag and got[1] is off
+        assert diag.shape == (2, g.n - 2) and off.shape == (2, g.n - 3)
+        assert np.array_equal(diag, expected[0])
+        assert np.array_equal(off, expected[1])
+        assert got[2] == expected[2]
+        assert not any(np.shares_memory(b, template) for b in (diag, off))
+        # each row i is P + m_i P D, one m_i < 0 per field
+        m = (diag[:, :1] - template[0, :1]) / template[1, :1]
+        assert np.all(m < 0)
+        assert np.allclose(diag, template[0] + m * template[1], rtol=1e-14)
+        assert np.allclose(off, m * template[2, :-1], rtol=1e-14)
+        # P D is symmetric: P = diag(1, ..., 1, 3/2) times D, the interior
+        # second difference with u_0 = 0 and u_{n-1} = (4 u_{n-2} - u_{n-3})
+        # / 3 eliminated
         u = np.zeros(g.n)
         u[1:-1] = np.cos(3.0 * g.x[1:-1]) + g.x[1:-1]
         u[-1] = (4.0 * u[-2] - u[-3]) / 3.0
-        du = band[1] * u[1:-1]
-        du[:-1] += band[0, 1:] * u[2:-1]
-        du[1:] += band[2, :-1] * u[1:-2]
-        d2u = np.zeros(g.n)
-        d2u[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / g.dx**2
-        assert np.allclose(du, d2u[1:-1], rtol=1e-12, atol=1e-9)
+        pdu = template[1] * u[1:-1]
+        pdu[:-1] += template[2, :-1] * u[2:-1]
+        pdu[1:] += template[2, :-1] * u[1:-2]
+        d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / g.dx**2
+        p = np.ones(g.n - 2)
+        p[-1] = 1.5
+        assert np.array_equal(template[0], p)
+        assert np.allclose(pdu, p * d2u, rtol=1e-12, atol=1e-9)
 
     @pytest.mark.parametrize("beam,weights,n", [
         (None, None, 51),
@@ -472,6 +486,45 @@ class TestRun:
         assert traj.status == "diverged"
         assert np.array_equal(traj.times, [0.0, 0.2, 0.4, 0.6])
         assert np.all(np.isfinite(traj.energies))
+
+    def test_nonzero_lapack_info_is_divergence(self, certified_scenario,
+                                               monkeypatch):
+        from piezobeam import solver
+        dptsv = solver.solve_banded
+
+        def failing(*args, **kwargs):
+            return (*dptsv(*args, **kwargs)[:-1], 1)
+
+        monkeypatch.setattr(solver, "solve_banded", failing)
+        sc = dataclasses.replace(certified_scenario, n=21, horizon=0.5,
+                                 integrator="implicit")
+        with pytest.raises(DivergenceError, match="dptsv info=1") as info:
+            run(sc, collect_fields=False)
+        assert info.value.step == 1
+        assert info.value.trajectory.status == "diverged"
+        assert len(info.value.trajectory) == 1
+
+    @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
+    def test_nan_history_is_divergence(self, certified_scenario, monkeypatch,
+                                       integrator):
+        # the blow-up guard's finiteness test is the one check of a step
+        # whose delayed velocity, and so its solve, is not finite
+        from piezobeam import solver
+
+        def nan_history(grid, delay, g0, dt):
+            buf = HistoryBuffer(dt, delay.tau_bar + 2.0 * dt, grid.weights)
+            for k in range(int(math.ceil((delay.tau_bar + dt) / dt)), -1, -1):
+                buf.push(-k * dt, np.full(grid.n, np.nan))
+            return buf
+
+        monkeypatch.setattr(solver, "init_history", nan_history)
+        sc = dataclasses.replace(certified_scenario, n=21, horizon=0.5,
+                                 integrator=integrator)
+        with pytest.raises(DivergenceError, match="-> nan") as info:
+            run(sc, collect_fields=False)
+        assert info.value.step == 1
+        assert info.value.trajectory.status == "diverged"
+        assert len(info.value.trajectory) == 1
 
     def test_history_underrun_keeps_filled_rows(self):
         # the delay outgrows its declared tau_bar = 0.6, which sizes the
