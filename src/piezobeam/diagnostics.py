@@ -37,8 +37,8 @@ def energy(state, history, operator, tau_t, d1, certificate, multipliers):
     xi_t = xi_bar * d1
     core = state.core_energy(operator)
 
-    int_vt2_delayed = history.square_integral_at(t - tau_t)
-    kernel = history.weighted_square_integral(t, tau_t, lam)
+    int_vt2_delayed = history.square_integral(state.delayed(history, tau_t))
+    kernel = history.weighted_square_integral(t, tau_t, lam, int_vt2_delayed)
     delay_term = 0.5 * xi_t * kernel
     e = core.total + delay_term
 

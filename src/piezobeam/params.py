@@ -153,12 +153,18 @@ class DelayProfile:
         if self.kind == "table":
             tt = np.asarray(self.table_t)
             return tt[(tt >= 0.0) & (tt <= horizon)]
-        if self.kind != "sinusoid" or self.omega == 0.0:
-            return np.array([])
-        # tau extrema at omega*t = pi/2 + k*pi, tau' at k*pi; t = 0 is not
-        # 0 * step, which is nan when a subnormal omega makes the step inf
-        pts = np.r_[0.0, math.pi / (2 * abs(self.omega)) * np.arange(1, 5)]
-        return pts[pts <= horizon]
+        return _quarter_periods(
+            self.omega if self.kind == "sinusoid" else 0.0, horizon)
+
+
+def _quarter_periods(omega, horizon):
+    """Extrema of sin(omega t) and its slope over one period: 0, pi/2|omega|,
+    ..., 2 pi/|omega| inside [0, horizon]; none for omega = 0.  t = 0 is not
+    0 * step, which is nan when a subnormal omega makes the step inf."""
+    if omega == 0.0:
+        return np.array([])
+    pts = np.r_[0.0, math.pi / (2 * abs(omega)) * np.arange(1, 5)]
+    return pts[pts <= horizon]
 
 
 @dataclass(frozen=True)
@@ -228,6 +234,11 @@ class WeightProfiles:
             - self.d2_omega * self.delta1(t) * np.sin(self.d2_omega * t)
         )
 
+    def critical_times(self, horizon):
+        """A cosine delta2's extrema over its first period, as they repeat."""
+        return _quarter_periods(
+            self.d2_omega if self.d2_kind == "cosine" else 0.0, horizon)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -266,7 +277,8 @@ def _worst(ts, margins):
 
 
 def validate_assumptions(delay, weights, horizon=40.0, samples=DEFAULT_SAMPLES):
-    """Sample every declared profile bound over [0, horizon].
+    """Sample every declared profile bound over [0, horizon], on a grid of
+    samples points plus the critical times of the profile the bound reads.
 
     Returns an AssumptionReport with one CheckResult per inequality; the
     report passes iff every sampled margin is >= -1e-12 (tiny slack for
@@ -277,22 +289,20 @@ def validate_assumptions(delay, weights, horizon=40.0, samples=DEFAULT_SAMPLES):
     if samples < 2:
         raise ValueError("samples must be >= 2")
 
-    ts = np.unique(np.r_[np.linspace(0.0, horizon, samples),
-                         delay.critical_times(horizon)])
+    grid = np.linspace(0.0, horizon, samples)
+    ts = np.unique(np.r_[grid, delay.critical_times(horizon)])
+    tw = np.unique(np.r_[grid, weights.critical_times(horizon)])
 
     values = {"tau": delay.tau(ts), "tau'": delay.tau_prime(ts),
-              "tau''": delay.tau_second(ts), "delta1": weights.delta1(ts),
-              "delta1'": weights.delta1_prime(ts),
-              "delta2": weights.delta2(ts),
-              "delta2'": weights.delta2_prime(ts)}
+              "tau''": delay.tau_second(ts), "delta1": weights.delta1(tw),
+              "delta1'": weights.delta1_prime(tw), "delta2": weights.delta2(tw),
+              "delta2'": weights.delta2_prime(tw)}
     tau, taup, _, d1, d1p, d2, d2p = values.values()
     for label, arr in values.items():
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            t_bad = ts[bad][0]
+        t_bad = (ts if label.startswith("tau") else tw)[~np.isfinite(arr)]
+        if len(t_bad):
             raise ProfileEvaluationError(
-                f"{label} evaluated non-finite at t={t_bad:.6g}"
-            )
+                f"{label} evaluated non-finite at t={t_bad[0]:.6g}")
 
     tol = 1e-12
     checks = []
@@ -311,23 +321,23 @@ def validate_assumptions(delay, weights, horizon=40.0, samples=DEFAULT_SAMPLES):
     # curvature has no declared bound; boundedness == finiteness (checked above)
     checks.append(CheckResult("delay_curvature_bounded", math.inf, True, 0.0))
 
-    add("damping_floor", ts, d1 - weights.delta0)
+    add("damping_floor", tw, d1 - weights.delta0)
     if not weights.delta0 > 0:
         checks[-1] = CheckResult("damping_floor", -math.inf, False, 0.0)
-    add("damping_monotone", ts, -d1p)
+    add("damping_monotone", tw, -d1p)
     # delta1 == 0 only occurs in deliberately undamped scenarios; the
     # log-derivative bound is vacuous there
     safe_d1 = np.where(d1 > 0, d1, 1.0)
-    add("damping_log_derivative", ts, weights.M1 - np.abs(d1p) / safe_d1)
+    add("damping_log_derivative", tw, weights.M1 - np.abs(d1p) / safe_d1)
 
     ratio_margin = weights.beta0 * d1 - np.abs(d2)
     feas = math.sqrt(1.0 - delay.d) - weights.beta0 if delay.d < 1 else -math.inf
-    m, wt = _worst(ts, ratio_margin)
+    m, wt = _worst(tw, ratio_margin)
     m = min(m, feas)
     # beta0 must sit strictly below sqrt(1 - d) for the certificate interval
     checks.append(CheckResult("delay_weight_ratio", m, m >= -tol and feas > 0, wt))
 
-    add("delay_weight_derivative", ts, weights.M2 * d1 - np.abs(d2p))
+    add("delay_weight_derivative", tw, weights.M2 * d1 - np.abs(d2p))
 
     return AssumptionReport(tuple(checks))
 

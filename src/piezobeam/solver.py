@@ -8,9 +8,9 @@ variable on a second axis.  The Grid owns the spacing and the read-only
 trapezoid weight vector of every spatial integral, the history's included;
 the SpatialOperator owns the 2x2 coefficient matrix of its stencil and wave
 speed; both steppers end in one tail (blow-up guard, history push, evict).
-Each state caches its delay-free energy parts, so the guard and the record
-(diagnostics.energy, one call per trajectory row) share one evaluation, and
-an explicit step caches the new state's acceleration, the next step's first.
+A state caches its delay-free energy parts (the guard's and the record's),
+its acceleration (an explicit step's, the next step's first) and its delayed
+velocity v_t(t - tau(t)): the history is sampled once per state.
 The steppers and the record read the profiles from run()'s profile_table.
 No state is modified in place, so the trajectory keeps the recorded states
 themselves as its field snapshots, with the run's Grid beside them.
@@ -24,6 +24,7 @@ rotation of (v, p), then two symmetric positive definite LAPACK dptsv solves.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -91,7 +92,8 @@ class CoreEnergy(NamedTuple):
 @dataclass
 class SimState:
     """Fields at time t; never modified in place, which the initial state
-    (initial_fields' own arrays), the field snapshots and caches rely on."""
+    (initial_fields' own arrays), the field snapshots and the caches (core
+    energy, acceleration, delayed velocity) rely on."""
 
     t: float
     v: np.ndarray
@@ -102,6 +104,8 @@ class SimState:
                                 compare=False)
     _acc: tuple | None = field(default=None, init=False, repr=False,
                                compare=False)
+    _delayed: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def core_energy(self, operator):
         """Delay-free energy parts on operator's grid, computed once."""
@@ -114,6 +118,15 @@ class SimState:
         if self._acc is None or self._acc[0] is not operator:
             self._acc = (operator, operator.apply(self.v, self.p))
         return self._acc[1]
+
+    def delayed(self, history, tau):
+        """history.sample(t - tau), sampled once or stored by step_implicit;
+        the key holds history weakly, so a snapshot does not keep it alive."""
+        if (self._delayed is None or self._delayed[0]() is not history
+                or self._delayed[1] != tau):
+            self._delayed = (weakref.ref(history), tau,
+                             history.sample(self.t - tau))
+        return self._delayed[2]
 
 
 def profile_table(delay, weights, dt, n_steps):
@@ -179,9 +192,9 @@ class HistoryBuffer:
     rows, the most the span holds between evictions, allocated here.
     Timestamps and each snapshot's cached int v_t^2 sit in flat arrays of
     2*cap entries (entry f pairs with ring row f % cap), shifted down by cap
-    once per cap pushes, so every delay window is one contiguous slice.  The
-    last interpolated query is kept until a push could change it.  Stored
-    snapshots are read back with sample(t) at their stamps, which is exact.
+    once per cap pushes, so every delay window is one contiguous slice.
+    sample(t) is exact at stored stamps and keeps nothing: the delayed
+    velocity is the state's (SimState.delayed).
     """
 
     def __init__(self, dt, span, weights):
@@ -197,12 +210,12 @@ class HistoryBuffer:
         self._times = np.empty(2 * self._cap)
         self._sq = np.empty(2 * self._cap)
         self._lo = self._len = 0  # flat index of the oldest entry; count
-        self._memo_t = self._memo = self._memo_sq = None
 
     def _row(self, i):
         return self._ring[(self._lo + i) % self._cap]
 
-    def _square_integral(self, row):
+    def square_integral(self, row):
+        """Trapezoid of row squared: int v_t^2 dx of a snapshot or sample."""
         return float(np.dot(row * self._w, row))
 
     def push(self, t, vt, sq_integral=None):
@@ -216,14 +229,11 @@ class HistoryBuffer:
             self._times[:self._cap] = self._times[self._cap:]
             self._sq[:self._cap] = self._sq[self._cap:]
             self._lo -= self._cap
-        # an interpolant at or before the old newest stamp keeps its bracket
-        if self._memo_t is not None and self._memo_t > self.newest_time:
-            self._memo_t = None
         row = self._row(self._len)
         row[:] = vt
         end = self._lo + self._len
         self._times[end] = t
-        self._sq[end] = (self._square_integral(row) if sq_integral is None
+        self._sq[end] = (self.square_integral(row) if sq_integral is None
                          else sq_integral)
         self._len += 1
 
@@ -244,7 +254,7 @@ class HistoryBuffer:
     def sample(self, t_query):
         """Linear interpolation in time, elementwise in x; exact at stored stamps.
 
-        The result is read-only: later queries at t_query share it.
+        The result is read-only: the state that keeps it shares it.
         """
         t0 = float(self._times[self._lo])
         eps = 1e-9 * self.dt
@@ -256,8 +266,6 @@ class HistoryBuffer:
             raise HistoryUnderrunError(
                 f"query t={t_query:.9g} is ahead of newest snapshot "
                 f"{self.newest_time:.9g}")
-        if t_query == self._memo_t:
-            return self._memo
         if self._len == 1:
             snap = self._row(0).copy()
         else:
@@ -271,21 +279,13 @@ class HistoryBuffer:
             else:
                 snap = (1.0 - w) * self._row(i) + w * self._row(i + 1)
         snap.flags.writeable = False
-        self._memo_t, self._memo, self._memo_sq = t_query, snap, None
         return snap
 
-    def square_integral_at(self, t_query):
-        """Trapezoid of the interpolated snapshot squared."""
-        snap = self.sample(t_query)
-        if self._memo_sq is None:
-            self._memo_sq = self._square_integral(snap)
-        return self._memo_sq
-
-    def weighted_square_integral(self, t, tau_t, lam):
+    def weighted_square_integral(self, t, tau_t, lam, sq_lo):
         """Double integral over [t - tau_t, t] of exp(lam*(s-t)) * int v_t^2 dx ds.
 
         Trapezoid over the stored timestamps inside the window plus a partial
-        cell at the lower endpoint using the interpolated snapshot there.
+        cell at the lower endpoint, where int v_t^2 is the caller's sq_lo.
         """
         t_lo = t - tau_t
         times = self._times[self._lo:self._lo + self._len]
@@ -301,7 +301,7 @@ class HistoryBuffer:
                  if len(ts) > 1 else 0.0)
         # partial cell between t_lo and the first stored stamp in the window
         if len(ts) > 0 and ts[0] > t_lo + eps:
-            f_lo = self.square_integral_at(t_lo) * math.exp(lam * (t_lo - t))
+            f_lo = sq_lo * math.exp(lam * (t_lo - t))
             total += 0.5 * (f_lo + float(f[0])) * (float(ts[0]) - t_lo)
         return total
 
@@ -381,7 +381,7 @@ def step_explicit(state, history, operator, profiles, k, dt):
     """
     pr = operator.params
     t, tau_t, d1_now, d1_mid, d2_now = profiles[k].tolist()
-    z = history.sample(t - tau_t)
+    z = state.delayed(history, tau_t)
 
     acc_v0, acc_p0 = state.acceleration(operator)
     total_v0 = acc_v0 - (d1_now * state.vt + d2_now * z) / pr.rho
@@ -427,6 +427,9 @@ def _implicit_matrix(operator, dt, d1):
     template, diag, off = operator._implicit_cache
 
     a, c = pr.rho / dt**2 + d1 / dt, pr.mu / dt**2
+    if not a > 0:  # delta1 <= -rho/dt: A0 has no real square root
+        raise DivergenceError(
+            f"implicit step needs rho/dt^2 + delta1/dt > 0, got {a:.6g}")
     s11, s22 = -pr.alpha / a, -pr.beta / c
     s12 = pr.gamma * pr.beta / math.sqrt(a * c)
     theta = 0.5 * math.atan2(2.0 * s12, s11 - s22)
@@ -473,8 +476,10 @@ def step_implicit(state, history, operator, profiles, k, dt):
     vpt = (vp - (state.v, state.p)) / dt
     vpt[:, 0] = 0.0
 
-    return _finish_step(state, SimState(t_new, vp[0], vpt[0], vp[1], vpt[1]),
-                        history, operator, "implicit step")
+    new = SimState(t_new, vp[0], vpt[0], vp[1], vpt[1])
+    # the push keeps z's bracket: z stays history.sample(t_new - tau_new)
+    new._delayed = (weakref.ref(history), tau_new, z)
+    return _finish_step(state, new, history, operator, "implicit step")
 
 
 STEPPERS = {"explicit": step_explicit, "implicit": step_implicit}

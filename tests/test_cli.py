@@ -219,6 +219,23 @@ class TestSimulate:
         with open(os.path.join(out, "summary.json")) as fh:
             assert json.load(fh)["status"] == "diverged"
 
+    def test_negative_implicit_diagonal_exits_4(self, tmp_path, capsys):
+        # implicit-fine numerics on a coarse grid; delta1 < -rho/dt
+        cfg = load_config("certified-decay")
+        cfg["numerics"].update({"integrator": "implicit", "n": 51,
+                                "dt_s": 0.005, "horizon_s": 0.1,
+                                "output_stride": 10, "field_stride": 10**6})
+        cfg["weights"]["delta1"]["floor"] = -1000.0
+        out = str(tmp_path / "out")
+        code = main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                     "--out", out])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert "rho/dt^2 + delta1/dt > 0" in err and "(step 1)" in err
+        assert "Traceback" not in err
+        with open(os.path.join(out, "summary.json")) as fh:
+            assert json.load(fh)["status"] == "diverged"
+
 
 class TestSweepCommand:
     def test_2x2_table_and_rerun(self, tmp_path):

@@ -356,6 +356,37 @@ def test_fast_sinusoid_critical_times_span_one_period():
     assert "delay_slope_bound" in cert.diagnostics
 
 
+WEIGHT_CHECKS = ("damping_floor", "damping_monotone", "damping_log_derivative",
+                 "delay_weight_ratio", "delay_weight_derivative")
+CERTIFIED_WEIGHTS = WeightProfiles(
+    delta0=1.0, beta0=0.3, M1=0.1, M2=0.35, d1_kind="exp_floor",
+    d1_floor=1.0, d1_excess=0.5, d1_rate=0.25, d2_kind="cosine",
+    d2_ratio=0.3, d2_omega=1.0)
+
+
+def test_weight_checks_ignore_the_delays_critical_times():
+    # a weight-only bound is sampled where the weights peak, never where the
+    # delay does: a table vertex at 12.5 pi must not move its margin
+    bounds = dict(tau0=0.4, tau_bar=0.6, d=0.19)
+    table = DelayProfile(kind="table", table_t=(0.0, 12.5 * math.pi, 40.0),
+                         table_tau=(0.5, 0.5, 0.5), **bounds)
+    constant = DelayProfile(kind="constant", mean=0.5, **bounds)
+    got = validate_assumptions(table, CERTIFIED_WEIGHTS)
+    want = validate_assumptions(constant, CERTIFIED_WEIGHTS)
+    for name in WEIGHT_CHECKS:
+        assert (got[name].margin, got[name].worst_t) == (
+            want[name].margin, want[name].worst_t), name
+
+
+def test_cosine_delay_weight_critical_times_span_one_period():
+    assert CERTIFIED_WEIGHTS.critical_times(40.0).tolist() == [
+        k * (math.pi / 2.0) for k in range(5)]
+    assert CERTIFIED_WEIGHTS.critical_times(2.0).tolist() == [0.0, math.pi / 2]
+    for weights in (WeightProfiles(), WeightProfiles(d2_kind="constant"),
+                    WeightProfiles(d2_kind="cosine", d2_omega=0.0)):
+        assert weights.critical_times(40.0).size == 0
+
+
 def test_delay_profile_table_round_trip():
     ts = np.linspace(0.0, 10.0, 101)
     vals = 0.5 + 0.05 * np.sin(ts)

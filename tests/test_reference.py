@@ -188,7 +188,7 @@ def test_history_buffer_matches_reference_across_evictions():
             assert np.array_equal(buf.sample(ts), want)
         for q in ref.times[0] + (ref.times[-1] - ref.times[0]) * rng.random(3):
             assert np.array_equal(buf.sample(q), ref.sample(q))
-            assert buf.square_integral_at(q) == pytest.approx(
+            assert buf.square_integral(buf.sample(q)) == pytest.approx(
                 ref.square_integral_at(q), rel=KERNEL_RTOL)
         with pytest.raises(HistoryUnderrunError):
             buf.sample(ref.times[0] - 2.0 * eps)
@@ -198,11 +198,13 @@ def test_history_buffer_matches_reference_across_evictions():
         for tau in (0.05, 0.137, 0.2):
             if t - tau < ref.times[0]:
                 continue
-            got = buf.weighted_square_integral(t, tau, 0.8)
+            sq_lo = buf.square_integral(buf.sample(t - tau))
+            got = buf.weighted_square_integral(t, tau, 0.8, sq_lo)
             assert got == pytest.approx(
                 ref.weighted_square_integral(t, tau, 0.8), rel=KERNEL_RTOL)
         with pytest.raises(HistoryUnderrunError):
-            buf.weighted_square_integral(t, t - ref.times[0] + 2.0 * eps, 0.8)
+            buf.weighted_square_integral(t, t - ref.times[0] + 2.0 * eps, 0.8,
+                                         0.0)
 
 
 def test_history_buffer_full_without_evictions():

@@ -1,7 +1,9 @@
 """Spatial operator, delay history, CFL, and time-integrator tests."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -131,7 +133,8 @@ class TestHistoryBuffer:
         buf = init_history(g, NO_DELAY, lambda x, s: np.full_like(x, 2.0), dt)
         lam = 0.8
         tau = 0.5
-        got = buf.weighted_square_integral(0.0, tau, lam)
+        sq_lo = buf.square_integral(buf.sample(-tau))
+        got = buf.weighted_square_integral(0.0, tau, lam, sq_lo)
         exact = 4.0 * 1.0 * (1.0 - math.exp(-lam * tau)) / lam
         assert abs(got - exact) / exact < 1e-4
 
@@ -467,6 +470,27 @@ class TestSteppers:
             assert np.array_equal(buf.sample(buf.newest_time), st.vt)
             assert buf.newest_time == st.t
 
+    def test_implicit_delayed_sample_outlives_the_push(self,
+                                                       certified_scenario):
+        # step_implicit samples z before it pushes the new state's v_t and
+        # stores z on that state, so the push and the evictions must leave
+        # the sample at t_new - tau_new bitwise as it was
+        sc = certified_scenario
+        g = Grid(21, sc.beam.length)
+        op = SpatialOperator(sc.beam, g)
+        dt = 0.01
+        buf = init_history(g, sc.delay, lambda x, s: np.sin(x + 3.0 * s), dt)
+        st = SimState(0.0, np.sin(np.pi * g.x / 2.0), np.zeros(g.n),
+                      np.zeros(g.n), np.zeros(g.n))
+        n_steps = 4 * len(buf._ring)  # the ring wraps and shifts 4 times
+        table = profile_table(sc.delay, sc.weights, dt, n_steps)
+        for k in range(n_steps):
+            st = step_implicit(st, buf, op, table, k, dt)
+            tau_new = table[k + 1, 1]
+            z = st._delayed[2]
+            assert st.delayed(buf, tau_new) is z
+            assert z.tobytes() == buf.sample(st.t - tau_new).tobytes()
+
 
 class TestRun:
     def test_zero_horizon_single_record(self, certified_scenario):
@@ -503,6 +527,63 @@ class TestRun:
         assert info.value.step == 1
         assert info.value.trajectory.status == "diverged"
         assert len(info.value.trajectory) == 1
+
+    def test_negative_implicit_diagonal_is_divergence(self,
+                                                      certified_scenario):
+        # delta1 < -rho/dt leaves A0 = diag(rho/dt^2 + delta1/dt, mu/dt^2)
+        # with no real square root
+        sc = dataclasses.replace(
+            certified_scenario, n=51, horizon=0.1, integrator="implicit",
+            dt=0.005, weights=dataclasses.replace(certified_scenario.weights,
+                                                  d1_floor=-1000.0))
+        with pytest.raises(DivergenceError,
+                           match=r"rho/dt\^2 \+ delta1/dt > 0") as info:
+            run(sc, collect_fields=False)
+        assert info.value.step == 1
+        assert info.value.trajectory.status == "diverged"
+        assert len(info.value.trajectory) == 1
+
+    @pytest.mark.parametrize("integrator,stride",
+                             [("explicit", 1), ("implicit", 3)])
+    def test_history_sampled_once_per_state(self, certified_scenario,
+                                            monkeypatch, integrator, stride):
+        # the delayed velocity is the state's: the explicit step and the
+        # record of a state share one sample, and the implicit step's
+        # sample is the record's
+        queries = []
+        sample = HistoryBuffer.sample
+
+        def counted(self, t_query):
+            queries.append(t_query)
+            return sample(self, t_query)
+
+        monkeypatch.setattr(HistoryBuffer, "sample", counted)
+        sc = dataclasses.replace(certified_scenario, n=21, horizon=1.0,
+                                 integrator=integrator, output_stride=stride)
+        traj = run(sc, collect_fields=False)
+        n_steps = int(round(sc.horizon / traj.dt))
+        assert len(traj) == n_steps // stride + 1 + (n_steps % stride > 0)
+        assert len(queries) == n_steps + 1
+
+    @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
+    def test_trajectory_does_not_keep_the_history(self, certified_scenario,
+                                                  monkeypatch, integrator):
+        # the recorded states cache their delayed sample; its history key
+        # must not keep the run's history ring alive after run() returns
+        from piezobeam import solver
+        made = []
+
+        def tracked(*args):
+            buf = init_history(*args)
+            made.append(weakref.ref(buf))
+            return buf
+
+        monkeypatch.setattr(solver, "init_history", tracked)
+        sc = dataclasses.replace(certified_scenario, n=21, horizon=1.0,
+                                 integrator=integrator, field_stride=1)
+        traj = run(sc)
+        gc.collect()
+        assert len(traj.fields) == len(traj) and made[0]() is None
 
     @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
     def test_nan_history_is_divergence(self, certified_scenario, monkeypatch,
