@@ -138,47 +138,59 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+def _report_lines(summary):
+    """The report's lines on a parsed summary.json, and whether it passes."""
+    lines, ok = [], True
+    cert = summary.get("certificate") or {}
+    lines.append(f"certificate: {'VALID' if cert.get('valid') else 'INVALID'} "
+                 f"(C={cert.get('C')})")
+    ok &= bool(cert.get("valid"))
+
+    fit = summary.get("decay_fit")
+    if fit and fit["H2"] > 0:
+        lines.append(f"decay: CERTIFIED(H2_fit={_fmt(fit['H2'])}, "
+                     f"r2={_fmt(fit['r_squared'])}) PASS")
+    else:
+        lines.append("decay: FAILED")
+        ok = False
+
+    eq = summary.get("equivalence")
+    if eq and eq["b1"] > 0 and math.isfinite(eq["b2"]):
+        lines.append(f"equivalence: b1={_fmt(eq['b1'])} b2={_fmt(eq['b2'])} "
+                     "PASS")
+    else:
+        lines.append("equivalence: FAILED")
+        ok = False
+
+    dis = summary.get("dissipation")
+    if dis and dis["n_violations"] == 0:
+        lines.append(f"dissipation: worst margin={_fmt(dis['worst_margin'])} "
+                     f"(0 violations of {dis['n_pairs']} pairs) PASS")
+    else:
+        lines.append("dissipation: FAILED")
+        ok = False
+
+    if summary.get("status") != "ok":
+        lines.append(f"run status: {summary.get('status')} FAILED")
+        ok = False
+    return lines, ok
+
+
 def cmd_report(args):
     summary_path = os.path.join(args.dir, "summary.json")
     trajectory_path = os.path.join(args.dir, "trajectory.csv")
     for path in (summary_path, trajectory_path):
         if not os.path.exists(path):
             raise ConfigError(f"missing file: {path}")
-    with open(summary_path) as fh:
-        summary = json.load(fh)
-
-    ok = True
-    cert = summary.get("certificate") or {}
-    print(f"certificate: {'VALID' if cert.get('valid') else 'INVALID'} "
-          f"(C={cert.get('C')})")
-    ok &= bool(cert.get("valid"))
-
-    fit = summary.get("decay_fit")
-    if fit and fit["H2"] > 0:
-        print(f"decay: CERTIFIED(H2_fit={_fmt(fit['H2'])}, "
-              f"r2={_fmt(fit['r_squared'])}) PASS")
-    else:
-        print("decay: FAILED")
-        ok = False
-
-    eq = summary.get("equivalence")
-    if eq and eq["b1"] > 0 and math.isfinite(eq["b2"]):
-        print(f"equivalence: b1={_fmt(eq['b1'])} b2={_fmt(eq['b2'])} PASS")
-    else:
-        print("equivalence: FAILED")
-        ok = False
-
-    dis = summary.get("dissipation")
-    if dis and dis["n_violations"] == 0:
-        print(f"dissipation: worst margin={_fmt(dis['worst_margin'])} "
-              f"(0 violations of {dis['n_pairs']} pairs) PASS")
-    else:
-        print("dissipation: FAILED")
-        ok = False
-
-    if summary.get("status") != "ok":
-        print(f"run status: {summary.get('status')} FAILED")
-        ok = False
+    # outside input, read whole before anything prints
+    try:
+        with open(summary_path) as fh:
+            lines, ok = _report_lines(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
+        raise ConfigError(f"cannot read {summary_path}: "
+                          f"{type(exc).__name__}: {exc}") from exc
+    print("\n".join(lines))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
@@ -187,8 +199,6 @@ def build_parser():
         prog="piezobeam",
         description="Simulate and verify certified decay of a delayed "
                     "piezoelectric beam system")
-    parser.add_argument("--seedless", action="store_true",
-                        help="reserved; the engine has no randomness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="validate assumptions and print the certificate")

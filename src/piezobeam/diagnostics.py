@@ -14,13 +14,15 @@ endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InsufficientDataError, MultiplierSearchError, UndefinedRatioError
 
 MAX_DOUBLINGS = 64  # per multiplier, in select_multipliers
+C_TOL = 10.0  # energy_dissipation_check's tolerance per (dt^2 + dx^2)
+FIT_WINDOW = 0.5  # trailing fraction of the run that fit_decay_rate reads
 
 
 def energy(state, history, operator, tau_t, d1, certificate, multipliers):
@@ -142,9 +144,10 @@ def select_multipliers(params, weights, certificate):
     Free constants: eps_i = c' * delta1(0) / alpha1 (each Young term then
     equals alpha1/4), eta1 = gamma*mu/(4 rho) and eta2 = 1/(4 gamma) (the
     p_t coefficient becomes exactly gamma*mu/2), eta5 = 1/(N2 alpha1),
-    eta3 = 1/(N2 c' delta1(0)), eta4 = 1/(N2 c' beta0 delta1(0)).  Each
-    multiplier doubles from 1 until its inequality clears 1.  c' is the
-    Poincare constant of the beam's length; it underflows to 0 for a tiny L.
+    eta3 = 1/(N2 c' delta1(0)), eta4 = 1/(N2 c' beta0 delta1(0)).  N3, N2,
+    N1 and N, in that order, each double from 1 until their own inequalities,
+    which read no later multiplier, clear 1.  c' is the Poincare constant of
+    the beam's length; it underflows to 0 for a tiny L.
     """
     c_prime = default_poincare_constant(params.length)
     if not c_prime > 0:
@@ -156,30 +159,18 @@ def select_multipliers(params, weights, certificate):
             "certificate dissipation constant is non-positive; "
             "no admissible multipliers")
 
-    def double_until(check):
-        val = 1.0
+    mult = Multipliers(1.0, 1.0, 1.0, 1.0, c_prime)
+    for name, lo, hi in (("n3", 0, 1), ("n2", 1, 2), ("n1", 2, 3), ("n", 3, 5)):
         for _ in range(MAX_DOUBLINGS):
-            if check(val):
-                return val
-            val *= 2.0
-        raise MultiplierSearchError(
-            "multiplier search did not terminate after "
-            f"{MAX_DOUBLINGS} doublings")
-
-    n3 = double_until(lambda m: multiplier_inequalities(
-        params, weights, certificate,
-        Multipliers(1.0, 1.0, 1.0, m, c_prime))[0] > 1.0)
-    n2 = double_until(lambda m: multiplier_inequalities(
-        params, weights, certificate,
-        Multipliers(1.0, 1.0, m, n3, c_prime))[1] > 1.0)
-    n1 = double_until(lambda m: multiplier_inequalities(
-        params, weights, certificate,
-        Multipliers(1.0, m, n2, n3, c_prime))[2] > 1.0)
-    n = double_until(lambda m: all(
-        v > 1.0 for v in multiplier_inequalities(
-            params, weights, certificate,
-            Multipliers(m, n1, n2, n3, c_prime))[3:]))
-    return Multipliers(n, n1, n2, n3, c_prime)
+            lhs = multiplier_inequalities(params, weights, certificate, mult)
+            if all(v > 1.0 for v in lhs[lo:hi]):
+                break
+            mult = replace(mult, **{name: 2.0 * getattr(mult, name)})
+        else:
+            raise MultiplierSearchError(
+                "multiplier search did not terminate after "
+                f"{MAX_DOUBLINGS} doublings")
+    return mult
 
 
 @dataclass(frozen=True)
@@ -202,12 +193,12 @@ class DissipationReport:
                 "tolerance": self.tolerance, "passed": self.passed}
 
 
-def energy_dissipation_check(trajectory, certificate, c_tol=10.0):
+def energy_dissipation_check(trajectory, certificate):
     """Check dE/dt <= -C (int v_t^2 + delayed) - C * kernel integral, discretely.
 
     The continuum inequality is checked between consecutive records with the
     right-hand side averaged over the pair and a resolution-scaled tolerance
-    c_tol * (dt^2 + dx^2) * max(E(0), 1).
+    C_TOL * (dt^2 + dx^2) * max(E(0), 1).
     """
     if len(trajectory) < 2:
         return DissipationReport(0, 0, -math.inf, math.nan, 0.0)
@@ -215,7 +206,7 @@ def energy_dissipation_check(trajectory, certificate, c_tol=10.0):
     cmin = max(cmin, 0.0)
     t, e = trajectory.times, trajectory.energies
     scale = max(float(e[0]), 1.0)
-    tol = c_tol * (trajectory.dt**2 + trajectory.grid.dx**2) * scale
+    tol = C_TOL * (trajectory.dt**2 + trajectory.grid.dx**2) * scale
 
     lhs = (e[1:] - e[:-1]) / (t[1:] - t[:-1])
     vt2 = trajectory.column("int_vt2") + trajectory.column("int_vt2_delayed")
@@ -256,8 +247,9 @@ class DecayFit:
                 "window": list(self.window)}
 
 
-def fit_decay_rate(trajectory, window_fraction=0.5):
-    """Least-squares line through (t, log E) on the trailing window.
+def fit_decay_rate(trajectory):
+    """Least-squares line through (t, log E) on the trailing FIT_WINDOW of
+    the run.
 
     Only samples with E > 0 enter the fit; H2 is minus the slope (negative
     H2 means growth).
@@ -267,7 +259,7 @@ def fit_decay_rate(trajectory, window_fraction=0.5):
     t, e = trajectory.times, trajectory.energies
     e0 = float(e[0])
     t_end = float(t[-1])
-    t_lo = t_end - window_fraction * (t_end - float(t[0]))
+    t_lo = t_end - FIT_WINDOW * (t_end - float(t[0]))
     keep = (t >= t_lo) & (e > 0)
     n_keep = int(np.count_nonzero(keep))
     if n_keep < 10:

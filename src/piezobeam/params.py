@@ -22,7 +22,7 @@ LAMBDA_MAX = 10.0  # kernel rate when beta0 = 0 leaves it unbounded
 # delay-energy weight: the midpoint of its admissible open interval
 # (beta0/sqrt(1-d), 2 - beta0/sqrt(1-d)), which is symmetric about 1
 XI_BAR = 1.0
-DEFAULT_SAMPLES = 4096
+SAMPLES = 4096  # validate_assumptions' grid points over [0, horizon]
 
 
 def check_float_fields(obj):
@@ -276,9 +276,9 @@ def _worst(ts, margins):
     return float(margins[i]), float(np.asarray(ts)[i])
 
 
-def validate_assumptions(delay, weights, horizon=40.0, samples=DEFAULT_SAMPLES):
+def validate_assumptions(delay, weights, horizon=40.0):
     """Sample every declared profile bound over [0, horizon], on a grid of
-    samples points plus the critical times of the profile the bound reads.
+    SAMPLES points plus the critical times of the profile the bound reads.
 
     Returns an AssumptionReport with one CheckResult per inequality; the
     report passes iff every sampled margin is >= -1e-12 (tiny slack for
@@ -286,10 +286,8 @@ def validate_assumptions(delay, weights, horizon=40.0, samples=DEFAULT_SAMPLES):
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
 
-    grid = np.linspace(0.0, horizon, samples)
+    grid = np.linspace(0.0, horizon, SAMPLES)
     ts = np.unique(np.r_[grid, delay.critical_times(horizon)])
     tw = np.unique(np.r_[grid, weights.critical_times(horizon)])
 

@@ -192,11 +192,9 @@ def initial_fields(scenario, x):
         v0 = np.zeros_like(x)
     elif preset == "fundamental-mode":
         v0 = amp * np.sin(math.pi * x / (2.0 * length))
-    elif preset == "pluck":
+    else:  # "pluck": Scenario admits only INITIAL_PRESETS
         knee = 0.7 * length
         v0 = amp * np.minimum(x / knee, 1.0)
-    else:
-        raise ConfigError(f"unknown initial preset {preset!r}")
     v1 = np.zeros_like(x)
     p0 = np.zeros_like(x)
     p1 = np.zeros_like(x)

@@ -306,14 +306,15 @@ class HistoryBuffer:
         return total
 
 
-def init_history(grid, delay, g0, dt):
+def init_history(grid, span, g0, dt):
     """Pre-fill a history buffer from the initial-history function g0(x, s).
 
-    Snapshots at s_k = -k*dt down past -tau_bar; the newest entry (s=0)
-    matches the initial velocity when g0(., 0) does.
+    Snapshots at s_k = -k*dt down past -span, the longest delay served
+    (>= 0); the newest entry (s=0) matches the initial velocity when
+    g0(., 0) does.
     """
-    buf = HistoryBuffer(dt, delay.tau_bar + 2.0 * dt, grid.weights)
-    k_max = int(math.ceil((delay.tau_bar + dt) / dt))
+    buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights)
+    k_max = int(math.ceil((span + dt) / dt))
     x = grid.x
     for k in range(k_max, -1, -1):
         s = -k * dt
@@ -326,7 +327,7 @@ def init_history(grid, delay, g0, dt):
     return buf
 
 
-def cfl_timestep(operator, delay=None, safety=0.5):
+def cfl_timestep(operator, delay, safety=0.5):
     """Explicit step bound: safety * dx / wave_speed, clamped to tau0 / 4.
 
     The delay clamp keeps at least 4 steps inside the shortest delay so the
@@ -334,10 +335,8 @@ def cfl_timestep(operator, delay=None, safety=0.5):
     """
     if not 0 < safety <= 1:
         raise ConfigError(f"cfl safety must be in (0, 1], got {safety}")
-    dt = safety * operator.grid.dx / operator.wave_speed
-    if delay is not None:
-        dt = min(dt, delay.tau0 / 4.0)
-    return dt
+    return min(safety * operator.grid.dx / operator.wave_speed,
+               delay.tau0 / 4.0)
 
 
 def _core_energy(state, operator):
@@ -542,8 +541,10 @@ def run(scenario, collect_fields=True):
 
     v0, v1, p0, p1, g0 = initial_fields(scenario, grid.x)
     state = SimState(0.0, v0, v1, p0, p1)
-    history = init_history(grid, scenario.delay, g0, dt)
     profiles = profile_table(scenario.delay, scenario.weights, dt, n_steps)
+    # the longest tau stepped with, capped by tau_bar: a larger one underruns
+    span = max(0.0, min(scenario.delay.tau_bar, float(profiles[:, 1].max())))
+    history = init_history(grid, span, g0, dt)
 
     multipliers = None
     if certificate.valid:

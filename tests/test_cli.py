@@ -219,6 +219,18 @@ class TestSimulate:
         with open(os.path.join(out, "summary.json")) as fh:
             assert json.load(fh)["status"] == "diverged"
 
+    @pytest.mark.parametrize("tau_bar", [0.0, -1.0])
+    def test_nonpositive_tau_bar_underruns_exits_3(self, tmp_path, capsys,
+                                                   tau_bar):
+        # no history before t = 0 serves the delay tau(t) ~ 0.5
+        cfg = _quick_cfg(horizon_s=0.1)
+        cfg["delay"]["tau_bar_s"] = tau_bar
+        code = main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: query t=") and "Traceback" not in err
+
     def test_negative_implicit_diagonal_exits_4(self, tmp_path, capsys):
         # implicit-fine numerics on a coarse grid; delta1 < -rho/dt
         cfg = load_config("certified-decay")
@@ -417,14 +429,28 @@ class TestReport:
         main(["simulate", "--config", _write_cfg(tmp_path, cfg), "--out", out])
         assert main(["report", "--dir", out]) == EXIT_VERIFICATION
 
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]",
+        '{"certificate": {"valid": true}, "decay_fit": {"r_squared": 1}}',
+    ], ids=["not json", "list", "no H2"])
+    def test_malformed_summary_exits_1(self, tmp_path, capsys, text):
+        (tmp_path / "summary.json").write_text(text)
+        (tmp_path / "trajectory.csv").write_text("")
+        assert main(["report", "--dir", str(tmp_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: cannot read {tmp_path / 'summary.json'}: ")
+
 
 class TestUsage:
     def test_no_command_exits_1(self):
         assert main([]) == EXIT_USAGE
 
     def test_seedless_flag_accepted(self):
+        # the flag did nothing (the engine has no randomness) and is gone
         assert main(["--seedless", "check", "--config",
-                     "certified-decay"]) == EXIT_OK
+                     "certified-decay"]) == EXIT_USAGE
 
     def test_seedless_with_value_rejected(self):
         assert main(["--seedless=true", "check", "--config",

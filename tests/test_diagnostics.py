@@ -15,6 +15,7 @@ from piezobeam import (
     SimState,
     SpatialOperator,
     StabilityCertificate,
+    WeightProfiles,
     energy,
     energy_dissipation_check,
     fit_decay_rate,
@@ -39,6 +40,7 @@ from piezobeam.solver import COLUMNS, Trajectory
 
 BEAM = BeamParams(rho=1.0, alpha=2.0, gamma=1.0, mu=1.0, beta=1.0, length=1.0)
 NO_DELAY = DelayProfile(kind="constant", mean=0.5, tau0=0.4, tau_bar=0.6)
+SPAN = NO_DELAY.tau_bar  # a history span serving NO_DELAY
 NULL_CERT = StabilityCertificate(0.0, 0.0, 0.0, 0.0, 0.0, valid=False)
 
 
@@ -49,7 +51,7 @@ def _state(x, v=None, vt=None, p=None, pt=None, t=0.0):
 
 
 def _zero_hist(grid, dt=0.01):
-    return init_history(grid, NO_DELAY, lambda x, s: np.zeros_like(x), dt)
+    return init_history(grid, SPAN, lambda x, s: np.zeros_like(x), dt)
 
 
 def _row(state, hist, beam=BEAM):
@@ -74,7 +76,7 @@ class TestEnergy:
         beam = BeamParams(rho=2.0, alpha=2.0, gamma=1.0, mu=1.0, beta=1.0,
                           length=1.0)
         g = Grid(101, 1.0)
-        hist = init_history(g, NO_DELAY, lambda x, s: np.ones_like(x), 0.01)
+        hist = init_history(g, SPAN, lambda x, s: np.ones_like(x), 0.01)
         rep = _row(_state(g.x, vt=np.ones(g.n)), hist, beam)
         assert abs(rep["kinetic_v"] - 1.0) < 1e-14
         assert abs(rep["E"] - 1.0) < 1e-14
@@ -195,6 +197,33 @@ class TestSelectMultipliers:
                                       certified_scenario.weights, cert, mult)
         assert len(lhs) == 5
         assert all(v > 1.0 for v in lhs)
+
+    @given(rho=st.floats(0.2, 5.0), mu=st.floats(0.2, 5.0),
+           gamma=st.floats(0.2, 2.0), beta=st.floats(0.2, 5.0),
+           alpha1=st.floats(0.05, 5.0), length=st.floats(0.1, 5.0),
+           delta1=st.floats(0.0, 5.0), beta0=st.floats(0.0, 0.9),
+           cs=st.tuples(*[st.floats(0.01, 5.0)] * 3))
+    @settings(max_examples=200, deadline=None)
+    def test_each_multiplier_is_the_least_doubling(
+            self, rho, mu, gamma, beta, alpha1, length, delta1, beta0, cs):
+        # halving a multiplier above 1 fails its own inequalities, given
+        # the multipliers found before it (N3, N2, N1, then N)
+        beam = BeamParams(rho=rho, alpha=alpha1 + gamma**2 * beta,
+                          gamma=gamma, mu=mu, beta=beta, length=length)
+        weights = WeightProfiles(delta0=delta1, beta0=beta0, d1_floor=delta1)
+        cert = StabilityCertificate(1.0, 1.0, *cs, valid=True)
+        mult = select_multipliers(beam, weights, cert)
+        assert all(v > 1.0 for v in multiplier_inequalities(
+            beam, weights, cert, mult))
+        found = Multipliers(1.0, 1.0, 1.0, 1.0, mult.c_prime)
+        for name, own in (("n3", slice(0, 1)), ("n2", slice(1, 2)),
+                          ("n1", slice(2, 3)), ("n", slice(3, 5))):
+            value = getattr(mult, name)
+            if value > 1.0:
+                halved = dataclasses.replace(found, **{name: value / 2.0})
+                lhs = multiplier_inequalities(beam, weights, cert, halved)
+                assert not all(v > 1.0 for v in lhs[own])
+            found = dataclasses.replace(found, **{name: value})
 
     def test_c_prime_interpretation(self):
         assert abs(default_poincare_constant(1.0) - (2.0 / math.pi)**2) < 1e-15

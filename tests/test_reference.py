@@ -35,7 +35,7 @@ from piezobeam import (
     step_explicit,
     step_implicit,
 )
-from piezobeam import solver
+from piezobeam import diagnostics, solver
 from piezobeam.diagnostics import DecayFit, DissipationReport, Multipliers
 from piezobeam.errors import ConfigError, HistoryUnderrunError
 from piezobeam.scenario import initial_fields
@@ -137,7 +137,7 @@ def test_run_matches_reference(certified_scenario):
     op = SpatialOperator(sc.beam, grid)
     v0, v1, p0, p1, g0 = initial_fields(sc, grid.x)
     state = SimState(0.0, v0, v1, p0, p1)
-    history = init_history(grid, sc.delay, g0, traj.dt)
+    history = init_history(grid, sc.delay.tau_bar, g0, traj.dt)
     ref = RefHistory(traj.dt, history.span, grid.dx)
     for t in history.times:
         ref.push(t, history.sample(t))
@@ -227,7 +227,7 @@ def test_guard_energy_carried_forward(certified_scenario, monkeypatch,
     dt = 0.005
     v0, v1, p0, p1, g0 = initial_fields(sc, grid.x)
     state = SimState(0.0, v0, v1, p0, p1)
-    history = init_history(grid, sc.delay, g0, dt)
+    history = init_history(grid, sc.delay.tau_bar, g0, dt)
 
     fresh = solver._core_energy
     calls = []
@@ -269,7 +269,7 @@ def test_explicit_acceleration_carried_forward(certified_scenario,
     op = SpatialOperator(sc.beam, grid)
     v0, v1, p0, p1, g0 = initial_fields(sc, grid.x)
     state = SimState(0.0, v0, v1, p0, p1)
-    history = init_history(grid, sc.delay, g0, traj.dt)
+    history = init_history(grid, sc.delay.tau_bar, g0, traj.dt)
     table = profile_table(sc.delay, sc.weights, traj.dt, n_steps)
     for k in range(n_steps):
         state = step_explicit(state, history, op, table, k, traj.dt)
@@ -361,11 +361,13 @@ def windows(traj, width, step=1):
 # reprs mean bitwise-equal results of the same types
 
 
+# a zero tolerance makes the check count violations
 @pytest.mark.parametrize("c_tol", [10.0, 0.0])
-def test_dissipation_check_matches_reference(short_run, c_tol):
+def test_dissipation_check_matches_reference(short_run, c_tol, monkeypatch):
+    monkeypatch.setattr(diagnostics, "C_TOL", c_tol)
     cert = short_run.certificate
     for traj in windows(short_run, 3):
-        got = energy_dissipation_check(traj, cert, c_tol)
+        got = energy_dissipation_check(traj, cert)
         assert repr(got) == repr(ref_energy_dissipation_check(traj, cert,
                                                               c_tol))
 
@@ -394,7 +396,8 @@ def test_equivalence_matches_reference(short_run):
 
 
 @pytest.mark.parametrize("window_fraction", [0.5, 0.9])
-def test_decay_fit_matches_reference(short_run, window_fraction):
+def test_decay_fit_matches_reference(short_run, window_fraction, monkeypatch):
+    monkeypatch.setattr(diagnostics, "FIT_WINDOW", window_fraction)
     for traj in windows(short_run, 60, step=29):
-        got = fit_decay_rate(traj, window_fraction)
+        got = fit_decay_rate(traj)
         assert repr(got) == repr(ref_fit_decay_rate(traj, window_fraction))

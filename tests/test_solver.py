@@ -36,6 +36,7 @@ from piezobeam.errors import (
 
 BEAM = BeamParams(rho=1.0, alpha=2.0, gamma=1.0, mu=1.0, beta=1.0, length=1.0)
 NO_DELAY = DelayProfile(kind="constant", mean=0.5, tau0=0.4, tau_bar=0.6)
+SPAN = NO_DELAY.tau_bar  # a history span serving NO_DELAY
 UNDAMPED = WeightProfiles(delta0=0.0, d1_floor=0.0)
 
 
@@ -44,7 +45,7 @@ def _scale(st):
 
 
 def zero_history(grid, dt):
-    return init_history(grid, NO_DELAY, lambda x, s: np.zeros_like(x), dt)
+    return init_history(grid, SPAN, lambda x, s: np.zeros_like(x), dt)
 
 
 class TestGrid:
@@ -130,7 +131,7 @@ class TestHistoryBuffer:
         # vt = c: double integral = c^2 * L * (1 - e^{-lam tau}) / lam
         g = Grid(101, 1.0)
         dt = 0.01
-        buf = init_history(g, NO_DELAY, lambda x, s: np.full_like(x, 2.0), dt)
+        buf = init_history(g, SPAN, lambda x, s: np.full_like(x, 2.0), dt)
         lam = 0.8
         tau = 0.5
         sq_lo = buf.square_integral(buf.sample(-tau))
@@ -148,7 +149,7 @@ class TestInitHistory:
     def test_constant_in_time(self):
         g = Grid(21, 1.0)
         v1 = np.sin(math.pi * g.x / 2.0)
-        buf = init_history(g, NO_DELAY, lambda x, s: np.interp(x, g.x, v1), 0.05)
+        buf = init_history(g, SPAN, lambda x, s: np.interp(x, g.x, v1), 0.05)
         for t in buf.times:
             assert np.array_equal(buf.sample(t), v1)
         assert buf.newest_time == 0.0
@@ -156,19 +157,19 @@ class TestInitHistory:
     def test_analytic_history_reproduced(self):
         g = Grid(21, 1.0)
         f = lambda x, s: np.sin(math.pi * x) * math.exp(s)
-        buf = init_history(g, NO_DELAY, f, 0.05)
+        buf = init_history(g, SPAN, f, 0.05)
         for t in buf.times:
             assert np.max(np.abs(buf.sample(t) - f(g.x, t))) < 1e-15
 
     def test_spans_delay(self):
         g = Grid(21, 1.0)
         buf = zero_history(g, 0.05)
-        assert buf.times[0] <= -NO_DELAY.tau_bar
+        assert buf.times[0] <= -SPAN
 
     def test_nonfinite_rejected(self):
         g = Grid(21, 1.0)
         with pytest.raises(ProfileEvaluationError):
-            init_history(g, NO_DELAY, lambda x, s: np.full_like(x, np.nan), 0.05)
+            init_history(g, SPAN, lambda x, s: np.full_like(x, np.nan), 0.05)
 
 
 class TestCflTimestep:
@@ -179,7 +180,8 @@ class TestCflTimestep:
         g = Grid(101, 1.0)
         op = SpatialOperator(BEAM, g)
         assert abs(op.wave_speed - c_ref) < 1e-12
-        assert abs(cfl_timestep(op, safety=0.5) - 0.5 * g.dx / c_ref) < 1e-15
+        assert abs(cfl_timestep(op, NO_DELAY, safety=0.5)
+                   - 0.5 * g.dx / c_ref) < 1e-15
 
     def test_decoupled_unit_speed(self):
         op = SpatialOperator(BeamParams(alpha=1.0, gamma=0.0), Grid(3, 1.0))
@@ -193,7 +195,8 @@ class TestCflTimestep:
 
     def test_bad_safety(self):
         with pytest.raises(ConfigError):
-            cfl_timestep(SpatialOperator(BEAM, Grid(11, 1.0)), safety=0.0)
+            cfl_timestep(SpatialOperator(BEAM, Grid(11, 1.0)), NO_DELAY,
+                         safety=0.0)
 
 
 def _zero_state(grid):
@@ -380,7 +383,8 @@ class TestSteppers:
         g = Grid(51, sc.beam.length)
         op = SpatialOperator(sc.beam, g)
         dt = 0.01
-        buf = init_history(g, sc.delay, lambda x, s: np.zeros_like(x), dt)
+        buf = init_history(g, sc.delay.tau_bar,
+                           lambda x, s: np.zeros_like(x), dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
         table = profile_table(sc.delay, sc.weights, dt, 6)
@@ -442,7 +446,8 @@ class TestSteppers:
         g = Grid(n, beam.length)
         op = SpatialOperator(beam, g)
         dt = 0.005
-        buf = init_history(g, sc.delay, lambda x, s: 0.3 * np.sin(x + s), dt)
+        buf = init_history(g, sc.delay.tau_bar,
+                           lambda x, s: 0.3 * np.sin(x + s), dt)
         x = g.x
         fields = (np.sin(np.pi * x / 2.0), 0.5 * x * (1.0 - x), 0.2 * x**2,
                   np.cos(x) - 1.0)
@@ -479,7 +484,8 @@ class TestSteppers:
         g = Grid(21, sc.beam.length)
         op = SpatialOperator(sc.beam, g)
         dt = 0.01
-        buf = init_history(g, sc.delay, lambda x, s: np.sin(x + 3.0 * s), dt)
+        buf = init_history(g, sc.delay.tau_bar,
+                           lambda x, s: np.sin(x + 3.0 * s), dt)
         st = SimState(0.0, np.sin(np.pi * g.x / 2.0), np.zeros(g.n),
                       np.zeros(g.n), np.zeros(g.n))
         n_steps = 4 * len(buf._ring)  # the ring wraps and shifts 4 times
@@ -592,9 +598,9 @@ class TestRun:
         # whose delayed velocity, and so its solve, is not finite
         from piezobeam import solver
 
-        def nan_history(grid, delay, g0, dt):
-            buf = HistoryBuffer(dt, delay.tau_bar + 2.0 * dt, grid.weights)
-            for k in range(int(math.ceil((delay.tau_bar + dt) / dt)), -1, -1):
+        def nan_history(grid, span, g0, dt):
+            buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights)
+            for k in range(int(math.ceil((span + dt) / dt)), -1, -1):
                 buf.push(-k * dt, np.full(grid.n, np.nan))
             return buf
 
@@ -624,6 +630,26 @@ class TestRun:
         assert info.value.step == len(traj) == 89
         assert str(info.value).endswith("(step 89)")
         assert np.all(np.isfinite(traj.energies))
+
+    def test_history_sized_from_the_delays_stepped_with(self,
+                                                       certified_scenario,
+                                                       monkeypatch):
+        # a declared tau_bar far above every tau(t) of the run costs nothing
+        from piezobeam import solver
+        stamps = []
+
+        def tracked(*args):
+            buf = init_history(*args)
+            stamps.append(len(buf.times))
+            return buf
+
+        monkeypatch.setattr(solver, "init_history", tracked)
+        for tau_bar in (0.6, 200.0):
+            delay = dataclasses.replace(certified_scenario.delay,
+                                        tau_bar=tau_bar)
+            run(dataclasses.replace(certified_scenario, n=21, horizon=0.1,
+                                    delay=delay), collect_fields=False)
+        assert stamps[0] == stamps[1]
 
     def test_status_independent_of_output_stride(self, certified_scenario):
         # delta2 = -3 voids the certificate (L is NaN) and the energy grows

@@ -1,5 +1,7 @@
 """Sweep expansion, classification, determinism, and parallel equivalence."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +215,21 @@ def test_run_failure_recorded_as_error_row(monkeypatch, error):
     assert [r.violated for r in records] == [["failed at beta0=0.3"],
                                              ["failed at beta0=0.5"]]
     assert all(r.valid for r in records)
+
+
+def test_diverged_point_recorded_as_diverged_row():
+    # dt_s = 0.1 is past the CFL step (about 0.03) at n = 11: the blow-up
+    # guard trips
+    base = _base()
+    base["numerics"]["dt_s"] = 0.001
+    spec = SweepSpec(base, axes=(("numerics.dt_s", (0.001, 0.1)),), n=11,
+                     horizon=2.0)
+    ok, diverged = execute(spec)
+    assert (ok.status, diverged.status) == ("ok", "diverged")
+    assert ok.valid and diverged.valid and not diverged.violated
+    assert ok.h2 > 0
+    assert all(math.isnan(x) for x in (diverged.h2, diverged.r_squared,
+                                       diverged.energy_ratio))
 
 
 def test_non_integer_axis_value_recorded_as_infeasible_row():
