@@ -61,6 +61,18 @@ def cmd_check(args):
     return EXIT_OK if cert.valid else EXIT_INFEASIBLE
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float, nested in dicts and lists, as None:
+    summary.json writes it as null, since NaN and Infinity are not JSON."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _write_outputs(traj, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     rows = (map(_fmt, row) for row in traj.data[:, :-1].tolist())
@@ -94,7 +106,8 @@ def _write_outputs(traj, out_dir):
     summary["dissipation"] = diagnostics.energy_dissipation_check(
         traj, cert).as_dict()
     with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
     return summary
 
@@ -138,24 +151,30 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
+def _number(x):
+    """A number read from summary.json, where null stands for a non-finite
+    value: null reads as nan, which fails every check that inf or nan did."""
+    return math.nan if x is None else x
+
+
 def _report_lines(summary):
     """The report's lines on a parsed summary.json, and whether it passes."""
     lines, ok = [], True
     cert = summary.get("certificate") or {}
     lines.append(f"certificate: {'VALID' if cert.get('valid') else 'INVALID'} "
-                 f"(C={cert.get('C')})")
+                 f"(C={_number(cert.get('C'))})")
     ok &= bool(cert.get("valid"))
 
     fit = summary.get("decay_fit")
-    if fit and fit["H2"] > 0:
+    if fit and _number(fit["H2"]) > 0:
         lines.append(f"decay: CERTIFIED(H2_fit={_fmt(fit['H2'])}, "
-                     f"r2={_fmt(fit['r_squared'])}) PASS")
+                     f"r2={_fmt(_number(fit['r_squared']))}) PASS")
     else:
         lines.append("decay: FAILED")
         ok = False
 
     eq = summary.get("equivalence")
-    if eq and eq["b1"] > 0 and math.isfinite(eq["b2"]):
+    if eq and _number(eq["b1"]) > 0 and math.isfinite(_number(eq["b2"])):
         lines.append(f"equivalence: b1={_fmt(eq['b1'])} b2={_fmt(eq['b2'])} "
                      "PASS")
     else:
@@ -164,7 +183,8 @@ def _report_lines(summary):
 
     dis = summary.get("dissipation")
     if dis and dis["n_violations"] == 0:
-        lines.append(f"dissipation: worst margin={_fmt(dis['worst_margin'])} "
+        lines.append("dissipation: worst margin="
+                     f"{_fmt(_number(dis['worst_margin']))} "
                      f"(0 violations of {dis['n_pairs']} pairs) PASS")
     else:
         lines.append("dissipation: FAILED")

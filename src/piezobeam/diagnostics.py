@@ -154,6 +154,10 @@ def select_multipliers(params, weights, certificate):
         raise MultiplierSearchError(
             f"Poincare constant must be > 0, got {c_prime} "
             "(the eta constants divide by it)")
+    if not params.gamma > 0:
+        raise MultiplierSearchError(
+            f"multiplier search needs gamma > 0, got {params.gamma} "
+            "(the v_t inequality's 1/(gamma mu) term divides by it)")
     if not certificate.c > 0:
         raise MultiplierSearchError(
             "certificate dissipation constant is non-positive; "

@@ -18,7 +18,7 @@ themselves as its field snapshots, with the run's Grid beside them.
 Two integrators: an explicit central-difference (velocity-Verlet style) scheme
 with semi-implicit treatment of the instantaneous damping, and a backward-Euler
 step, implicit in the stiff wave part and explicit in the delay: one 2x2
-rotation of (v, p), then two symmetric positive definite LAPACK dptsv solves.
+rotation of (v, p), then two SPD LAPACK dptsv solves (scipy's, loaded on use).
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-# bound as solve_banded, the name under which the benchmark traces the solve
-from scipy.linalg.lapack import dptsv as solve_banded
 
 from . import diagnostics
 from .errors import (
@@ -401,14 +399,20 @@ def step_explicit(state, history, operator, profiles, k, dt):
     return _finish_step(state, new, history, operator, "explicit step")
 
 
+def solve_banded(d, e, b):
+    """LAPACK dptsv, overwriting d, e and b; scipy is imported on first use."""
+    from scipy.linalg.lapack import dptsv
+    return dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+
+
 def _implicit_matrix(operator, dt, d1):
     """step_implicit's system for delta1 = d1: diagonals (diag[i], off[i])
     of P (I + m_i D), refilled in place, and T = A0^{-1/2} R.
 
     P = diag(1, ..., 1, 3/2) symmetrises D, whose last row is (2/3,
-    -2/3)/dx^2.  The read-only template (the diagonals of P and P D, and
-    P D's off-diagonal) and the buffers are built once per operator; off
-    keeps max(n - 3, 1) entries, as the LAPACK wrapper rejects an empty one.
+    -2/3)/dx^2.  The buffers are built once per operator and filled from
+    m_i; off keeps max(n - 3, 1) entries, as the LAPACK wrapper rejects an
+    empty one.
     S = A0^{-1/2} A1 A0^{-1/2} (s11 = -alpha/a, s22 = -beta/c, s12 =
     gamma beta/sqrt(a c)) is negative definite like A1 (det A1 = beta
     alpha1 > 0), so m_i < 0 and P (I + m_i D) is positive definite.  theta =
@@ -417,13 +421,10 @@ def _implicit_matrix(operator, dt, d1):
     """
     pr = operator.params
     if operator._implicit_cache is None:
-        n, dx2 = operator.grid.n, operator.grid.dx**2
-        template = np.outer([1.0, -2.0 / dx2, 1.0 / dx2], np.ones(n - 2))
-        template[:2, -1] = 1.5, -1.0 / dx2
-        template.flags.writeable = False
-        operator._implicit_cache = (template, np.empty((2, n - 2)),
+        n = operator.grid.n
+        operator._implicit_cache = (np.empty((2, n - 2)),
                                     np.empty((2, max(n - 3, 1))))
-    template, diag, off = operator._implicit_cache
+    diag, off = operator._implicit_cache
 
     a, c = pr.rho / dt**2 + d1 / dt, pr.mu / dt**2
     if not a > 0:  # delta1 <= -rho/dt: A0 has no real square root
@@ -433,13 +434,14 @@ def _implicit_matrix(operator, dt, d1):
     s12 = pr.gamma * pr.beta / math.sqrt(a * c)
     theta = 0.5 * math.atan2(2.0 * s12, s11 - s22)
     m2 = 0.5 * (s11 + s22 - math.hypot(s11 - s22, 2.0 * s12))
-    m = np.array([[pr.beta * pr.alpha1 / (a * c * m2)], [m2]])  # m1, m2
-    np.multiply(m, template[1], out=diag)
-    diag += template[0]
-    np.multiply(m, template[2, :off.shape[1]], out=off)
+    m1, dx2 = pr.beta * pr.alpha1 / (a * c * m2), operator.grid.dx**2
+    for d_i, e_i, m_i in zip(diag, off, (m1, m2)):
+        d_i.fill(m_i * (-2.0 / dx2) + 1.0)
+        d_i[-1] = m_i * (-1.0 / dx2) + 1.5
+        e_i.fill(m_i * (1.0 / dx2))
     cs, sn = math.cos(theta), math.sin(theta)
     ra, rc = 1.0 / math.sqrt(a), 1.0 / math.sqrt(c)
-    return diag, off, ((ra * cs, -ra * sn), (rc * sn, rc * cs))
+    return diag, off, np.array([[ra * cs, -ra * sn], [rc * sn, rc * cs]])
 
 
 def step_implicit(state, history, operator, profiles, k, dt):
@@ -456,21 +458,19 @@ def step_implicit(state, history, operator, profiles, k, dt):
     pr = operator.params
     t_new, tau_new, d1, _, d2_new = profiles[k + 1].tolist()
     z = history.sample(t_new - tau_new)
-    diag, off, ((t11, t12), (t21, t22)) = _implicit_matrix(operator, dt, d1)
+    diag, off, tm = _implicit_matrix(operator, dt, d1)
 
     r_v = ((pr.rho / dt**2 + d1 / dt) * state.v[1:-1]
            + pr.rho * state.vt[1:-1] / dt - d2_new * z[1:-1])
     r_p = pr.mu * state.p[1:-1] / dt**2 + pr.mu * state.pt[1:-1] / dt
-    u = np.array([[t11], [t12]]) * r_v + np.array([[t21], [t22]]) * r_p
+    u = tm.T @ (r_v, r_p)
     u[:, -1] *= 1.5  # P T^T r; each solve overwrites its row
     for i in range(2):
-        _, _, u[i], info = solve_banded(diag[i], off[i], u[i], overwrite_d=1,
-                                        overwrite_e=1, overwrite_b=1)
+        _, _, u[i], info = solve_banded(diag[i], off[i], u[i])
         if info:
             raise DivergenceError(f"implicit solve failed: dptsv info={info}")
     vp = np.zeros((2, operator.grid.n))
-    vp[0, 1:-1] = t11 * u[0] + t12 * u[1]
-    vp[1, 1:-1] = t21 * u[0] + t22 * u[1]
+    np.matmul(tm, u, out=vp[:, 1:-1])
     vp[:, -1] = (4.0 * vp[:, -2] - vp[:, -3]) / 3.0
     vpt = (vp - (state.v, state.p)) / dt
     vpt[:, 0] = 0.0

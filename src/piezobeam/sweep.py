@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .diagnostics import fit_decay_rate
@@ -137,6 +136,7 @@ def execute(spec, workers=1):
     items = expand(spec)
     workers = min(workers, len(items))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_one, items))
     return [_run_one(item) for item in items]

@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from piezobeam.cli import (
     EXIT_VERIFICATION,
     main,
 )
+import piezobeam
 from piezobeam.scenario import load_config
 
 
@@ -207,6 +210,43 @@ class TestSimulate:
         assert cert["valid"] is False
         assert "need 0 <= d < 1, got d=1.0" in cert["diagnostics"]
 
+    def test_gamma_zero_exits_3(self, tmp_path, capsys):
+        # the multiplier search's v_t inequality divides by gamma mu
+        cfg = _quick_cfg(n=11, horizon_s=0.5)
+        cfg["beam"]["gamma"] = 0.0
+        code = main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: multiplier search needs gamma > 0")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["invalid certificate", "horizon 0"])
+    def test_summary_is_strict_json(self, tmp_path, case):
+        # non-finite numbers are written as null, never as bare NaN or
+        # Infinity; report reads the nulls and fails as before
+        if case == "horizon 0":
+            cfg = _quick_cfg(n=11, horizon_s=0.0)
+        else:
+            cfg = _overridden_cfg(1.0)
+            cfg["numerics"].update({"n": 11, "horizon_s": 0.5})
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                     "--out", out]) == EXIT_OK
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh, parse_constant=reject)
+        if case == "horizon 0":
+            assert summary["dissipation"]["worst_margin"] is None
+            assert summary["dissipation"]["worst_t"] is None
+        else:
+            assert summary["certificate"]["valid"] is False
+            assert summary["certificate"]["C"] is None
+        assert main(["report", "--dir", out]) == EXIT_VERIFICATION
+
     def test_divergent_run_exits_4_with_partial_output(self, tmp_path):
         # force an unstable explicit step with a huge dt override
         cfg = _quick_cfg(horizon_s=5.0)
@@ -334,6 +374,19 @@ class TestSweepCommand:
         assert [row[2] for row in rows] == ["ok", "infeasible"]
         assert "need 0 <= d < 1, got d=1.5" in rows[1][-1].split(";")
 
+    def test_gamma_zero_is_error_row(self, tmp_path):
+        sweep_cfg = {"base": _quick_cfg(),
+                     "axes": [{"path": "beam.gamma", "values": [0.0, 1.0]}],
+                     "n": 11, "horizon_s": 0.5}
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", out]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[2] for row in rows] == ["error", "ok"]
+        assert rows[0][-1].startswith("multiplier search needs gamma > 0")
+
     @pytest.mark.parametrize("path,values,reason", [
         ("delay.tau_bar_s", [0.6, 0.0], "need tau_bar > 0, got 0.0"),
         ("certificate.lambda", [0.5, -2000.0],
@@ -441,6 +494,58 @@ class TestReport:
         assert captured.out == ""
         assert captured.err.startswith(
             f"error: cannot read {tmp_path / 'summary.json'}: ")
+
+
+@pytest.fixture(scope="module")
+def lazy_import_inputs(tmp_path_factory, sim_dir):
+    """Configs for short explicit and implicit runs and a 2-point sweep, and
+    the certified simulate output directory for report."""
+    tmp = tmp_path_factory.mktemp("lazy")
+    explicit = _quick_cfg(n=11, horizon_s=0.1)
+    implicit = _quick_cfg(n=11, horizon_s=0.1, integrator="implicit")
+    sweep_cfg = {"base": _quick_cfg(),
+                 "axes": [{"path": "weights.beta0", "values": [0.3, 0.5]}],
+                 "n": 11, "horizon_s": 0.1}
+    return {"explicit": _write_cfg(tmp, explicit, "explicit.json"),
+            "implicit": _write_cfg(tmp, implicit, "implicit.json"),
+            "sweep": _write_cfg(tmp, sweep_cfg, "sweep.json"),
+            "out": str(tmp / "out"), "csv": str(tmp / "sweep.csv"),
+            "report": sim_dir}
+
+
+LAZY_MODULES = ("scipy", "concurrent.futures.process")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["check", "--config", "certified-decay"], ()),
+    (["simulate", "--config", "{explicit}", "--out", "{out}"], ()),
+    (["sweep", "--config", "{sweep}", "--out", "{csv}"], ()),
+    (["report", "--dir", "{report}"], ()),
+    (["simulate", "--config", "{implicit}", "--out", "{out}"], ("scipy",)),
+    (["sweep", "--config", "{sweep}", "--out", "{csv}", "--threads", "2"],
+     ("concurrent.futures.process",)),
+], ids=["check", "explicit-simulate", "serial-sweep", "report",
+        "implicit-simulate", "parallel-sweep"])
+def test_scipy_and_process_pool_load_only_when_used(lazy_import_inputs, argv,
+                                                    loaded):
+    # a fresh interpreter: this one has scipy loaded by the test modules
+    argv = [a.format(**lazy_import_inputs) for a in argv]
+    script = ("import json, sys\n"
+              "from piezobeam.cli import main\n"
+              "rc = main(json.loads(sys.argv[1]))\n"
+              f"print(json.dumps([rc, [m in sys.modules for m in "
+              f"{list(LAZY_MODULES)!r}]]))\n")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(piezobeam.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120, check=True)
+    rc, present = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == EXIT_OK
+    assert dict(zip(LAZY_MODULES, present)) == {
+        name: name in loaded for name in LAZY_MODULES}
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 """Sweep expansion, classification, determinism, and parallel equivalence."""
 
+import concurrent.futures
 import math
 
 import pytest
@@ -178,7 +179,8 @@ def test_pool_never_exceeds_point_count(monkeypatch, n_points, pools):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", FakePool)
+    # execute imports the pool from concurrent.futures when workers > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     spec = SweepSpec(_base(), axes=(("weights.beta0", (0.3, 0.5, 0.7)[
         :n_points]),), n=11, horizon=0.5)
     records = execute(spec, workers=5000)
