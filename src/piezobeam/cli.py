@@ -182,7 +182,10 @@ def _report_lines(summary):
         ok = False
 
     dis = summary.get("dissipation")
-    if dis and dis["n_violations"] == 0:
+    if dis and dis["n_pairs"] == 0:  # fewer than 2 records: nothing checked
+        lines.append("dissipation: FAILED (0 pairs)")
+        ok = False
+    elif dis and dis["n_violations"] == 0:
         lines.append("dissipation: worst margin="
                      f"{_fmt(_number(dis['worst_margin']))} "
                      f"(0 violations of {dis['n_pairs']} pairs) PASS")

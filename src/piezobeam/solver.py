@@ -18,12 +18,14 @@ themselves as its field snapshots, with the run's Grid beside them.
 Two integrators: an explicit central-difference (velocity-Verlet style) scheme
 with semi-implicit treatment of the instantaneous damping, and a backward-Euler
 step, implicit in the stiff wave part and explicit in the delay: one 2x2
-rotation of (v, p), then two SPD LAPACK dptsv solves (scipy's, loaded on use).
+rotation of (v, p), then two SPD LAPACK dptsv solves: the first loads scipy's
+compiled LAPACK module alone, without scipy.linalg.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -127,10 +129,24 @@ class SimState:
         return self._delayed[2]
 
 
+# the most floats one run's history ring, profile table or record may hold
+# (1 GiB): a run that needs more is refused with a ConfigError before the
+# allocation
+MAX_RUN_FLOATS = 2**27
+
+
+def _check_run_floats(rows, cols, what):
+    if rows * cols > MAX_RUN_FLOATS:
+        raise ConfigError(
+            f"{what} needs {rows} x {cols} floats, more than the "
+            f"{MAX_RUN_FLOATS} a run may allocate")
+
+
 def profile_table(delay, weights, dt, n_steps):
     """Row k: (t_k, tau, delta1, delta1 at t_k + dt/2, delta2) at t_k, which
     adds dt k times to 0.0 as the steps do; the profiles evaluate
     elementwise, so each entry is the scalar evaluation's float."""
+    _check_run_floats(n_steps + 1, 5, "the profile table")
     t = np.add.accumulate(np.r_[0.0, np.full(n_steps, dt)])
     return np.column_stack((t, delay.tau(t), weights.delta1(t),
                             weights.delta1(t + 0.5 * dt), weights.delta2(t)))
@@ -204,6 +220,7 @@ class HistoryBuffer:
         # one more arrives between evictions
         self._cap = int((span + 0.5 * dt) / dt + 1e-6) + 3
         self._w = weights
+        _check_run_floats(self._cap, len(weights), "the history ring")
         self._ring = np.empty((self._cap, len(weights)))
         self._times = np.empty(2 * self._cap)
         self._sq = np.empty(2 * self._cap)
@@ -399,10 +416,40 @@ def step_explicit(state, history, operator, profiles, k, dt):
     return _finish_step(state, new, history, operator, "explicit step")
 
 
+_dptsv = None  # scipy's LAPACK dptsv, bound by the first solve_banded call
+
+
 def solve_banded(d, e, b):
-    """LAPACK dptsv, overwriting d, e and b; scipy is imported on first use."""
-    from scipy.linalg.lapack import dptsv
-    return dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    """LAPACK dptsv, overwriting d, e and b.
+
+    The first call imports the top-level scipy package and loads dptsv from
+    its compiled LAPACK module, scipy/linalg/_flapack: the routine that
+    scipy.linalg.lapack re-exports, without running scipy.linalg's
+    __init__ (most of scipy's import time and memory).
+    """
+    global _dptsv
+    if _dptsv is None:
+        import scipy
+        _dptsv = _load_flapack(os.path.join(scipy.__path__[0], "linalg")).dptsv
+    return _dptsv(d, e, b, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+
+
+def _load_flapack(directory):
+    """scipy's extension module _flapack from directory, loaded without
+    importing its package (it is not entered in sys.modules)."""
+    import importlib.util
+    from importlib.machinery import (
+        EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder)
+
+    import scipy
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no LAPACK extension _flapack in {directory} "
+                          f"(scipy {scipy.__version__})")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _implicit_matrix(operator, dt, d1):
@@ -553,6 +600,7 @@ def run(scenario, collect_fields=True):
 
     stride = scenario.output_stride
     n_rows = n_steps // stride + 1 + (n_steps % stride > 0)
+    _check_run_floats(n_rows, len(COLUMNS), "the record")
     traj = Trajectory(scenario, certificate, multipliers, dt, grid,
                       np.empty((n_rows, len(COLUMNS))))
     filled = 0

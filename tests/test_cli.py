@@ -18,6 +18,7 @@ from piezobeam.cli import (
     main,
 )
 import piezobeam
+from piezobeam import solver
 from piezobeam.scenario import load_config
 
 
@@ -221,6 +222,17 @@ class TestSimulate:
         assert err.startswith("error: multiplier search needs gamma > 0")
         assert "Traceback" not in err
 
+    def test_oversized_profile_table_exits_1(self, tmp_path, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 10_000)
+        code = main(["simulate", "--config",
+                     _write_cfg(tmp_path, _quick_cfg(n=11, horizon_s=1e6)),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: the profile table needs ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("case", ["invalid certificate", "horizon 0"])
     def test_summary_is_strict_json(self, tmp_path, case):
         # non-finite numbers are written as null, never as bare NaN or
@@ -387,6 +399,22 @@ class TestSweepCommand:
         assert [row[2] for row in rows] == ["error", "ok"]
         assert rows[0][-1].startswith("multiplier search needs gamma > 0")
 
+    def test_oversized_history_is_error_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 10_000)
+        delays = [{"kind": "constant", "value_s": tau, "tau0_s": tau,
+                   "tau_bar_s": tau} for tau in (0.5, 100.0)]
+        sweep_cfg = {"base": _quick_cfg(),
+                     "axes": [{"path": "delay", "values": delays}],
+                     "n": 11, "horizon_s": 0.5}
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", out]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[2] for row in rows] == ["ok", "error"]
+        assert rows[1][-1].startswith("the history ring needs ")
+
     @pytest.mark.parametrize("path,values,reason", [
         ("delay.tau_bar_s", [0.6, 0.0], "need tau_bar > 0, got 0.0"),
         ("certificate.lambda", [0.5, -2000.0],
@@ -482,6 +510,17 @@ class TestReport:
         main(["simulate", "--config", _write_cfg(tmp_path, cfg), "--out", out])
         assert main(["report", "--dir", out]) == EXIT_VERIFICATION
 
+    def test_single_record_fails_dissipation(self, tmp_path, capsys):
+        # one record makes no pair: the dissipation check has checked nothing
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config",
+                     _write_cfg(tmp_path, _quick_cfg(n=11, horizon_s=0.0)),
+                     "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["report", "--dir", out]) == EXIT_VERIFICATION
+        assert ("dissipation: FAILED (0 pairs)"
+                in capsys.readouterr().out.splitlines())
+
     @pytest.mark.parametrize("text", [
         "{not json", "[]",
         '{"certificate": {"valid": true}, "decay_fit": {"r_squared": 1}}',
@@ -513,7 +552,7 @@ def lazy_import_inputs(tmp_path_factory, sim_dir):
             "report": sim_dir}
 
 
-LAZY_MODULES = ("scipy", "concurrent.futures.process")
+LAZY_MODULES = ("scipy", "scipy.linalg", "concurrent.futures.process")
 
 
 @pytest.mark.parametrize("argv,loaded", [

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
 from piezobeam import (
     BeamParams,
@@ -26,6 +26,7 @@ from piezobeam import (
     step_explicit,
     step_implicit,
 )
+from piezobeam import solver
 from piezobeam.errors import (
     ConfigError,
     DivergenceError,
@@ -170,6 +171,71 @@ class TestInitHistory:
         g = Grid(21, 1.0)
         with pytest.raises(ProfileEvaluationError):
             init_history(g, SPAN, lambda x, s: np.full_like(x, np.nan), 0.05)
+
+
+class TestRunFloatBound:
+    def test_history_refused_before_g0(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 100)
+        calls = []
+
+        def g0(x, s):
+            calls.append(s)
+            return np.zeros_like(x)
+
+        with pytest.raises(ConfigError, match=r"^the history ring needs \d+ "
+                                              r"x 21 floats, more than the "
+                                              r"100 a run may allocate$"):
+            init_history(Grid(21, 1.0), SPAN, g0, 0.05)
+        assert calls == []
+
+    def test_profile_table_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 55)
+        assert profile_table(NO_DELAY, UNDAMPED, 0.1, 10).shape == (11, 5)
+        with pytest.raises(ConfigError,
+                           match="^the profile table needs 12 x 5 floats"):
+            profile_table(NO_DELAY, UNDAMPED, 0.1, 11)
+
+    def test_record_refused(self, certified_scenario, monkeypatch):
+        # 100 steps: the table's 101 x 5 and the ring's 11 x 11 floats fit,
+        # the record's 101 x 14 do not
+        monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 1000)
+        sc = dataclasses.replace(certified_scenario, n=11, horizon=10.0,
+                                 dt=0.1, output_stride=1)
+        with pytest.raises(ConfigError,
+                           match="^the record needs 101 x 14 floats"):
+            run(sc, collect_fields=False)
+
+
+class TestSolveBanded:
+    @staticmethod
+    def _both(d, e, b):
+        """(solve_banded's outputs, scipy.linalg.lapack.dptsv's), each as
+        bytes of d, e, x and the info code."""
+        outputs = (solver.solve_banded(d.copy(), e.copy(), b.copy()),
+                   lapack.dptsv(d, e, b))
+        return [[a.tobytes() for a in out[:3]] + [out[3]] for out in outputs]
+
+    @pytest.mark.parametrize("n", [1, 2, 1599])
+    def test_bitwise_scipy_dptsv(self, n):
+        rng = np.random.default_rng(n)
+        e = rng.uniform(-1.0, 1.0, max(n - 1, 1))  # the solver's off >= 1
+        d = 2.0 + rng.uniform(0.0, 1.0, n)  # diagonally dominant: SPD
+        got, expected = self._both(d, e, rng.standard_normal(n))
+        assert got == expected
+        assert got[3] == 0
+
+    def test_not_positive_definite_same_info(self):
+        got, expected = self._both(np.array([1.0, -1.0, 1.0]),
+                                   np.array([0.5, 0.5]), np.ones(3))
+        assert got == expected
+        assert got[3] == 2
+
+    def test_missing_extension_names_directory(self, tmp_path):
+        import scipy
+        with pytest.raises(ImportError) as info:
+            solver._load_flapack(str(tmp_path))
+        assert str(info.value) == (f"no LAPACK extension _flapack in "
+                                   f"{tmp_path} (scipy {scipy.__version__})")
 
 
 class TestCflTimestep:
