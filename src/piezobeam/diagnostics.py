@@ -5,10 +5,10 @@ Spatial integrals are dot products with the grid's trapezoid weight vector;
 derivatives use staggered midpoint differences (second order, and consistent
 with the discrete stiffness form, so the measured energy of the undamped
 semi-discrete system is conserved up to time-integration error only).  The
-delay-free parts are the state's cached solver._core_energy.  The
-delay-energy double integral is a trapezoid over the history's cached square
-integrals with an exponential kernel and a partial cell at the moving lower
-endpoint.
+delay-free parts are the state's core; int_vt2_delayed is int z^2 dx of its
+delayed velocity z.  The delay-energy double integral is a trapezoid over the
+history's cached square integrals with an exponential kernel and a partial
+cell at the moving lower endpoint.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ def energy(state, history, operator, tau_t, d1, certificate, multipliers):
     lam = certificate.lam if math.isfinite(certificate.lam) else 0.0
     t = state.t
     xi_t = xi_bar * d1
-    core = state.core_energy(operator)
+    core = state.core
 
-    int_vt2_delayed = history.square_integral(state.delayed(history, tau_t))
+    int_vt2_delayed = history.square_integral(state.z)
     kernel = history.weighted_square_integral(t, tau_t, lam, int_vt2_delayed)
     delay_term = 0.5 * xi_t * kernel
     e = core.total + delay_term

@@ -4,7 +4,8 @@ The config format is JSON with explicit units in field names (seconds
 suffixed `_s`, etc.).  The schema lives in one key table per config section
 and per profile kind, mapping each JSON key to its dataclass field; both
 Scenario.to_dict and Scenario.from_dict read those tables, so every key is
-written once.  A key a config may leave out takes its dataclass default.
+written once.  A key a config may leave out takes its dataclass default;
+a key in no table of its section is rejected.
 Initial-data presets are all compatible with the boundary conditions (zero
 value at x=0, zero slope at x=L) and extend the initial velocity constantly
 back in time as the delay history.
@@ -128,13 +129,17 @@ class Scenario:
     @staticmethod
     def from_dict(cfg):
         try:
+            _check_known(cfg, "top-level", ("beam", "delay", "weights"),
+                         SECTION_KEYS)
+            _check_known(cfg["beam"], "beam", BEAM_KEYS)
             beam = BeamParams(**_read(cfg["beam"], BEAM_KEYS))
             d = cfg["delay"]
             # a constant delay has slope 0, so its bound may be left out
-            delay = DelayProfile(**_read_kind(d, "delay"), **_read(
-                d, DELAY_KEYS, ("slope_bound",) if d["kind"] == "constant"
-                else ()))
+            delay = DelayProfile(**_read_kind(d, "delay", DELAY_KEYS),
+                                 **_read(d, DELAY_KEYS, ("slope_bound",)
+                                         if d["kind"] == "constant" else ()))
             w = cfg["weights"]
+            _check_known(w, "weights", WEIGHT_KEYS, ("delta1", "delta2"))
             weights = WeightProfiles(
                 **_read(w, WEIGHT_KEYS, ("M1", "M2")),
                 **_read_kind(w["delta1"], "delta1"),
@@ -142,9 +147,7 @@ class Scenario:
             kw = {}
             for name, keys in SECTION_KEYS.items():
                 section = cfg.get(name, {})
-                if not isinstance(section, dict):
-                    raise TypeError("initial, numerics and certificate must "
-                                    "be objects when present")
+                _check_known(section, name, keys)
                 kw.update(_read(section, keys, keys))
             return Scenario(beam=beam, delay=delay, weights=weights, **kw)
         except (KeyError, TypeError, ValueError) as exc:
@@ -164,11 +167,23 @@ def _write(obj, keys):
     return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
-def _read_kind(section, name):
+def _check_known(section, name, *tables):
+    """Raise ValueError naming the first key of section in none of tables,
+    or TypeError if section is not an object."""
+    if not isinstance(section, dict):
+        raise TypeError(f"{name} must be an object, got {section!r}")
+    for key in section:
+        if not any(key in table for table in tables):
+            raise ValueError(f"unknown {name} key {key!r}")
+
+
+def _read_kind(section, name, shared=()):
+    """The kind and its keys' kwargs; shared holds the section's other keys."""
     kind_field, kinds = KINDS[name]
     kind = section["kind"]
     if kind not in kinds:
         raise ValueError(f"unknown {name} kind {kind!r}")
+    _check_known(section, name, ("kind",), kinds[kind], shared)
     return {kind_field: kind, **_read(section, kinds[kind])}
 
 

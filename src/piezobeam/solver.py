@@ -8,11 +8,11 @@ variable on a second axis.  The Grid owns the spacing and the read-only
 trapezoid weight vector of every spatial integral, the history's included;
 the SpatialOperator owns the 2x2 coefficient matrix of its stencil and wave
 speed; both steppers end in one tail (blow-up guard, history push, evict).
-A state caches its delay-free energy parts (the guard's and the record's),
-its acceleration (an explicit step's, the next step's first) and its delayed
-velocity v_t(t - tau(t)): the history is sampled once per state.
+A state is built whole: its delay-free energy parts (the guard's and the
+record's), its delayed velocity v_t(t - tau(t)), sampled once per state, and
+an explicit step's acceleration (the next step's first) sit beside its fields.
 The steppers and the record read the profiles from run()'s profile_table.
-No state is modified in place, so the trajectory keeps the recorded states
+No state changes, so the trajectory keeps the recorded states
 themselves as its field snapshots, with the run's Grid beside them.
 
 Two integrators: an explicit central-difference (velocity-Verlet style) scheme
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -89,44 +88,26 @@ class CoreEnergy(NamedTuple):
         return self.kinetic_v + self.kinetic_p + self.elastic + self.coupling
 
 
-@dataclass
-class SimState:
-    """Fields at time t; never modified in place, which the initial state
-    (initial_fields' own arrays), the field snapshots and the caches (core
-    energy, acceleration, delayed velocity) rely on."""
+class SimState(NamedTuple):
+    """Fields at time t, their core energy parts, their delayed velocity z =
+    history.sample(t - tau(t)) and, explicit only, acc = operator.apply(v, p).
+    No array changes in place: the snapshots and initial state rely on it."""
 
     t: float
     v: np.ndarray
     vt: np.ndarray
     p: np.ndarray
     pt: np.ndarray
-    _core: tuple | None = field(default=None, init=False, repr=False,
-                                compare=False)
-    _acc: tuple | None = field(default=None, init=False, repr=False,
-                               compare=False)
-    _delayed: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
+    core: CoreEnergy
+    z: np.ndarray
+    acc: tuple | None = None
 
-    def core_energy(self, operator):
-        """Delay-free energy parts on operator's grid, computed once."""
-        if self._core is None or self._core[0] is not operator:
-            self._core = (operator, _core_energy(self, operator))
-        return self._core[1]
 
-    def acceleration(self, operator):
-        """operator.apply(v, p), computed once, or stored by step_explicit."""
-        if self._acc is None or self._acc[0] is not operator:
-            self._acc = (operator, operator.apply(self.v, self.p))
-        return self._acc[1]
-
-    def delayed(self, history, tau):
-        """history.sample(t - tau), sampled once or stored by step_implicit;
-        the key holds history weakly, so a snapshot does not keep it alive."""
-        if (self._delayed is None or self._delayed[0]() is not history
-                or self._delayed[1] != tau):
-            self._delayed = (weakref.ref(history), tau,
-                             history.sample(self.t - tau))
-        return self._delayed[2]
+def initial_state(fields, history, operator, tau0, explicit):
+    """The state at t = 0 of fields (v, v_t, p, p_t); acc only if explicit."""
+    return SimState(0.0, *fields, _core_energy(*fields, operator),
+                    history.sample(0.0 - tau0),
+                    operator.apply(fields[0], fields[2]) if explicit else None)
 
 
 # the most floats one run's history ring, profile table or record may hold
@@ -174,13 +155,18 @@ class SpatialOperator:
             [-params.gamma * params.beta / params.mu, params.beta / params.mu],
         ])
         self._rows = self.coefficients.tolist()  # floats, read per apply
-        self._implicit_cache = None
 
     @property
     def wave_speed(self):
         """Fastest characteristic speed: sqrt of the largest eigenvalue."""
         return math.sqrt(float(np.max(np.real(
             np.linalg.eigvals(self.coefficients)))))
+
+    @cached_property
+    def implicit_buffers(self):
+        """step_implicit's (diag, off), refilled by _implicit_matrix."""
+        n = self.grid.n
+        return np.empty((2, n - 2)), np.empty((2, max(n - 3, 1)))
 
     def second_difference(self, u):
         dx2 = self.grid.dx**2
@@ -208,7 +194,7 @@ class HistoryBuffer:
     2*cap entries (entry f pairs with ring row f % cap), shifted down by cap
     once per cap pushes, so every delay window is one contiguous slice.
     sample(t) is exact at stored stamps and keeps nothing: the delayed
-    velocity is the state's (SimState.delayed).
+    velocity is the state's (SimState.z).
     """
 
     def __init__(self, dt, span, weights):
@@ -354,35 +340,36 @@ def cfl_timestep(operator, delay, safety=0.5):
                delay.tau0 / 4.0)
 
 
-def _core_energy(state, operator):
-    """Delay-free quadratic form by parts; read through SimState.core_energy."""
+def _core_energy(v, vt, p, pt, operator):
+    """Delay-free quadratic form by parts of the fields: a state's core."""
     params, dx, w = operator.params, operator.grid.dx, operator.grid.weights
-    dv = state.v[1:] - state.v[:-1]
-    dp = state.p[1:] - state.p[:-1]
+    dv = v[1:] - v[:-1]
+    dp = p[1:] - p[:-1]
     shear = params.gamma * dv - dp
-    int_vt2 = float(np.dot(state.vt * w, state.vt))
+    int_vt2 = float(np.dot(vt * w, vt))
     return CoreEnergy(
         0.5 * params.rho * int_vt2,
-        0.5 * params.mu * float(np.dot(state.pt * w, state.pt)),
+        0.5 * params.mu * float(np.dot(pt * w, pt)),
         0.5 * params.alpha1 * float(np.dot(dv, dv)) / dx,
         0.5 * params.beta * float(np.dot(shear, shear)) / dx,
         int_vt2)
 
 
-def _finish_step(state, new, history, operator, label):
-    """Step tail: blow-up guard on the new state's energy, then push its v_t
-    to the history and evict; returns new."""
-    e_before = state.core_energy(operator).total
-    core = new.core_energy(operator)
+def _finish_step(state, t, fields, history, operator, label):
+    """Step tail: the energy of the new fields (v, v_t, p, p_t) at t, the
+    blow-up guard on it, then the push of their v_t to the history and the
+    evict; returns that energy, the new state's core."""
+    e_before = state.core.total
+    core = _core_energy(*fields, operator)
     if not math.isfinite(core.total) or (
             e_before > 1e-300 and core.total > 10.0 * e_before):
         raise DivergenceError(
             f"energy blow-up guard tripped during {label} "
             f"({e_before:.3e} -> {core.total:.3e}); time step too large",
         )
-    history.push(new.t, new.vt, core.int_vt2)
-    history.evict(new.t)
-    return new
+    history.push(t, fields[1], core.int_vt2)
+    history.evict(t)
+    return core
 
 
 def step_explicit(state, history, operator, profiles, k, dt):
@@ -394,10 +381,11 @@ def step_explicit(state, history, operator, profiles, k, dt):
     damping gains add no extra step restriction.
     """
     pr = operator.params
-    t, tau_t, d1_now, d1_mid, d2_now = profiles[k].tolist()
-    z = state.delayed(history, tau_t)
+    _, _, d1_now, d1_mid, d2_now = profiles[k].tolist()
+    t_new, tau_new = profiles[k + 1, :2].tolist()  # t_new is t + dt bitwise
+    z = state.z
 
-    acc_v0, acc_p0 = state.acceleration(operator)
+    acc_v0, acc_p0 = state.acc
     total_v0 = acc_v0 - (d1_now * state.vt + d2_now * z) / pr.rho
 
     v_new = state.v + dt * state.vt + 0.5 * dt**2 * total_v0
@@ -411,9 +399,11 @@ def step_explicit(state, history, operator, profiles, k, dt):
               - dt * d2_now * z) / (pr.rho + 0.5 * dt * d1_mid)
     vt_new[0] = pt_new[0] = 0.0
 
-    new = SimState(t + dt, v_new, vt_new, p_new, pt_new)
-    new._acc = (operator, (acc_v1, acc_p1))
-    return _finish_step(state, new, history, operator, "explicit step")
+    fields = (v_new, vt_new, p_new, pt_new)
+    core = _finish_step(state, t_new, fields, history, operator,
+                        "explicit step")
+    return SimState(t_new, *fields, core, history.sample(t_new - tau_new),
+                    (acc_v1, acc_p1))
 
 
 _dptsv = None  # scipy's LAPACK dptsv, bound by the first solve_banded call
@@ -457,9 +447,9 @@ def _implicit_matrix(operator, dt, d1):
     of P (I + m_i D), refilled in place, and T = A0^{-1/2} R.
 
     P = diag(1, ..., 1, 3/2) symmetrises D, whose last row is (2/3,
-    -2/3)/dx^2.  The buffers are built once per operator and filled from
-    m_i; off keeps max(n - 3, 1) entries, as the LAPACK wrapper rejects an
-    empty one.
+    -2/3)/dx^2.  The buffers are the operator's implicit_buffers, filled
+    from m_i; off keeps max(n - 3, 1) entries, as the LAPACK wrapper rejects
+    an empty one.
     S = A0^{-1/2} A1 A0^{-1/2} (s11 = -alpha/a, s22 = -beta/c, s12 =
     gamma beta/sqrt(a c)) is negative definite like A1 (det A1 = beta
     alpha1 > 0), so m_i < 0 and P (I + m_i D) is positive definite.  theta =
@@ -467,11 +457,7 @@ def _implicit_matrix(operator, dt, d1):
     0 included; m1 = det S / m2 avoids the closed form's cancellation.
     """
     pr = operator.params
-    if operator._implicit_cache is None:
-        n = operator.grid.n
-        operator._implicit_cache = (np.empty((2, n - 2)),
-                                    np.empty((2, max(n - 3, 1))))
-    diag, off = operator._implicit_cache
+    diag, off = operator.implicit_buffers
 
     a, c = pr.rho / dt**2 + d1 / dt, pr.mu / dt**2
     if not a > 0:  # delta1 <= -rho/dt: A0 has no real square root
@@ -522,10 +508,11 @@ def step_implicit(state, history, operator, profiles, k, dt):
     vpt = (vp - (state.v, state.p)) / dt
     vpt[:, 0] = 0.0
 
-    new = SimState(t_new, vp[0], vpt[0], vp[1], vpt[1])
+    fields = (vp[0], vpt[0], vp[1], vpt[1])
+    core = _finish_step(state, t_new, fields, history, operator,
+                        "implicit step")
     # the push keeps z's bracket: z stays history.sample(t_new - tau_new)
-    new._delayed = (weakref.ref(history), tau_new, z)
-    return _finish_step(state, new, history, operator, "implicit step")
+    return SimState(t_new, *fields, core, z)
 
 
 STEPPERS = {"explicit": step_explicit, "implicit": step_implicit}
@@ -583,15 +570,27 @@ def run(scenario, collect_fields=True):
     dt0 = cfl_timestep(operator, scenario.delay, scenario.cfl_safety)
     if scenario.dt is not None:
         dt0 = min(scenario.dt, scenario.delay.tau0 / 4.0)
+    if not dt0 > 0:  # only tau0 <= 0 clamps the step to <= 0
+        raise ConfigError(f"delay tau0_s must be > 0 to simulate, got "
+                          f"{scenario.delay.tau0}")
     n_steps = max(0, int(math.ceil(scenario.horizon / dt0 - 1e-12)))
     dt = scenario.horizon / n_steps if n_steps else dt0
 
-    v0, v1, p0, p1, g0 = initial_fields(scenario, grid.x)
-    state = SimState(0.0, v0, v1, p0, p1)
     profiles = profile_table(scenario.delay, scenario.weights, dt, n_steps)
+    tau_max = float(profiles[:, 1].max())
+    try:  # the delay kernel's largest weight, as build_certificate's C2
+        math.exp(-certificate.lam * tau_max)
+    except OverflowError:
+        raise ConfigError(
+            f"certificate lambda {certificate.lam} puts the delay kernel "
+            f"weight exp(-lambda tau) past the float range at tau = "
+            f"{tau_max}") from None
     # the longest tau stepped with, capped by tau_bar: a larger one underruns
-    span = max(0.0, min(scenario.delay.tau_bar, float(profiles[:, 1].max())))
+    span = max(0.0, min(scenario.delay.tau_bar, tau_max))
+    *fields, g0 = initial_fields(scenario, grid.x)
     history = init_history(grid, span, g0, dt)
+    state = initial_state(fields, history, operator, float(profiles[0, 1]),
+                          scenario.integrator == "explicit")
 
     multipliers = None
     if certificate.valid:

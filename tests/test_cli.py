@@ -233,6 +233,69 @@ class TestSimulate:
         assert err.startswith("error: the profile table needs ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("path,key", [
+        ((), "numeric"), (("beam",), "length"), (("delay",), "tau0"),
+        (("delay",), "omega"), (("weights",), "beta_0"),
+        (("weights", "delta1"), "rate"), (("weights", "delta2"), "omega"),
+        (("initial",), "presets"), (("numerics",), "dt"),
+        (("certificate",), "xi"),
+    ], ids=["top-level", "beam", "delay", "delay-kind", "weights", "delta1",
+            "delta2", "initial", "numerics", "certificate"])
+    def test_unknown_key_exits_1(self, tmp_path, capsys, path, key):
+        # a misspelt key is refused, not left out: the run would take the
+        # default of the key meant
+        cfg = _quick_cfg(n=11, horizon_s=0.5)
+        section = cfg
+        for name in path:
+            section = section[name]
+        section[key] = {"n": 11} if not path else 0.5
+        out = str(tmp_path / "out")
+        code = main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                     "--out", out])
+        assert code == EXIT_USAGE
+        name = path[-1] if path else "top-level"
+        err = capsys.readouterr().err
+        assert f"unknown {name} key {key!r}" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("tau0", [0.0, -0.1])
+    def test_nonpositive_tau0_exits_1(self, tmp_path, capsys, monkeypatch,
+                                      tau0):
+        # the step is clamped to tau0 / 4, so no step is > 0; the run stops
+        # before it allocates its profile table
+        def refused(*args):
+            raise AssertionError("profile table built")
+
+        monkeypatch.setattr(solver, "profile_table", refused)
+        cfg = _quick_cfg(n=11, horizon_s=0.5)
+        cfg["delay"] = {"kind": "constant", "value_s": 0.5, "tau0_s": tau0,
+                        "tau_bar_s": 0.6}
+        path, out = _write_cfg(tmp_path, cfg), str(tmp_path / "out")
+        assert main(["simulate", "--config", path, "--out", out]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("error: delay tau0_s must be > 0 to simulate, "
+                       f"got {tau0}\n")
+        assert not os.path.exists(out)
+        # check reports the violated lower bound
+        assert main(["check", "--config", path]) == EXIT_INFEASIBLE
+        assert "  violated: delay_lower_bound\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("lam,code", [(-3000.0, EXIT_USAGE),
+                                          (-1.0, EXIT_OK)])
+    def test_overflowing_lambda_exits_1(self, tmp_path, capsys, lam, code):
+        # exp(-lambda tau) over tau up to ~0.58 passes the float range at
+        # lambda = -3000, where the delay kernel would raise OverflowError
+        cfg = _quick_cfg(n=11, horizon_s=0.5)
+        cfg["certificate"]["lambda"] = lam
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                     "--out", out]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == EXIT_USAGE:
+            assert err.startswith("error: certificate lambda -3000.0 puts")
+            assert not os.path.exists(out)
+
     @pytest.mark.parametrize("case", ["invalid certificate", "horizon 0"])
     def test_summary_is_strict_json(self, tmp_path, case):
         # non-finite numbers are written as null, never as bare NaN or

@@ -36,7 +36,7 @@ from piezobeam.errors import (
     MultiplierSearchError,
     UndefinedRatioError,
 )
-from piezobeam.solver import COLUMNS, Trajectory
+from piezobeam.solver import COLUMNS, Trajectory, initial_state
 
 BEAM = BeamParams(rho=1.0, alpha=2.0, gamma=1.0, mu=1.0, beta=1.0, length=1.0)
 NO_DELAY = DelayProfile(kind="constant", mean=0.5, tau0=0.4, tau_bar=0.6)
@@ -44,10 +44,11 @@ SPAN = NO_DELAY.tau_bar  # a history span serving NO_DELAY
 NULL_CERT = StabilityCertificate(0.0, 0.0, 0.0, 0.0, 0.0, valid=False)
 
 
-def _state(x, v=None, vt=None, p=None, pt=None, t=0.0):
+def _state(x, v=None, vt=None, p=None, pt=None):
+    """Fields at t = 0, zero unless given: all that K1-K3 read."""
     z = np.zeros_like(x)
     pick = lambda f: z.copy() if f is None else np.asarray(f, dtype=float)
-    return SimState(t, pick(v), pick(vt), pick(p), pick(pt))
+    return SimState(0.0, pick(v), pick(vt), pick(p), pick(pt), None, None)
 
 
 def _zero_hist(grid, dt=0.01):
@@ -55,9 +56,10 @@ def _zero_hist(grid, dt=0.01):
 
 
 def _row(state, hist, beam=BEAM):
-    """energy() of state with NO_DELAY's tau = 0.5 and delta1 = 1, keyed by
-    column name."""
+    """energy() of the state run() builds from state's fields, with
+    NO_DELAY's tau = 0.5 and delta1 = 1, keyed by column name."""
     op = SpatialOperator(beam, Grid(len(state.v), beam.length))
+    state = initial_state(state[1:5], hist, op, 0.5, False)
     return dict(zip(COLUMNS, energy(state, hist, op, 0.5, 1.0, NULL_CERT,
                                     None)))
 
@@ -99,7 +101,7 @@ class TestEnergy:
         g = Grid(101, 1.0)
         hist = _zero_hist(g)
         for _ in range(20):
-            st = SimState(0.0, *(rng.standard_normal(g.n) for _ in range(4)))
+            st = _state(g.x, *(rng.standard_normal(g.n) for _ in range(4)))
             rep = _row(st, hist)
             for name in ("kinetic_v", "kinetic_p", "elastic", "coupling",
                          "delay_term"):

@@ -23,7 +23,6 @@ import pytest
 from piezobeam import (
     Grid,
     HistoryBuffer,
-    SimState,
     SpatialOperator,
     energy_dissipation_check,
     fit_decay_rate,
@@ -39,6 +38,7 @@ from piezobeam import diagnostics, solver
 from piezobeam.diagnostics import DecayFit, DissipationReport, Multipliers
 from piezobeam.errors import ConfigError, HistoryUnderrunError
 from piezobeam.scenario import initial_fields
+from piezobeam.solver import initial_state
 
 E_RTOL = 1e-12
 K_ATOL = 1e-12  # times max(E(0), 1)
@@ -135,9 +135,10 @@ def test_run_matches_reference(certified_scenario):
     # replay the run's steps, mirroring every snapshot into the reference
     grid = Grid(sc.n, sc.beam.length)
     op = SpatialOperator(sc.beam, grid)
-    v0, v1, p0, p1, g0 = initial_fields(sc, grid.x)
-    state = SimState(0.0, v0, v1, p0, p1)
+    *fields, g0 = initial_fields(sc, grid.x)
     history = init_history(grid, sc.delay.tau_bar, g0, traj.dt)
+    table = profile_table(sc.delay, sc.weights, traj.dt, len(traj) - 1)
+    state = initial_state(fields, history, op, table[0, 1], True)
     ref = RefHistory(traj.dt, history.span, grid.dx)
     for t in history.times:
         ref.push(t, history.sample(t))
@@ -145,7 +146,6 @@ def test_run_matches_reference(certified_scenario):
     e_ref = []
     k_err = []
     ks = np.column_stack([traj.column(name) for name in ("K1", "K2", "K3")])
-    table = profile_table(sc.delay, sc.weights, traj.dt, len(traj) - 1)
     for k, (t, k_got) in enumerate(zip(traj.times, ks)):
         if k:
             state = step_explicit(state, history, op, table, k - 1, traj.dt)
@@ -225,25 +225,28 @@ def test_guard_energy_carried_forward(certified_scenario, monkeypatch,
     grid = Grid(51, sc.beam.length)
     op = SpatialOperator(sc.beam, grid)
     dt = 0.005
-    v0, v1, p0, p1, g0 = initial_fields(sc, grid.x)
-    state = SimState(0.0, v0, v1, p0, p1)
+    *fields, g0 = initial_fields(sc, grid.x)
     history = init_history(grid, sc.delay.tau_bar, g0, dt)
 
     fresh = solver._core_energy
     calls = []
 
-    def counting(st, operator):
-        calls.append(st)
-        return fresh(st, operator)
+    def counting(*args):
+        calls.append(args)
+        return fresh(*args)
 
     monkeypatch.setattr(solver, "_core_energy", counting)
     table = profile_table(sc.delay, sc.weights, dt, 20)
+    state = initial_state(fields, history, op, table[0, 1],
+                          stepper is step_explicit)
     for k in range(1, 21):
         state = stepper(state, history, op, table, k - 1, dt)
         # once for the initial state, then once per new state
         assert len(calls) == k + 1
-        assert calls[-1] is state
-        assert state.core_energy(op) == fresh(state, op)
+        want = (state.v, state.vt, state.p, state.pt, op)
+        assert len(calls[-1]) == 5
+        assert all(got is arg for got, arg in zip(calls[-1], want))
+        assert state.core == fresh(state.v, state.vt, state.p, state.pt, op)
         assert len(calls) == k + 1
 
 
@@ -267,14 +270,14 @@ def test_explicit_acceleration_carried_forward(certified_scenario,
 
     grid = Grid(51, sc.beam.length)
     op = SpatialOperator(sc.beam, grid)
-    v0, v1, p0, p1, g0 = initial_fields(sc, grid.x)
-    state = SimState(0.0, v0, v1, p0, p1)
+    *fields, g0 = initial_fields(sc, grid.x)
     history = init_history(grid, sc.delay.tau_bar, g0, traj.dt)
     table = profile_table(sc.delay, sc.weights, traj.dt, n_steps)
+    state = initial_state(fields, history, op, table[0, 1], True)
     for k in range(n_steps):
         state = step_explicit(state, history, op, table, k, traj.dt)
         n_calls = len(calls)
-        carried = state.acceleration(op)
+        carried = state.acc
         assert len(calls) == n_calls  # read from the state, not recomputed
         for got, want in zip(carried, apply(op, state.v, state.p)):
             assert np.array_equal(got, want)

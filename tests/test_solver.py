@@ -15,7 +15,6 @@ from piezobeam import (
     Grid,
     HistoryBuffer,
     Scenario,
-    SimState,
     SpatialOperator,
     WeightProfiles,
     cfl_timestep,
@@ -27,6 +26,7 @@ from piezobeam import (
     step_implicit,
 )
 from piezobeam import solver
+from piezobeam.solver import initial_state
 from piezobeam.errors import (
     ConfigError,
     DivergenceError,
@@ -265,9 +265,12 @@ class TestCflTimestep:
                          safety=0.0)
 
 
-def _zero_state(grid):
-    z = np.zeros(grid.n)
-    return SimState(0.0, z.copy(), z.copy(), z.copy(), z.copy())
+def _start(v0, history, operator, table, explicit=True):
+    """run()'s initial state for v = v0 and v_t = p = p_t = 0, with tau(0)
+    from the profile table."""
+    n = len(v0)
+    return initial_state((v0, np.zeros(n), np.zeros(n), np.zeros(n)),
+                         history, operator, table[0, 1], explicit)
 
 
 SINUSOID = DelayProfile(kind="sinusoid", mean=0.5, amplitude=0.1, omega=1.8,
@@ -352,8 +355,8 @@ class TestSteppers:
         buf = zero_history(g, dt)
         weights = WeightProfiles(delta0=1.0, beta0=0.3, d2_kind="constant",
                                  d2_value=0.3)
-        st = _zero_state(g)
         table = profile_table(NO_DELAY, weights, dt, 20)
+        st = _start(np.zeros(g.n), buf, op, table, stepper is step_explicit)
         for k in range(20):
             st = stepper(st, buf, op, table, k, dt)
         for f in (st.v, st.vt, st.p, st.pt):
@@ -373,9 +376,8 @@ class TestSteppers:
         dt = 10 * period / n_steps
         buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
-        st = SimState(0.0, v0.copy(), np.zeros(g.n), np.zeros(g.n),
-                      np.zeros(g.n))
         table = profile_table(NO_DELAY, UNDAMPED, dt, n_steps)
+        st = _start(v0.copy(), buf, op, table)
         for k in range(n_steps):
             st = step_explicit(st, buf, op, table, k, dt)
         assert np.linalg.norm(st.v - v0) / np.linalg.norm(v0) < 0.01
@@ -388,12 +390,12 @@ class TestSteppers:
         buf = zero_history(g, dt)
         weights = WeightProfiles(delta0=1.0, beta0=0.0, d1_floor=1.0)
         v0 = np.sin(math.pi * g.x / 2.0)
-        st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
-        e_prev = _core_energy(st, op).total
         table = profile_table(NO_DELAY, weights, dt, 500)
+        st = _start(v0, buf, op, table)
+        e_prev = _core_energy(st.v, st.vt, st.p, st.pt, op).total
         for k in range(500):
             st = step_explicit(st, buf, op, table, k, dt)
-            e = _core_energy(st, op).total
+            e = _core_energy(st.v, st.vt, st.p, st.pt, op).total
             assert e <= e_prev * (1.0 + 1e-12)
             e_prev = e
 
@@ -403,8 +405,8 @@ class TestSteppers:
         dt = 10.0 * cfl_timestep(op, NO_DELAY)
         buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
-        st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
         table = profile_table(NO_DELAY, UNDAMPED, dt, 100)
+        st = _start(v0, buf, op, table)
         with pytest.raises(DivergenceError):
             for k in range(100):
                 st = step_explicit(st, buf, op, table, k, dt)
@@ -416,13 +418,14 @@ class TestSteppers:
         dt = 10.0 * cfl_timestep(op, NO_DELAY)
         buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
-        st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
-        e0 = _core_energy(st, op).total
         table = profile_table(NO_DELAY, UNDAMPED, dt, 100)
+        st = _start(v0, buf, op, table, explicit=False)
+        e0 = _core_energy(st.v, st.vt, st.p, st.pt, op).total
         for k in range(100):
             st = step_implicit(st, buf, op, table, k, dt)
         assert np.isfinite(_scale(st))
-        assert _core_energy(st, op).total <= e0 * (1.0 + 1e-9)
+        assert _core_energy(st.v, st.vt, st.p, st.pt, op).total <= e0 * (
+            1.0 + 1e-9)
 
     def test_implicit_boundary_slope_to_roundoff(self):
         g = Grid(101, 1.0)
@@ -430,8 +433,8 @@ class TestSteppers:
         dt = cfl_timestep(op, NO_DELAY)
         buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
-        st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
         table = profile_table(NO_DELAY, UNDAMPED, dt, 50)
+        st = _start(v0, buf, op, table, explicit=False)
         for k in range(50):
             st = step_implicit(st, buf, op, table, k, dt)
         scale = max(1.0, _scale(st))
@@ -451,10 +454,10 @@ class TestSteppers:
         buf = init_history(g, sc.delay.tau_bar,
                            lambda x, s: np.zeros_like(x), dt)
         v0 = np.sin(math.pi * g.x / 2.0)
-        st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
         table = profile_table(sc.delay, sc.weights, dt, 6)
+        st = _start(v0, buf, op, table, explicit=False)
         st = step_implicit(st, buf, op, table, 0, dt)
-        diag, off = op._implicit_cache
+        diag, off = op.implicit_buffers
         for k in range(1, 5):
             st = step_implicit(st, buf, op, table, k, dt)
         d1 = float(table[6, 2])  # delta1 at the sixth step's time
@@ -515,8 +518,8 @@ class TestSteppers:
                   np.cos(x) - 1.0)
         for f in fields:  # the discrete zero slope the step imposes
             f[-1] = (4.0 * f[-2] - f[-3]) / 3.0
-        st = SimState(0.0, *fields)
         table = profile_table(sc.delay, weights, dt, 1)
+        st = initial_state(fields, buf, op, table[0, 1], False)
         t_new, tau_new, d1, _, d2 = table[1].tolist()
         z = buf.sample(t_new - tau_new).copy()
         new = step_implicit(st, buf, op, table, 0, dt)
@@ -530,17 +533,18 @@ class TestSteppers:
         dt = cfl_timestep(op, NO_DELAY)
         buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
-        st = SimState(0.0, v0, np.zeros(g.n), np.zeros(g.n), np.zeros(g.n))
         table = profile_table(NO_DELAY, UNDAMPED, dt, 25)
+        st = _start(v0, buf, op, table)
         for k in range(25):
             st = step_explicit(st, buf, op, table, k, dt)
             assert np.array_equal(buf.sample(buf.newest_time), st.vt)
             assert buf.newest_time == st.t
 
     def test_implicit_delayed_sample_outlives_the_push(self,
-                                                       certified_scenario):
+                                                       certified_scenario,
+                                                       monkeypatch):
         # step_implicit samples z before it pushes the new state's v_t and
-        # stores z on that state, so the push and the evictions must leave
+        # keeps z on that state, so the push and the evictions must leave
         # the sample at t_new - tau_new bitwise as it was
         sc = certified_scenario
         g = Grid(21, sc.beam.length)
@@ -548,16 +552,18 @@ class TestSteppers:
         dt = 0.01
         buf = init_history(g, sc.delay.tau_bar,
                            lambda x, s: np.sin(x + 3.0 * s), dt)
-        st = SimState(0.0, np.sin(np.pi * g.x / 2.0), np.zeros(g.n),
-                      np.zeros(g.n), np.zeros(g.n))
         n_steps = 4 * len(buf._ring)  # the ring wraps and shifts 4 times
         table = profile_table(sc.delay, sc.weights, dt, n_steps)
+        st = _start(np.sin(np.pi * g.x / 2.0), buf, op, table, False)
+        sample, samples = buf.sample, []
+        monkeypatch.setattr(buf, "sample", lambda t_query: samples.append(
+            sample(t_query)) or samples[-1])
         for k in range(n_steps):
             st = step_implicit(st, buf, op, table, k, dt)
             tau_new = table[k + 1, 1]
-            z = st._delayed[2]
-            assert st.delayed(buf, tau_new) is z
-            assert z.tobytes() == buf.sample(st.t - tau_new).tobytes()
+            z = st.z
+            assert len(samples) == k + 1 and samples[-1] is z
+            assert z.tobytes() == sample(st.t - tau_new).tobytes()
 
 
 class TestRun:
@@ -653,6 +659,26 @@ class TestRun:
         gc.collect()
         assert len(traj.fields) == len(traj) and made[0]() is None
 
+    def test_recorded_state_cannot_be_reassigned(self, certified_scenario):
+        # a snapshot is the run's own state, so no field may be rebound
+        traj = run(dataclasses.replace(certified_scenario, n=11, horizon=0.1,
+                                       field_stride=1))
+        st = traj.fields[-1]
+        for name in ("t", "v", "vt", "p", "pt", "core", "z", "acc"):
+            with pytest.raises(AttributeError):
+                setattr(st, name, None)
+
+    def test_implicit_run_applies_no_stencil(self, certified_scenario,
+                                             monkeypatch):
+        # only the explicit scheme reads a state's acceleration
+        calls = []
+        monkeypatch.setattr(SpatialOperator, "apply",
+                            lambda *args: calls.append(args))
+        traj = run(dataclasses.replace(certified_scenario, n=11, horizon=0.1,
+                                       integrator="implicit"))
+        assert len(traj) > 1 and not calls
+        assert all(st.acc is None for st in traj.fields)
+
     @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
     def test_nan_history_is_divergence(self, certified_scenario, monkeypatch,
                                        integrator):
@@ -687,11 +713,24 @@ class TestRun:
             run(sc, collect_fields=False)
         traj = info.value.trajectory
         assert traj.status == "error"
-        # the record after step 89 queries t - tau(t) ~ 0.72, before the
-        # history start; output_stride 1, so rows 0..88 are kept
+        # step 89 samples t - tau(t) ~ 0.72 for the state it makes, before
+        # the history start; output_stride 1, so rows 0..88 are kept
         assert info.value.step == len(traj) == 89
         assert str(info.value).endswith("(step 89)")
         assert np.all(np.isfinite(traj.energies))
+
+    def test_strided_underrun_labelled_with_its_step(self):
+        # the state's delayed sample is taken by the step that makes it, so
+        # the label does not wait for the next step or record
+        delay = DelayProfile(kind="table", table_t=(0, 1, 2),
+                             table_tau=(0.5, 0.5, 0.9), tau0=0.4, tau_bar=0.6,
+                             d=0.4)
+        sc = dataclasses.replace(load_scenario("damped-no-delay"), n=21,
+                                 horizon=2.0, delay=delay, output_stride=2)
+        with pytest.raises(HistoryUnderrunError) as info:
+            run(sc, collect_fields=False)
+        assert info.value.step == 89
+        assert len(info.value.trajectory) == 45  # steps 0, 2, ..., 88
 
     def test_history_sized_from_the_delays_stepped_with(self,
                                                        certified_scenario,
@@ -759,7 +798,9 @@ class TestRun:
         rows = [k // sc.output_stride for k in steps[:-1]] + [len(traj) - 1]
         assert [st.t for st in traj.fields] == traj.times[rows].tolist()
         assert traj.grid == Grid(sc.n, sc.beam.length)
-        assert all(st._core[0].grid is traj.grid for st in traj.fields)
+        op = SpatialOperator(sc.beam, traj.grid)
+        assert all(st.core == solver._core_energy(st.v, st.vt, st.p, st.pt, op)
+                   for st in traj.fields)
         # snapshots rely on no state being modified in place
         arrays = [f for st in traj.fields for f in (st.v, st.vt, st.p, st.pt)]
         for i, a in enumerate(arrays):
