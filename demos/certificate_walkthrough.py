@@ -23,8 +23,8 @@ print()
 
 report = validate_assumptions(delay, weights)
 print("sampled assumption margins (>= 0 passes)")
-for check in report.checks:
-    print(f"  {check.name:28s} {check.margin:+.3e}")
+for name, check in report.items():
+    print(f"  {name:28s} {check.margin:+.3e}")
 print()
 
 cert = build_certificate(delay, weights)

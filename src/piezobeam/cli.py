@@ -53,9 +53,9 @@ def cmd_check(args):
     scenario = Scenario.from_dict(load_config(args.config))
     cert = scenario.certificate
     print("assumption checks:")
-    for c in cert.assumptions.checks:
+    for name, c in cert.assumptions.items():
         status = "pass" if c.passed else "FAIL"
-        print(f"  {c.name}: margin={_fmt(c.margin)} at t={_fmt(c.worst_t)} "
+        print(f"  {name}: margin={_fmt(c.margin)} at t={_fmt(c.worst_t)} "
               f"[{status}]")
     _print_certificate(cert)
     return EXIT_OK if cert.valid else EXIT_INFEASIBLE

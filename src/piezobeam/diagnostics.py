@@ -149,7 +149,12 @@ def select_multipliers(params, weights, certificate):
     which read no later multiplier, clear 1.  c' is the Poincare constant of
     the beam's length; it underflows to 0 for a tiny L.
     """
-    c_prime = default_poincare_constant(params.length)
+    try:
+        c_prime = default_poincare_constant(params.length)
+    except OverflowError:
+        raise MultiplierSearchError(
+            f"Poincare constant of length {params.length} is past the float "
+            "range") from None
     if not c_prime > 0:
         raise MultiplierSearchError(
             f"Poincare constant must be > 0, got {c_prime} "
@@ -166,7 +171,13 @@ def select_multipliers(params, weights, certificate):
     mult = Multipliers(1.0, 1.0, 1.0, 1.0, c_prime)
     for name, lo, hi in (("n3", 0, 1), ("n2", 1, 2), ("n1", 2, 3), ("n", 3, 5)):
         for _ in range(MAX_DOUBLINGS):
-            lhs = multiplier_inequalities(params, weights, certificate, mult)
+            try:
+                lhs = multiplier_inequalities(params, weights, certificate,
+                                              mult)
+            except OverflowError:
+                raise MultiplierSearchError(
+                    "multiplier inequalities are past the float range for "
+                    "these beam and damping parameters") from None
             if all(v > 1.0 for v in lhs[lo:hi]):
                 break
             mult = replace(mult, **{name: 2.0 * getattr(mult, name)})

@@ -13,6 +13,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,11 +69,13 @@ class BeamParams:
         # reference checks rely on
         if self.gamma < 0:
             raise ValueError("BeamParams.gamma must be >= 0")
-        if not self.alpha1 > 0:
+        try:
+            alpha1 = self.alpha1
+        except OverflowError:  # gamma**2 past the float range
+            alpha1 = -math.inf
+        if not alpha1 > 0:
             raise ValueError(
-                "alpha - gamma**2 * beta must be > 0 "
-                f"(got {self.alpha1})"
-            )
+                f"alpha - gamma**2 * beta must be > 0 (got {alpha1})")
 
     @property
     def alpha1(self):
@@ -240,33 +243,12 @@ class WeightProfiles:
             self.d2_omega if self.d2_kind == "cosine" else 0.0, horizon)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one sampled inequality: margin >= 0 means it holds."""
 
-    name: str
     margin: float
     passed: bool
     worst_t: float
-
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple  # of CheckResult
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    @property
-    def violated(self):
-        return [c.name for c in self.checks if not c.passed]
-
-    def __getitem__(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def _worst(ts, margins):
@@ -280,9 +262,10 @@ def validate_assumptions(delay, weights, horizon=40.0):
     """Sample every declared profile bound over [0, horizon], on a grid of
     SAMPLES points plus the critical times of the profile the bound reads.
 
-    Returns an AssumptionReport with one CheckResult per inequality; the
-    report passes iff every sampled margin is >= -1e-12 (tiny slack for
-    profiles whose analytic extremum sits exactly on the declared bound).
+    Returns a dict from check name to CheckResult, one per inequality in a
+    fixed order; a check passes iff its sampled margin is >= -1e-12 (tiny
+    slack for profiles whose analytic extremum sits exactly on the declared
+    bound).
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
@@ -303,48 +286,43 @@ def validate_assumptions(delay, weights, horizon=40.0):
                 f"{label} evaluated non-finite at t={t_bad[0]:.6g}")
 
     tol = 1e-12
-    checks = []
+    checks = {}
 
-    def add(name, ts_arr, margins):
-        m, wt = _worst(ts_arr, margins)
-        checks.append(CheckResult(name, m, m >= -tol, wt))
+    def add(name, ts_arr, margins, holds=True):
+        # holds is the check's scalar bound: false fails it at margin -inf
+        m, wt = _worst(ts_arr, margins) if holds else (-math.inf, 0.0)
+        checks[name] = CheckResult(m, m >= -tol, wt)
 
-    add("delay_lower_bound", ts, tau - delay.tau0)
-    if not delay.tau0 > 0:
-        checks[-1] = CheckResult("delay_lower_bound", -math.inf, False, 0.0)
+    add("delay_lower_bound", ts, tau - delay.tau0, delay.tau0 > 0)
     add("delay_upper_bound", ts, delay.tau_bar - tau)
-    add("delay_slope_bound", ts, delay.d - taup)
-    if not delay.d < 1:
-        checks[-1] = CheckResult("delay_slope_bound", -math.inf, False, 0.0)
+    add("delay_slope_bound", ts, delay.d - taup, delay.d < 1)
     # curvature has no declared bound; boundedness == finiteness (checked above)
-    checks.append(CheckResult("delay_curvature_bounded", math.inf, True, 0.0))
+    checks["delay_curvature_bounded"] = CheckResult(math.inf, True, 0.0)
 
-    add("damping_floor", tw, d1 - weights.delta0)
-    if not weights.delta0 > 0:
-        checks[-1] = CheckResult("damping_floor", -math.inf, False, 0.0)
+    add("damping_floor", tw, d1 - weights.delta0, weights.delta0 > 0)
     add("damping_monotone", tw, -d1p)
     # delta1 == 0 only occurs in deliberately undamped scenarios; the
     # log-derivative bound is vacuous there
     safe_d1 = np.where(d1 > 0, d1, 1.0)
     add("damping_log_derivative", tw, weights.M1 - np.abs(d1p) / safe_d1)
 
-    ratio_margin = weights.beta0 * d1 - np.abs(d2)
     feas = math.sqrt(1.0 - delay.d) - weights.beta0 if delay.d < 1 else -math.inf
-    m, wt = _worst(tw, ratio_margin)
+    m, wt = _worst(tw, weights.beta0 * d1 - np.abs(d2))
     m = min(m, feas)
     # beta0 must sit strictly below sqrt(1 - d) for the certificate interval
-    checks.append(CheckResult("delay_weight_ratio", m, m >= -tol and feas > 0, wt))
+    checks["delay_weight_ratio"] = CheckResult(m, m >= -tol and feas > 0, wt)
 
     add("delay_weight_derivative", tw, weights.M2 * d1 - np.abs(d2p))
 
-    return AssumptionReport(tuple(checks))
+    return checks
 
 
 @dataclass(frozen=True)
 class StabilityCertificate:
     """Decay certificate: delay-energy weight, kernel rate, and dissipation constants.
 
-    assumptions is the sampled AssumptionReport the certificate was built on.
+    assumptions holds the sampled checks (validate_assumptions) it was built
+    on; a certificate is valid exactly when diagnostics is empty.
     """
 
     xi_bar: float
@@ -354,8 +332,7 @@ class StabilityCertificate:
     c3: float
     valid: bool
     diagnostics: tuple = ()
-    assumptions: AssumptionReport | None = field(default=None, compare=False,
-                                                 repr=False)
+    assumptions: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def c(self):
@@ -389,7 +366,7 @@ def build_certificate(delay, weights, horizon=40.0, xi_bar=None, lam=None):
     puts exp(-lam * tau_bar) past the float range.
     """
     report = validate_assumptions(delay, weights, horizon=horizon)
-    diagnostics = list(report.violated)
+    diagnostics = [name for name, c in report.items() if not c.passed]
 
     beta0, d, tau_bar = weights.beta0, delay.d, delay.tau_bar
     xi = XI_BAR if xi_bar is None else float(xi_bar)
@@ -424,13 +401,11 @@ def build_certificate(delay, weights, horizon=40.0, xi_bar=None, lam=None):
     c1 = delta0 * (1.0 - beta0 / (2.0 * root) - xi / 2.0)
     c2 = delta0 * (1.0 - d) * (decay * xi / 2.0 - beta0 / (2.0 * root))
     c3 = rate * xi * delta0 / 2.0
-    nonpositive = [name for name, c in zip(("C1", "C2", "C3"), (c1, c2, c3))
-                   if not c > 0]
     diagnostics += [f"dissipation_constant_{name}_nonpositive"
-                    for name in nonpositive]
-
-    valid = report.passed and not nonpositive
+                    for name, c in zip(("C1", "C2", "C3"), (c1, c2, c3))
+                    if not c > 0]
     return StabilityCertificate(
         xi, rate, c1, c2, c3,
-        valid=valid, diagnostics=tuple(diagnostics), assumptions=report,
+        valid=not diagnostics, diagnostics=tuple(diagnostics),
+        assumptions=report,
     )

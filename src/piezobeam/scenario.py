@@ -167,12 +167,17 @@ def _write(obj, keys):
     return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
 
+def _object(section, name):
+    """section, or TypeError if it is not a JSON object."""
+    if not isinstance(section, dict):
+        raise TypeError(f"{name} must be an object, got {section!r}")
+    return section
+
+
 def _check_known(section, name, *tables):
     """Raise ValueError naming the first key of section in none of tables,
     or TypeError if section is not an object."""
-    if not isinstance(section, dict):
-        raise TypeError(f"{name} must be an object, got {section!r}")
-    for key in section:
+    for key in _object(section, name):
         if not any(key in table for table in tables):
             raise ValueError(f"unknown {name} key {key!r}")
 
@@ -180,8 +185,10 @@ def _check_known(section, name, *tables):
 def _read_kind(section, name, shared=()):
     """The kind and its keys' kwargs; shared holds the section's other keys."""
     kind_field, kinds = KINDS[name]
+    if "kind" not in _object(section, name):
+        raise ValueError(f"{name} needs a kind")
     kind = section["kind"]
-    if kind not in kinds:
+    if not isinstance(kind, str) or kind not in kinds:
         raise ValueError(f"unknown {name} kind {kind!r}")
     _check_known(section, name, ("kind",), kinds[kind], shared)
     return {kind_field: kind, **_read(section, kinds[kind])}

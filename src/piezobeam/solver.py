@@ -55,6 +55,11 @@ class Grid:
             raise GridError(f"grid needs at least 3 nodes, got n={self.n}")
         if not self.length > 0:
             raise GridError("grid length must be > 0")
+        try:  # the stencils divide by dx**2
+            self.dx**2
+        except OverflowError:
+            raise GridError(f"grid spacing {self.dx} squared is past the "
+                            "float range") from None
 
     @property
     def dx(self):
@@ -202,15 +207,21 @@ class HistoryBuffer:
             raise ConfigError("history dt must be > 0")
         self.dt = dt
         self.span = span
-        # evict keeps the stamps newer than span + dt/2 and one before them;
-        # one more arrives between evictions
-        self._cap = int((span + 0.5 * dt) / dt + 1e-6) + 3
+        self._cap = self.check_rows(dt, span, len(weights))
         self._w = weights
-        _check_run_floats(self._cap, len(weights), "the history ring")
         self._ring = np.empty((self._cap, len(weights)))
         self._times = np.empty(2 * self._cap)
         self._sq = np.empty(2 * self._cap)
         self._lo = self._len = 0  # flat index of the oldest entry; count
+
+    @staticmethod
+    def check_rows(dt, span, n):
+        """The ring's row count for snapshots of n floats, refused with a
+        ConfigError past MAX_RUN_FLOATS: evict keeps the stamps newer than
+        span + dt/2 and one before them; one more arrives between evictions."""
+        rows = int((span + 0.5 * dt) / dt + 1e-6) + 3
+        _check_run_floats(rows, n, "the history ring")
+        return rows
 
     def _row(self, i):
         return self._ring[(self._lo + i) % self._cap]
@@ -528,8 +539,9 @@ COLUMNS = (
 @dataclass
 class Trajectory:
     """Recorded diagnostics: one row of data per record, columns as COLUMNS;
-    grid is the run's Grid, and fields holds the recorded SimStates at every
-    field_stride-th step and the last."""
+    grid is the run's Grid, and fields holds the recorded SimStates whose
+    step is a multiple of field_stride, and the last: only recorded steps
+    count, so output_stride 10 and field_stride 25 keep steps 0, 50, 100..."""
 
     scenario: "object"
     certificate: "object"
@@ -587,6 +599,8 @@ def run(scenario, collect_fields=True):
             f"{tau_max}") from None
     # the longest tau stepped with, capped by tau_bar: a larger one underruns
     span = max(0.0, min(scenario.delay.tau_bar, tau_max))
+    # init_history's ring, refused before any array of n floats is made
+    HistoryBuffer.check_rows(dt, span + 2.0 * dt, grid.n)
     *fields, g0 = initial_fields(scenario, grid.x)
     history = init_history(grid, span, g0, dt)
     state = initial_state(fields, history, operator, float(profiles[0, 1]),

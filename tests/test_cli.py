@@ -146,6 +146,61 @@ class TestCheck:
         assert "malformed scenario config" in capsys.readouterr().err
 
 
+    def test_check_lists_every_assumption_in_order(self, capsys):
+        names = ["delay_lower_bound", "delay_upper_bound", "delay_slope_bound",
+                 "delay_curvature_bounded", "damping_floor",
+                 "damping_monotone", "damping_log_derivative",
+                 "delay_weight_ratio", "delay_weight_derivative"]
+        sc = piezobeam.load_scenario("certified-decay")
+        assert list(piezobeam.validate_assumptions(sc.delay, sc.weights)) \
+            == names
+        assert main(["check", "--config", "certified-decay"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "assumption checks:"
+        assert [line.split(":")[0].strip() for line in lines[1:10]] == names
+        assert all(line.endswith(" [pass]") for line in lines[1:10])
+        assert main(["check", "--config", "undamped"]) == EXIT_INFEASIBLE
+        assert ("  damping_floor: margin=-inf at t=0 [FAIL]"
+                in capsys.readouterr().out.splitlines())
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("delay",), "rho", "delay must be an object, got 'rho'"),
+        (("weights", "delta1"), [1], "delta1 must be an object, got [1]"),
+        (("weights", "delta2"), None, "delta2 must be an object, got None"),
+        (("delay", "kind"), ..., "delay needs a kind"),
+        (("weights", "delta1", "kind"), ..., "delta1 needs a kind"),
+        (("delay", "kind"), ["x"], "unknown delay kind ['x']"),
+    ], ids=["delay-string", "delta1-list", "delta2-null", "delay-no-kind",
+            "delta1-no-kind", "kind-list"])
+    def test_section_of_wrong_type_names_it(self, tmp_path, capsys, path,
+                                            value, message):
+        cfg = _quick_cfg(n=11, horizon_s=0.5)
+        section = cfg
+        for name in path[:-1]:
+            section = section[name]
+        if value is ...:
+            del section[path[-1]]
+        else:
+            section[path[-1]] = value
+        assert main(["check", "--config", _write_cfg(tmp_path, cfg)]) \
+            == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: malformed scenario config: {message}\n"
+
+    @pytest.mark.parametrize("command", ["check", "simulate"])
+    def test_overflowing_alpha1_exits_1(self, tmp_path, capsys, command):
+        cfg = _quick_cfg(n=11, horizon_s=0.5)
+        cfg["beam"]["gamma"] = 1e200
+        argv = [command, "--config", _write_cfg(tmp_path, cfg)]
+        if command == "simulate":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed scenario config: alpha - "
+                              "gamma**2 * beta must be > 0 (got -inf)")
+        assert "Traceback" not in err
+
+
 class TestSimulate:
     def test_outputs_exist(self, sim_dir):
         assert os.path.exists(os.path.join(sim_dir, "trajectory.csv"))
@@ -221,6 +276,30 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: multiplier search needs gamma > 0")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("section,key,value,numerics,message", [
+        ("beam", "rho", 1e200, {}, "multiplier inequalities are past"),
+        ("weights", "delta1", {"kind": "constant", "value": 1e200}, {},
+         "multiplier inequalities are past"),
+        ("beam", "length_m", 1e200, {}, "grid spacing 9.999999999999999e+198 "
+         "squared is past the float range"),
+        ("beam", "length_m", 1e200, {"integrator": "implicit"},
+         "grid spacing 9.999999999999999e+198 squared is past"),
+        ("beam", "length_m", 2.5e154, {"n": 3},
+         "Poincare constant of length 2.5e+154 is past the float range"),
+    ], ids=["rho", "delta1", "length", "length-implicit", "poincare"])
+    def test_overflowing_value_exits_3(self, tmp_path, capsys, section, key,
+                                       value, numerics, message):
+        # a square past the float range raises OverflowError in Python
+        cfg = _quick_cfg(**{"n": 11, "horizon_s": 0.5, **numerics})
+        cfg[section][key] = value
+        path = _write_cfg(tmp_path, cfg)
+        assert main(["check", "--config", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["simulate", "--config", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_VERIFICATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
 
     def test_oversized_profile_table_exits_1(self, tmp_path, capsys,
                                              monkeypatch):
@@ -461,6 +540,20 @@ class TestSweepCommand:
             rows = list(csv.reader(fh))[1:]
         assert [row[2] for row in rows] == ["error", "ok"]
         assert rows[0][-1].startswith("multiplier search needs gamma > 0")
+
+    def test_overflowing_rho_is_error_row(self, tmp_path):
+        sweep_cfg = {"base": _quick_cfg(),
+                     "axes": [{"path": "beam.rho", "values": [1.0, 1e200]}],
+                     "n": 11, "horizon_s": 0.5}
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", out]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[1:3] for row in rows] == [["true", "ok"],
+                                              ["true", "error"]]
+        assert rows[1][-1].startswith("multiplier inequalities are past")
 
     def test_oversized_history_is_error_row(self, tmp_path, monkeypatch):
         monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 10_000)

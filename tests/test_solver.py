@@ -188,6 +188,21 @@ class TestRunFloatBound:
             init_history(Grid(21, 1.0), SPAN, g0, 0.05)
         assert calls == []
 
+    def test_history_refused_before_grid_arrays(self, certified_scenario,
+                                                monkeypatch):
+        # 50 steps: the table's 51 x 5 floats fit, the ring's 65 x 101 do not
+        monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 1000)
+
+        def initial_fields(*args):
+            raise AssertionError("initial fields built before the ring check")
+
+        monkeypatch.setattr(solver, "initial_fields", initial_fields)
+        sc = dataclasses.replace(certified_scenario, n=101, horizon=0.5,
+                                 dt=0.01)
+        with pytest.raises(ConfigError, match=r"^the history ring needs \d+ "
+                                              r"x 101 floats"):
+            run(sc, collect_fields=False)
+
     def test_profile_table_bound_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 55)
         assert profile_table(NO_DELAY, UNDAMPED, 0.1, 10).shape == (11, 5)
@@ -805,6 +820,15 @@ class TestRun:
         arrays = [f for st in traj.fields for f in (st.v, st.vt, st.p, st.pt)]
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+    def test_field_stride_counts_recorded_steps(self, certified_scenario):
+        # a snapshot is kept at a record whose step is a multiple of
+        # field_stride, and at the last: step 25 is never recorded
+        sc = dataclasses.replace(certified_scenario, n=21, horizon=1.0,
+                                 output_stride=10, field_stride=25)
+        traj = run(sc)
+        assert (round(sc.horizon / traj.dt), len(traj)) == (65, 8)
+        assert [round(st.t / traj.dt) for st in traj.fields] == [0, 50, 65]
 
     def test_boundary_invariants(self, certified_scenario):
         sc = dataclasses.replace(certified_scenario, horizon=1.0, n=101,
