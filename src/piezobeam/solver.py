@@ -2,16 +2,16 @@
 
 Spatial layout: uniform grid on [0, L], Dirichlet at x=0 for both fields,
 zero-slope (Neumann) closure at x=L.  The delayed velocity v_t(x, t - tau(t))
-is realized by a time-stamped history buffer (a preallocated ring of rows)
-with linear interpolation, not by discretizing the auxiliary transport
-variable on a second axis.  The Grid owns the spacing and the read-only
-trapezoid weight vector of every spatial integral, the history's included;
-the SpatialOperator owns the 2x2 coefficient matrix of its stencil and wave
-speed; both steppers end in one tail (blow-up guard, history push, evict).
+is realized by a history ring on the run's stamps (-k*dt, then the step
+times) with linear interpolation, not by discretizing the auxiliary
+transport variable on a second axis.  The Grid owns the spacing and the
+read-only trapezoid weight vector of every spatial integral, the history's
+included; the SpatialOperator owns the 2x2 coefficient matrix of its stencil
+and wave speed; both steppers end in one tail (blow-up guard, push, evict).
 A state is built whole: its delay-free energy parts (the guard's and the
 record's), its delayed velocity v_t(t - tau(t)), sampled once per state, and
 an explicit step's acceleration (the next step's first) sit beside its fields.
-The steppers and the record read the profiles from run()'s profile_table.
+The steppers, the record and the history's stamps read run()'s profile_table.
 No state changes, so the trajectory keeps the recorded states
 themselves as its field snapshots, with the run's Grid beside them.
 
@@ -160,12 +160,15 @@ class SpatialOperator:
             [-params.gamma * params.beta / params.mu, params.beta / params.mu],
         ])
         self._rows = self.coefficients.tolist()  # floats, read per apply
-
-    @property
-    def wave_speed(self):
-        """Fastest characteristic speed: sqrt of the largest eigenvalue."""
-        return math.sqrt(float(np.max(np.real(
-            np.linalg.eigvals(self.coefficients)))))
+        if not np.all(np.isfinite(self.coefficients)):
+            raise GridError(f"beam wave coefficients {self._rows} are past "
+                            "the float range")
+        # fastest characteristic speed: sqrt of the largest eigenvalue
+        speed2 = float(np.max(np.real(np.linalg.eigvals(self.coefficients))))
+        if not speed2 > 0:
+            raise GridError(f"beam wave coefficients {self._rows} give no "
+                            "positive wave speed")
+        self.wave_speed = math.sqrt(speed2)
 
     @cached_property
     def implicit_buffers(self):
@@ -189,36 +192,38 @@ class SpatialOperator:
 
 
 class HistoryBuffer:
-    """Time-stamped v_t snapshots for delayed sampling.
+    """v_t snapshots at the run's time stamps, for delayed sampling.
 
     weights is the grid's trapezoid weight vector (Grid.weights): it sets
     the snapshot length and is the quadrature of every int v_t^2.
-    Timestamps are equispaced with gap dt.  Snapshots fill a ring of cap
-    rows, the most the span holds between evictions, allocated here.
-    Timestamps and each snapshot's cached int v_t^2 sit in flat arrays of
-    2*cap entries (entry f pairs with ring row f % cap), shifted down by cap
-    once per cap pushes, so every delay window is one contiguous slice.
-    sample(t) is exact at stored stamps and keeps nothing: the delayed
-    velocity is the state's (SimState.z).
+    times holds every stamp up front, equispaced with gap dt and kept
+    read-only: the j-th push is the snapshot at times[j].  Snapshot j fills
+    ring row j % cap, where cap is the most rows the span holds between
+    evictions, and its cached int v_t^2 sits at sq[j], so every delay window
+    is one contiguous slice.  sample(t) is exact at stored stamps and keeps
+    nothing: the delayed velocity is the state's (SimState.z).
     """
 
-    def __init__(self, dt, span, weights):
-        if not dt > 0:
-            raise ConfigError("history dt must be > 0")
+    def __init__(self, dt, span, weights, times):
         self.dt = dt
         self.span = span
         self._cap = self.check_rows(dt, span, len(weights))
+        self._times = np.array(times, dtype=float)
+        if not np.all(self._times[1:] > self._times[:-1]):
+            raise ConfigError("history timestamps must be strictly increasing")
+        self._times.flags.writeable = False
         self._w = weights
         self._ring = np.empty((self._cap, len(weights)))
-        self._times = np.empty(2 * self._cap)
-        self._sq = np.empty(2 * self._cap)
-        self._lo = self._len = 0  # flat index of the oldest entry; count
+        self._sq = np.empty(len(self._times))
+        self._lo = self._end = 0  # oldest served stamp; one past the newest
 
     @staticmethod
     def check_rows(dt, span, n):
-        """The ring's row count for snapshots of n floats, refused with a
-        ConfigError past MAX_RUN_FLOATS: evict keeps the stamps newer than
+        """The ring's row count for snapshots of n floats; a ConfigError for
+        dt <= 0 or past MAX_RUN_FLOATS: evict keeps the stamps newer than
         span + dt/2 and one before them; one more arrives between evictions."""
+        if not dt > 0:
+            raise ConfigError("history dt must be > 0")
         rows = int((span + 0.5 * dt) / dt + 1e-6) + 3
         _check_run_floats(rows, n, "the history ring")
         return rows
@@ -230,38 +235,34 @@ class HistoryBuffer:
         """Trapezoid of row squared: int v_t^2 dx of a snapshot or sample."""
         return float(np.dot(row * self._w, row))
 
-    def push(self, t, vt, sq_integral=None):
-        """Append the snapshot at t; sq_integral is its int v_t^2 if known."""
-        if self._len and not t > self.newest_time:
-            raise ConfigError("history timestamps must be strictly increasing")
-        if self._len == self._cap:
+    def push(self, vt, sq_integral=None):
+        """Store the snapshot at the next stamp; sq_integral is its int v_t^2
+        if known."""
+        j = self._end
+        if j == len(self._times):
+            raise ConfigError(f"history has no stamp past its {j} pushed")
+        if j - self._lo == self._cap:
             raise ConfigError(f"history holds at most {self._cap} snapshots "
                               "between evictions")
-        if self._lo + self._len == 2 * self._cap:
-            self._times[:self._cap] = self._times[self._cap:]
-            self._sq[:self._cap] = self._sq[self._cap:]
-            self._lo -= self._cap
-        row = self._row(self._len)
+        row = self._ring[j % self._cap]
         row[:] = vt
-        end = self._lo + self._len
-        self._times[end] = t
-        self._sq[end] = (self.square_integral(row) if sq_integral is None
-                         else sq_integral)
-        self._len += 1
+        self._sq[j] = (self.square_integral(row) if sq_integral is None
+                       else sq_integral)
+        self._end = j + 1
 
-    def evict(self, t_now):
-        cutoff = t_now - self.span - 0.5 * self.dt
-        while self._len > 2 and self._times[self._lo + 1] <= cutoff:
+    def evict(self):
+        """Serve only the stamps after newest - span - dt/2, and one before."""
+        cutoff = self.newest_time - self.span - 0.5 * self.dt
+        while self._end - self._lo > 2 and self._times[self._lo + 1] <= cutoff:
             self._lo += 1
-            self._len -= 1
 
     @property
     def times(self):
-        return self._times[self._lo:self._lo + self._len].copy()
+        return self._times[self._lo:self._end]
 
     @property
     def newest_time(self):
-        return float(self._times[self._lo + self._len - 1])
+        return float(self._times[self._end - 1])
 
     def sample(self, t_query):
         """Linear interpolation in time, elementwise in x; exact at stored stamps.
@@ -278,11 +279,11 @@ class HistoryBuffer:
             raise HistoryUnderrunError(
                 f"query t={t_query:.9g} is ahead of newest snapshot "
                 f"{self.newest_time:.9g}")
-        if self._len == 1:
+        if self._end - self._lo == 1:
             snap = self._row(0).copy()
         else:
             pos = (t_query - t0) / self.dt
-            i = max(0, min(int(math.floor(pos)), self._len - 2))
+            i = max(0, min(int(math.floor(pos)), self._end - self._lo - 2))
             t_i = float(self._times[self._lo + i])
             w = (t_query - t_i) / (float(self._times[self._lo + i + 1]) - t_i)
             w = min(max(w, 0.0), 1.0)
@@ -300,7 +301,7 @@ class HistoryBuffer:
         cell at the lower endpoint, where int v_t^2 is the caller's sq_lo.
         """
         t_lo = t - tau_t
-        times = self._times[self._lo:self._lo + self._len]
+        times = self.times
         eps = 1e-9 * self.dt
         if t_lo < times[0] - eps:
             raise HistoryUnderrunError(
@@ -318,24 +319,27 @@ class HistoryBuffer:
         return total
 
 
-def init_history(grid, span, g0, dt):
-    """Pre-fill a history buffer from the initial-history function g0(x, s).
+def init_history(grid, span, g0, dt, times):
+    """A history buffer on the run's stamps, pre-filled from the
+    initial-history function g0(x, s).
 
-    Snapshots at s_k = -k*dt down past -span, the longest delay served
-    (>= 0); the newest entry (s=0) matches the initial velocity when
-    g0(., 0) does.
+    The stamps are s_k = -k*dt down past -span, the longest delay served
+    (>= 0), then times, the run's step times from 0 (profile_table's t
+    column).  g0 fills the snapshots from s_k to times[0]; the newest (s=0)
+    matches the initial velocity when g0(., 0) does.
     """
-    buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights)
+    HistoryBuffer.check_rows(dt, span + 2.0 * dt, grid.n)  # before the stamps
     k_max = int(math.ceil((span + dt) / dt))
+    stamps = np.concatenate((-np.arange(k_max, 0, -1) * dt, times))
+    buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights, stamps)
     x = grid.x
-    for k in range(k_max, -1, -1):
-        s = -k * dt
+    for s in stamps[:k_max + 1].tolist():
         snap = np.asarray(g0(x, s), dtype=float)
         if not np.all(np.isfinite(snap)):
             raise ProfileEvaluationError(
                 f"initial history g0 non-finite at s={s:.6g}"
             )
-        buf.push(s, snap)
+        buf.push(snap)
     return buf
 
 
@@ -366,10 +370,10 @@ def _core_energy(v, vt, p, pt, operator):
         int_vt2)
 
 
-def _finish_step(state, t, fields, history, operator, label):
-    """Step tail: the energy of the new fields (v, v_t, p, p_t) at t, the
-    blow-up guard on it, then the push of their v_t to the history and the
-    evict; returns that energy, the new state's core."""
+def _finish_step(state, fields, history, operator, label):
+    """Step tail: the energy of the new fields (v, v_t, p, p_t), the
+    blow-up guard on it, then the push of their v_t to the history, at its
+    next stamp, and the evict; returns that energy, the new state's core."""
     e_before = state.core.total
     core = _core_energy(*fields, operator)
     if not math.isfinite(core.total) or (
@@ -378,8 +382,8 @@ def _finish_step(state, t, fields, history, operator, label):
             f"energy blow-up guard tripped during {label} "
             f"({e_before:.3e} -> {core.total:.3e}); time step too large",
         )
-    history.push(t, fields[1], core.int_vt2)
-    history.evict(t)
+    history.push(fields[1], core.int_vt2)
+    history.evict()
     return core
 
 
@@ -411,8 +415,7 @@ def step_explicit(state, history, operator, profiles, k, dt):
     vt_new[0] = pt_new[0] = 0.0
 
     fields = (v_new, vt_new, p_new, pt_new)
-    core = _finish_step(state, t_new, fields, history, operator,
-                        "explicit step")
+    core = _finish_step(state, fields, history, operator, "explicit step")
     return SimState(t_new, *fields, core, history.sample(t_new - tau_new),
                     (acc_v1, acc_p1))
 
@@ -520,8 +523,7 @@ def step_implicit(state, history, operator, profiles, k, dt):
     vpt[:, 0] = 0.0
 
     fields = (vp[0], vpt[0], vp[1], vpt[1])
-    core = _finish_step(state, t_new, fields, history, operator,
-                        "implicit step")
+    core = _finish_step(state, fields, history, operator, "implicit step")
     # the push keeps z's bracket: z stays history.sample(t_new - tau_new)
     return SimState(t_new, *fields, core, z)
 
@@ -587,6 +589,9 @@ def run(scenario, collect_fields=True):
                           f"{scenario.delay.tau0}")
     n_steps = max(0, int(math.ceil(scenario.horizon / dt0 - 1e-12)))
     dt = scenario.horizon / n_steps if n_steps else dt0
+    if not 0 < dt * dt < math.inf:  # the steps multiply and divide by dt**2
+        raise ConfigError(f"time step {dt} squared is outside the float "
+                          "range")
 
     profiles = profile_table(scenario.delay, scenario.weights, dt, n_steps)
     tau_max = float(profiles[:, 1].max())
@@ -602,7 +607,7 @@ def run(scenario, collect_fields=True):
     # init_history's ring, refused before any array of n floats is made
     HistoryBuffer.check_rows(dt, span + 2.0 * dt, grid.n)
     *fields, g0 = initial_fields(scenario, grid.x)
-    history = init_history(grid, span, g0, dt)
+    history = init_history(grid, span, g0, dt, profiles[:, 0])
     state = initial_state(fields, history, operator, float(profiles[0, 1]),
                           scenario.integrator == "explicit")
 

@@ -301,6 +301,54 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
+    @pytest.mark.parametrize("tau,dt,beta0,shown", [
+        (1e200, 1e199, 1.1, "1e+199"),
+        (1e200, 1e199, 0.3, "1e+199"),
+        (4e-200, 1e-200, 0.3, "1e-200"),
+    ], ids=["overflow-invalid", "overflow-valid", "underflow"])
+    def test_time_step_squared_outside_float_range_exits_1(
+            self, tmp_path, capsys, integrator, tau, dt, beta0, shown):
+        # the explicit step's 0.5 dt**2 and the implicit rho / dt**2 need a
+        # positive finite dt**2; beta0 0.3 keeps the certificate valid, and
+        # the run stops before its multiplier search
+        cfg = _quick_cfg(n=11, horizon_s=10.0 * dt, dt_s=dt,
+                         integrator=integrator)
+        cfg["delay"] = {"kind": "constant", "value_s": tau, "tau0_s": tau,
+                        "tau_bar_s": tau}
+        cfg["weights"]["beta0"] = beta0
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                     "--out", out]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: time step {shown} squared is outside the float range\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("dt_s", [None, 0.01], ids=["cfl", "dt_s"])
+    @pytest.mark.parametrize("beam,message", [
+        ({"rho": 1e-300, "alpha": 1e300},
+         "[[inf, -9.999999999999999e+299], [-1.0, 1.0]] are past the float "
+         "range"),
+        ({"rho": 1e300, "mu": 1e300, "alpha": 1e-300, "beta": 1e-300,
+          "gamma": 0.0},
+         "[[0.0, -0.0], [-0.0, 0.0]] give no positive wave speed"),
+    ], ids=["overflow", "underflow"])
+    def test_beam_coefficients_past_float_range_exit_3(
+            self, tmp_path, capsys, beam, message, dt_s):
+        # alpha/rho is inf, or every coefficient underflows to 0: the run
+        # is refused before the wave speed or the CFL step, dt_s or not
+        cfg = _quick_cfg(n=11, horizon_s=0.5)
+        cfg["beam"].update(beam)
+        if dt_s is not None:
+            cfg["numerics"]["dt_s"] = dt_s
+        path = _write_cfg(tmp_path, cfg)
+        assert main(["check", "--config", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["simulate", "--config", path,
+                     "--out", str(tmp_path / "out")]) == EXIT_VERIFICATION
+        assert capsys.readouterr().err == (
+            f"error: beam wave coefficients {message}\n")
+
     def test_oversized_profile_table_exits_1(self, tmp_path, capsys,
                                              monkeypatch):
         monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 10_000)
@@ -554,6 +602,27 @@ class TestSweepCommand:
         assert [row[1:3] for row in rows] == [["true", "ok"],
                                               ["true", "error"]]
         assert rows[1][-1].startswith("multiplier inequalities are past")
+
+    def test_overflowing_beam_coefficient_is_error_row(self, tmp_path):
+        # alpha 1e300: at rho 1 the CFL step is too short for a table, and
+        # at rho 1e-300 alpha/rho is inf
+        base = _quick_cfg()
+        base["beam"]["alpha"] = 1e300
+        sweep_cfg = {"base": base,
+                     "axes": [{"path": "beam.rho", "values": [1.0, 1e-300]}],
+                     "n": 11, "horizon_s": 0.5}
+        out = str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", out]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[1:3] for row in rows] == [["true", "error"],
+                                              ["true", "error"]]
+        assert rows[0][-1].startswith("the profile table needs ")
+        assert rows[1][-1] == ("beam wave coefficients [[inf, "
+                               "-9.999999999999999e+299], [-1.0, 1.0]] are "
+                               "past the float range")
 
     def test_oversized_history_is_error_row(self, tmp_path, monkeypatch):
         monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 10_000)

@@ -136,8 +136,8 @@ def test_run_matches_reference(certified_scenario):
     grid = Grid(sc.n, sc.beam.length)
     op = SpatialOperator(sc.beam, grid)
     *fields, g0 = initial_fields(sc, grid.x)
-    history = init_history(grid, sc.delay.tau_bar, g0, traj.dt)
     table = profile_table(sc.delay, sc.weights, traj.dt, len(traj) - 1)
+    history = init_history(grid, sc.delay.tau_bar, g0, traj.dt, table[:, 0])
     state = initial_state(fields, history, op, table[0, 1], True)
     ref = RefHistory(traj.dt, history.span, grid.dx)
     for t in history.times:
@@ -168,19 +168,21 @@ def test_history_buffer_matches_reference_across_evictions():
     rng = np.random.default_rng(3)
     dt, dx, n = 0.01, 0.1, 11
     span = 0.2 + 2.0 * dt
-    buf = HistoryBuffer(dt, span, Grid(n, dx * (n - 1)).weights)
-    ref = RefHistory(dt, span, dx)
-    t = -0.25
-    buf.push(t, rng.standard_normal(n))
-    ref.push(t, buf.sample(t))
-    capacity = len(buf._ring)
-    eps = 1e-9 * dt
+    capacity = HistoryBuffer.check_rows(dt, span, n)
+    stamps = [-0.25]
     for _ in range(3 * capacity + 5):
-        t += dt
+        stamps.append(stamps[-1] + dt)
+    buf = HistoryBuffer(dt, span, Grid(n, dx * (n - 1)).weights, stamps)
+    ref = RefHistory(dt, span, dx)
+    buf.push(rng.standard_normal(n))
+    ref.push(stamps[0], buf.sample(stamps[0]))
+    eps = 1e-9 * dt
+    for t in stamps[1:]:
         snap = rng.standard_normal(n)
-        for b in (buf, ref):
-            b.push(t, snap)
-            b.evict(t)
+        buf.push(snap)
+        buf.evict()
+        ref.push(t, snap)
+        ref.evict(t)
 
         assert np.array_equal(buf.times, np.asarray(ref.times))
         assert len(buf._ring) == capacity
@@ -209,11 +211,12 @@ def test_history_buffer_matches_reference_across_evictions():
 
 def test_history_buffer_full_without_evictions():
     # span 0.3 at dt 0.1: evicting after each push keeps at most 6 snapshots
-    buf = HistoryBuffer(0.1, 0.3, Grid(4, 0.75).weights)
+    buf = HistoryBuffer(0.1, 0.3, Grid(4, 0.75).weights,
+                        [0.1 * k for k in range(6)] + [10.0])
     for k in range(6):
-        buf.push(0.1 * k, np.full(4, float(k)))
+        buf.push(np.full(4, float(k)))
     with pytest.raises(ConfigError, match="between evictions"):
-        buf.push(10.0, np.zeros(4))
+        buf.push(np.zeros(4))
     for k, t in enumerate(buf.times):
         assert np.array_equal(buf.sample(t), np.full(4, float(k)))
 
@@ -226,7 +229,8 @@ def test_guard_energy_carried_forward(certified_scenario, monkeypatch,
     op = SpatialOperator(sc.beam, grid)
     dt = 0.005
     *fields, g0 = initial_fields(sc, grid.x)
-    history = init_history(grid, sc.delay.tau_bar, g0, dt)
+    table = profile_table(sc.delay, sc.weights, dt, 20)
+    history = init_history(grid, sc.delay.tau_bar, g0, dt, table[:, 0])
 
     fresh = solver._core_energy
     calls = []
@@ -236,7 +240,6 @@ def test_guard_energy_carried_forward(certified_scenario, monkeypatch,
         return fresh(*args)
 
     monkeypatch.setattr(solver, "_core_energy", counting)
-    table = profile_table(sc.delay, sc.weights, dt, 20)
     state = initial_state(fields, history, op, table[0, 1],
                           stepper is step_explicit)
     for k in range(1, 21):
@@ -271,8 +274,8 @@ def test_explicit_acceleration_carried_forward(certified_scenario,
     grid = Grid(51, sc.beam.length)
     op = SpatialOperator(sc.beam, grid)
     *fields, g0 = initial_fields(sc, grid.x)
-    history = init_history(grid, sc.delay.tau_bar, g0, traj.dt)
     table = profile_table(sc.delay, sc.weights, traj.dt, n_steps)
+    history = init_history(grid, sc.delay.tau_bar, g0, traj.dt, table[:, 0])
     state = initial_state(fields, history, op, table[0, 1], True)
     for k in range(n_steps):
         state = step_explicit(state, history, op, table, k, traj.dt)

@@ -45,8 +45,9 @@ def _scale(st):
     return max(float(np.max(np.abs(f))) for f in (st.v, st.vt, st.p, st.pt))
 
 
-def zero_history(grid, dt):
-    return init_history(grid, SPAN, lambda x, s: np.zeros_like(x), dt)
+def zero_history(grid, dt, times=(0.0,)):
+    """A zero history with stamps -k*dt, then times (a run's step times)."""
+    return init_history(grid, SPAN, lambda x, s: np.zeros_like(x), dt, times)
 
 
 class TestGrid:
@@ -76,6 +77,18 @@ class TestSpatialOperator:
         acc_v, acc_p = op.apply(v, np.zeros_like(v))
         assert np.all(acc_p == 0.0)
 
+    @pytest.mark.parametrize("beam,message", [
+        (BeamParams(rho=1e-300, alpha=1e300), "are past the float range"),
+        (BeamParams(rho=1e300, mu=1e300, alpha=1e-300, beta=1e-300,
+                    gamma=0.0), "give no positive wave speed"),
+    ], ids=["overflow", "underflow"])
+    def test_coefficients_past_the_float_range_refused(self, beam, message):
+        # alpha/rho is inf, or every coefficient underflows to 0: the
+        # wave speed and so the CFL step would not be a positive float
+        with pytest.raises(GridError, match=f"^beam wave coefficients .* "
+                                            f"{message}$"):
+            SpatialOperator(beam, Grid(11, 1.0))
+
     def test_mode_residual_second_order(self):
         # interior residual vs the analytic second derivative shrinks at O(dx^2)
         k = math.pi / 2.0
@@ -93,38 +106,40 @@ class TestSpatialOperator:
 
 class TestHistoryBuffer:
     def test_constant_history(self):
-        buf = HistoryBuffer(0.1, 1.0, Grid(5, 0.04).weights)
-        for k in range(11):
-            buf.push(-1.0 + 0.1 * k, np.full(5, 3.0))
+        stamps = [-1.0 + 0.1 * k for k in range(11)]
+        buf = HistoryBuffer(0.1, 1.0, Grid(5, 0.04).weights, stamps)
+        for _ in stamps:
+            buf.push(np.full(5, 3.0))
         assert np.all(buf.sample(-0.37) == 3.0)
 
     def test_midpoint_of_linear(self):
-        buf = HistoryBuffer(1.0, 2.0, Grid(5, 1.0).weights)
-        buf.push(0.0, np.zeros(5))
-        buf.push(1.0, np.ones(5))
+        buf = HistoryBuffer(1.0, 2.0, Grid(5, 1.0).weights, [0.0, 1.0])
+        buf.push(np.zeros(5))
+        buf.push(np.ones(5))
         assert np.all(buf.sample(0.5) == 0.5)
 
     def test_linear_in_time_exact(self):
-        buf = HistoryBuffer(0.1, 2.0, Grid(5, 1.0).weights)
-        for k in range(21):
-            s = -2.0 + 0.1 * k
-            buf.push(s, np.full(5, s))
+        stamps = [-2.0 + 0.1 * k for k in range(21)]
+        buf = HistoryBuffer(0.1, 2.0, Grid(5, 1.0).weights, stamps)
+        for s in stamps:
+            buf.push(np.full(5, s))
         for q in (-1.77, -0.3, -1.5):
             assert np.max(np.abs(buf.sample(q) - q)) < 1e-12
 
     def test_exact_at_stored_stamps(self):
         rng = np.random.default_rng(7)
-        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights)
+        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights,
+                            [0.1 * k for k in range(11)])
         snaps = [rng.standard_normal(5) for _ in range(11)]
-        for k, snap in enumerate(snaps):
-            buf.push(0.1 * k, snap)
+        for snap in snaps:
+            buf.push(snap)
         for k, snap in enumerate(snaps):
             assert np.array_equal(buf.sample(0.1 * k), snap)
 
     def test_underrun(self):
-        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights)
-        buf.push(0.0, np.zeros(5))
-        buf.push(0.1, np.zeros(5))
+        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, [0.0, 0.1])
+        buf.push(np.zeros(5))
+        buf.push(np.zeros(5))
         with pytest.raises(HistoryUnderrunError):
             buf.sample(-0.5)
 
@@ -132,13 +147,42 @@ class TestHistoryBuffer:
         # vt = c: double integral = c^2 * L * (1 - e^{-lam tau}) / lam
         g = Grid(101, 1.0)
         dt = 0.01
-        buf = init_history(g, SPAN, lambda x, s: np.full_like(x, 2.0), dt)
+        buf = init_history(g, SPAN, lambda x, s: np.full_like(x, 2.0), dt,
+                           [0.0])
         lam = 0.8
         tau = 0.5
         sq_lo = buf.square_integral(buf.sample(-tau))
         got = buf.weighted_square_integral(0.0, tau, lam, sq_lo)
         exact = 4.0 * 1.0 * (1.0 - math.exp(-lam * tau)) / lam
         assert abs(got - exact) / exact < 1e-4
+
+    @pytest.mark.parametrize("stamps", [[0.0, 0.1, 0.1], [0.0, 0.2, 0.1],
+                                        [0.0, np.nan]],
+                             ids=["repeated", "decreasing", "nan"])
+    def test_stamps_must_increase(self, stamps):
+        with pytest.raises(ConfigError,
+                           match="history timestamps must be strictly "
+                                 "increasing"):
+            HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, stamps)
+
+    def test_no_push_past_the_last_stamp(self):
+        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, [0.0, 0.1])
+        buf.push(np.zeros(5))
+        buf.push(np.ones(5))
+        with pytest.raises(ConfigError, match="no stamp past its 2 pushed"):
+            buf.push(np.full(5, 2.0))
+        assert buf.newest_time == 0.1
+        assert np.array_equal(buf.sample(0.1), np.ones(5))
+
+    def test_times_read_only(self):
+        stamps = np.array([0.0, 0.1, 0.2])
+        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, stamps)
+        buf.push(np.zeros(5))
+        buf.push(np.ones(5))
+        with pytest.raises(ValueError, match="read-only"):
+            buf.times[0] = -1.0
+        stamps[0] = -1.0  # the buffer keeps its own stamps
+        assert buf.times.tolist() == [0.0, 0.1]
 
 
 class TestInitHistory:
@@ -150,7 +194,8 @@ class TestInitHistory:
     def test_constant_in_time(self):
         g = Grid(21, 1.0)
         v1 = np.sin(math.pi * g.x / 2.0)
-        buf = init_history(g, SPAN, lambda x, s: np.interp(x, g.x, v1), 0.05)
+        buf = init_history(g, SPAN, lambda x, s: np.interp(x, g.x, v1), 0.05,
+                           [0.0])
         for t in buf.times:
             assert np.array_equal(buf.sample(t), v1)
         assert buf.newest_time == 0.0
@@ -158,7 +203,7 @@ class TestInitHistory:
     def test_analytic_history_reproduced(self):
         g = Grid(21, 1.0)
         f = lambda x, s: np.sin(math.pi * x) * math.exp(s)
-        buf = init_history(g, SPAN, f, 0.05)
+        buf = init_history(g, SPAN, f, 0.05, [0.0])
         for t in buf.times:
             assert np.max(np.abs(buf.sample(t) - f(g.x, t))) < 1e-15
 
@@ -170,7 +215,8 @@ class TestInitHistory:
     def test_nonfinite_rejected(self):
         g = Grid(21, 1.0)
         with pytest.raises(ProfileEvaluationError):
-            init_history(g, SPAN, lambda x, s: np.full_like(x, np.nan), 0.05)
+            init_history(g, SPAN, lambda x, s: np.full_like(x, np.nan), 0.05,
+                         [0.0])
 
 
 class TestRunFloatBound:
@@ -185,7 +231,7 @@ class TestRunFloatBound:
         with pytest.raises(ConfigError, match=r"^the history ring needs \d+ "
                                               r"x 21 floats, more than the "
                                               r"100 a run may allocate$"):
-            init_history(Grid(21, 1.0), SPAN, g0, 0.05)
+            init_history(Grid(21, 1.0), SPAN, g0, 0.05, [0.0])
         assert calls == []
 
     def test_history_refused_before_grid_arrays(self, certified_scenario,
@@ -367,10 +413,10 @@ class TestSteppers:
         g = Grid(51, 1.0)
         op = SpatialOperator(BEAM, g)
         dt = cfl_timestep(op, NO_DELAY)
-        buf = zero_history(g, dt)
         weights = WeightProfiles(delta0=1.0, beta0=0.3, d2_kind="constant",
                                  d2_value=0.3)
         table = profile_table(NO_DELAY, weights, dt, 20)
+        buf = zero_history(g, dt, table[:, 0])
         st = _start(np.zeros(g.n), buf, op, table, stepper is step_explicit)
         for k in range(20):
             st = stepper(st, buf, op, table, k, dt)
@@ -389,9 +435,9 @@ class TestSteppers:
         period = 4.0 * beam.length  # 2 * (2L/c)
         n_steps = int(round(10 * period / dt0))
         dt = 10 * period / n_steps
-        buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, UNDAMPED, dt, n_steps)
+        buf = zero_history(g, dt, table[:, 0])
         st = _start(v0.copy(), buf, op, table)
         for k in range(n_steps):
             st = step_explicit(st, buf, op, table, k, dt)
@@ -402,10 +448,10 @@ class TestSteppers:
         g = Grid(101, 1.0)
         op = SpatialOperator(BEAM, g)
         dt = cfl_timestep(op, NO_DELAY)
-        buf = zero_history(g, dt)
         weights = WeightProfiles(delta0=1.0, beta0=0.0, d1_floor=1.0)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, weights, dt, 500)
+        buf = zero_history(g, dt, table[:, 0])
         st = _start(v0, buf, op, table)
         e_prev = _core_energy(st.v, st.vt, st.p, st.pt, op).total
         for k in range(500):
@@ -418,9 +464,9 @@ class TestSteppers:
         g = Grid(101, 1.0)
         op = SpatialOperator(BEAM, g)
         dt = 10.0 * cfl_timestep(op, NO_DELAY)
-        buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, UNDAMPED, dt, 100)
+        buf = zero_history(g, dt, table[:, 0])
         st = _start(v0, buf, op, table)
         with pytest.raises(DivergenceError):
             for k in range(100):
@@ -431,9 +477,9 @@ class TestSteppers:
         g = Grid(101, 1.0)
         op = SpatialOperator(BEAM, g)
         dt = 10.0 * cfl_timestep(op, NO_DELAY)
-        buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, UNDAMPED, dt, 100)
+        buf = zero_history(g, dt, table[:, 0])
         st = _start(v0, buf, op, table, explicit=False)
         e0 = _core_energy(st.v, st.vt, st.p, st.pt, op).total
         for k in range(100):
@@ -446,9 +492,9 @@ class TestSteppers:
         g = Grid(101, 1.0)
         op = SpatialOperator(BEAM, g)
         dt = cfl_timestep(op, NO_DELAY)
-        buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, UNDAMPED, dt, 50)
+        buf = zero_history(g, dt, table[:, 0])
         st = _start(v0, buf, op, table, explicit=False)
         for k in range(50):
             st = step_implicit(st, buf, op, table, k, dt)
@@ -466,10 +512,10 @@ class TestSteppers:
         g = Grid(51, sc.beam.length)
         op = SpatialOperator(sc.beam, g)
         dt = 0.01
-        buf = init_history(g, sc.delay.tau_bar,
-                           lambda x, s: np.zeros_like(x), dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(sc.delay, sc.weights, dt, 6)
+        buf = init_history(g, sc.delay.tau_bar,
+                           lambda x, s: np.zeros_like(x), dt, table[:, 0])
         st = _start(v0, buf, op, table, explicit=False)
         st = step_implicit(st, buf, op, table, 0, dt)
         diag, off = op.implicit_buffers
@@ -526,14 +572,14 @@ class TestSteppers:
         g = Grid(n, beam.length)
         op = SpatialOperator(beam, g)
         dt = 0.005
-        buf = init_history(g, sc.delay.tau_bar,
-                           lambda x, s: 0.3 * np.sin(x + s), dt)
         x = g.x
         fields = (np.sin(np.pi * x / 2.0), 0.5 * x * (1.0 - x), 0.2 * x**2,
                   np.cos(x) - 1.0)
         for f in fields:  # the discrete zero slope the step imposes
             f[-1] = (4.0 * f[-2] - f[-3]) / 3.0
         table = profile_table(sc.delay, weights, dt, 1)
+        buf = init_history(g, sc.delay.tau_bar,
+                           lambda x, s: 0.3 * np.sin(x + s), dt, table[:, 0])
         st = initial_state(fields, buf, op, table[0, 1], False)
         t_new, tau_new, d1, _, d2 = table[1].tolist()
         z = buf.sample(t_new - tau_new).copy()
@@ -546,9 +592,9 @@ class TestSteppers:
         g = Grid(51, 1.0)
         op = SpatialOperator(BEAM, g)
         dt = cfl_timestep(op, NO_DELAY)
-        buf = zero_history(g, dt)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, UNDAMPED, dt, 25)
+        buf = zero_history(g, dt, table[:, 0])
         st = _start(v0, buf, op, table)
         for k in range(25):
             st = step_explicit(st, buf, op, table, k, dt)
@@ -565,10 +611,12 @@ class TestSteppers:
         g = Grid(21, sc.beam.length)
         op = SpatialOperator(sc.beam, g)
         dt = 0.01
-        buf = init_history(g, sc.delay.tau_bar,
-                           lambda x, s: np.sin(x + 3.0 * s), dt)
-        n_steps = 4 * len(buf._ring)  # the ring wraps and shifts 4 times
+        rows = HistoryBuffer.check_rows(dt, sc.delay.tau_bar + 2.0 * dt, g.n)
+        n_steps = 4 * rows  # the ring wraps 4 times
         table = profile_table(sc.delay, sc.weights, dt, n_steps)
+        buf = init_history(g, sc.delay.tau_bar,
+                           lambda x, s: np.sin(x + 3.0 * s), dt, table[:, 0])
+        assert len(buf._ring) == rows
         st = _start(np.sin(np.pi * g.x / 2.0), buf, op, table, False)
         sample, samples = buf.sample, []
         monkeypatch.setattr(buf, "sample", lambda t_query: samples.append(
@@ -701,10 +749,12 @@ class TestRun:
         # whose delayed velocity, and so its solve, is not finite
         from piezobeam import solver
 
-        def nan_history(grid, span, g0, dt):
-            buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights)
-            for k in range(int(math.ceil((span + dt) / dt)), -1, -1):
-                buf.push(-k * dt, np.full(grid.n, np.nan))
+        def nan_history(grid, span, g0, dt, times):
+            k_max = int(math.ceil((span + dt) / dt))
+            buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights,
+                                np.r_[-np.arange(k_max, 0, -1) * dt, times])
+            for _ in range(k_max + 1):
+                buf.push(np.full(grid.n, np.nan))
             return buf
 
         monkeypatch.setattr(solver, "init_history", nan_history)
@@ -766,6 +816,29 @@ class TestRun:
             run(dataclasses.replace(certified_scenario, n=21, horizon=0.1,
                                     delay=delay), collect_fields=False)
         assert stamps[0] == stamps[1]
+
+    @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
+    def test_served_stamps_are_the_profile_tables(self, certified_scenario,
+                                                  monkeypatch, integrator):
+        # the history's stamps from 0 on are the run's own step times: after
+        # the last step, every served stamp >= 0 is bitwise the table's t
+        made = []
+
+        def tracked(*args):
+            made.append(init_history(*args))
+            return made[-1]
+
+        monkeypatch.setattr(solver, "init_history", tracked)
+        sc = dataclasses.replace(certified_scenario, n=21, horizon=3.0,
+                                 integrator=integrator, output_stride=7)
+        traj = run(sc, collect_fields=False)
+        n_steps = round(sc.horizon / traj.dt)
+        table = profile_table(sc.delay, sc.weights, traj.dt, n_steps)
+        served = made[0].times
+        j = n_steps + 1 - np.count_nonzero(served >= 0)
+        assert 0 < j < n_steps
+        assert served[served >= 0].tobytes() == table[j:, 0].tobytes()
+        assert made[0].newest_time == traj.times[-1] == table[-1, 0]
 
     def test_status_independent_of_output_stride(self, certified_scenario):
         # delta2 = -3 voids the certificate (L is NaN) and the energy grows
