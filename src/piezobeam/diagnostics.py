@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, MultiplierSearchError, UndefinedRatioError
 
-MAX_DOUBLINGS = 64  # per multiplier, in select_multipliers
+MARGIN = 1.01  # each multiplier over its threshold, in select_multipliers
 C_TOL = 10.0  # energy_dissipation_check's tolerance per (dt^2 + dx^2)
 FIT_WINDOW = 0.5  # trailing fraction of the run that fit_decay_rate reads
 
@@ -139,15 +139,17 @@ def multiplier_inequalities(params, weights, certificate, mult):
 
 
 def select_multipliers(params, weights, certificate):
-    """Feasibility search over the multipliers, resolved in dependency order.
+    """The multipliers in closed form, set in dependency order.
 
     Free constants: eps_i = c' * delta1(0) / alpha1 (each Young term then
     equals alpha1/4), eta1 = gamma*mu/(4 rho) and eta2 = 1/(4 gamma) (the
     p_t coefficient becomes exactly gamma*mu/2), eta5 = 1/(N2 alpha1),
-    eta3 = 1/(N2 c' delta1(0)), eta4 = 1/(N2 c' beta0 delta1(0)).  N3, N2,
-    N1 and N, in that order, each double from 1 until their own inequalities,
-    which read no later multiplier, clear 1.  c' is the Poincare constant of
-    the beam's length; it underflows to 0 for a tiny L.
+    eta3 = 1/(N2 c' delta1(0)), eta4 = 1/(N2 c' beta0 delta1(0)).  From all
+    at 0, N3, N2, N1, N are set in turn.  Each own side reads no later one,
+    and is a + x (b - a) in the one set, x, with a, b its values at x = 0, 1;
+    for b > a it exceeds 1 iff x > (1 - a) / (b - a).  x is MARGIN times the
+    largest such threshold, and at least 1.  c' (the Poincare constant of
+    the beam's length) underflows to 0 for a tiny L.
     """
     try:
         c_prime = default_poincare_constant(params.length)
@@ -168,23 +170,21 @@ def select_multipliers(params, weights, certificate):
             "certificate dissipation constant is non-positive; "
             "no admissible multipliers")
 
-    mult = Multipliers(1.0, 1.0, 1.0, 1.0, c_prime)
+    mult = Multipliers(0.0, 0.0, 0.0, 0.0, c_prime)
     for name, lo, hi in (("n3", 0, 1), ("n2", 1, 2), ("n1", 2, 3), ("n", 3, 5)):
-        for _ in range(MAX_DOUBLINGS):
-            try:
-                lhs = multiplier_inequalities(params, weights, certificate,
-                                              mult)
-            except OverflowError:
-                raise MultiplierSearchError(
-                    "multiplier inequalities are past the float range for "
-                    "these beam and damping parameters") from None
-            if all(v > 1.0 for v in lhs[lo:hi]):
-                break
-            mult = replace(mult, **{name: 2.0 * getattr(mult, name)})
-        else:
+        try:  # the own left sides at x = 0 and at x = 1
+            at0, at1 = (multiplier_inequalities(params, weights, certificate,
+                        replace(mult, **{name: x}))[lo:hi] for x in (0.0, 1.0))
+        except OverflowError:
             raise MultiplierSearchError(
-                "multiplier search did not terminate after "
-                f"{MAX_DOUBLINGS} doublings")
+                "multiplier inequalities are past the float range for "
+                "these beam and damping parameters") from None
+        x = MARGIN * float(np.max([(1.0 - a) / (b - a) if b > a else math.nan
+                                   for a, b in zip(at0, at1)]))
+        if not math.isfinite(x):  # nan where a side does not grow with x
+            raise MultiplierSearchError(f"the {name.upper()} inequalities "
+                                        "cannot clear 1 for these parameters")
+        mult = replace(mult, **{name: max(1.0, x)})
     return mult
 
 

@@ -26,7 +26,8 @@ class DivergenceError(PiezobeamError):
 
 
 class MultiplierSearchError(PiezobeamError):
-    """The doubling search for Lyapunov multipliers did not terminate."""
+    """No admissible Lyapunov multipliers: a pre-check failed, or some
+    multiplier's inequalities cannot clear 1 or leave the float range."""
 
 
 class InsufficientDataError(PiezobeamError):

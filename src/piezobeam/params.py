@@ -51,6 +51,8 @@ class BeamParams:
     coefficient, mu: magnetic permeability, beta: impermeability coefficient,
     length: beam length.  The derived stiffness alpha1 = alpha - gamma**2 * beta
     must be positive for the elastic energy term to be positive definite.
+    coefficients, the read-only 2x2 wave-coefficient matrix, must be finite,
+    and wave_speed, the fastest characteristic speed, positive.
     """
 
     rho: float = 1.0
@@ -76,6 +78,23 @@ class BeamParams:
         if not alpha1 > 0:
             raise ValueError(
                 f"alpha - gamma**2 * beta must be > 0 (got {alpha1})")
+        # the stencil's 2x2 matrix, with a_v = (alpha/rho) v_xx -
+        # (gamma*beta/rho) p_xx and a_p = (beta/mu) p_xx - (gamma*beta/mu) v_xx
+        m = np.array([
+            [self.alpha / self.rho, -self.gamma * self.beta / self.rho],
+            [-self.gamma * self.beta / self.mu, self.beta / self.mu],
+        ])
+        m.flags.writeable = False
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"beam wave coefficients {m.tolist()} are past "
+                             "the float range")
+        # the CFL step divides by the wave speed, sqrt of the top eigenvalue
+        speed2 = float(np.max(np.real(np.linalg.eigvals(m))))
+        if not speed2 > 0:
+            raise ValueError(f"beam wave coefficients {m.tolist()} give no "
+                             "positive wave speed")
+        object.__setattr__(self, "coefficients", m)
+        object.__setattr__(self, "wave_speed", math.sqrt(speed2))
 
     @property
     def alpha1(self):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,25 @@ class TestSimulate:
         assert err.startswith(f"error: {message}") and "Traceback" not in err
 
     @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
+    def test_grid_spacing_squared_underflow_exits_3(self, tmp_path, capsys,
+                                                    integrator):
+        # dx = 1e-171 squares to 0, which the stencils divide by: the run
+        # is refused before the first step, with no numpy warning
+        cfg = _quick_cfg(n=11, horizon_s=0.5, dt_s=0.01,
+                         integrator=integrator)
+        cfg["beam"]["length_m"] = 1e-170
+        cfg["weights"]["beta0"] = 1.1
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                         "--out", out]) == EXIT_VERIFICATION
+        assert capsys.readouterr().err == (
+            f"error: grid spacing {1e-170 / 10} squared is past the float "
+            "range\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
     @pytest.mark.parametrize("tau,dt,beta0,shown", [
         (1e200, 1e199, 1.1, "1e+199"),
         (1e200, 1e199, 0.3, "1e+199"),
@@ -335,19 +355,22 @@ class TestSimulate:
     ], ids=["overflow", "underflow"])
     def test_beam_coefficients_past_float_range_exit_3(
             self, tmp_path, capsys, beam, message, dt_s):
-        # alpha/rho is inf, or every coefficient underflows to 0: the run
-        # is refused before the wave speed or the CFL step, dt_s or not
+        # alpha/rho is inf, or every coefficient underflows to 0: the beam
+        # is malformed, so check and simulate both refuse it as the config
+        # loads (exit 1), dt_s or not
         cfg = _quick_cfg(n=11, horizon_s=0.5)
         cfg["beam"].update(beam)
         if dt_s is not None:
             cfg["numerics"]["dt_s"] = dt_s
         path = _write_cfg(tmp_path, cfg)
-        assert main(["check", "--config", path]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["simulate", "--config", path,
-                     "--out", str(tmp_path / "out")]) == EXIT_VERIFICATION
-        assert capsys.readouterr().err == (
-            f"error: beam wave coefficients {message}\n")
+        out = str(tmp_path / "out")
+        for argv in (["check", "--config", path],
+                     ["simulate", "--config", path, "--out", out]):
+            assert main(argv) == EXIT_USAGE
+            assert capsys.readouterr().err == (
+                "error: malformed scenario config: beam wave coefficients "
+                f"{message}\n")
+        assert not os.path.exists(out)
 
     def test_oversized_profile_table_exits_1(self, tmp_path, capsys,
                                              monkeypatch):
@@ -604,8 +627,9 @@ class TestSweepCommand:
         assert rows[1][-1].startswith("multiplier inequalities are past")
 
     def test_overflowing_beam_coefficient_is_error_row(self, tmp_path):
-        # alpha 1e300: at rho 1 the CFL step is too short for a table, and
-        # at rho 1e-300 alpha/rho is inf
+        # alpha 1e300: at rho 1 the CFL step is too short for a table, an
+        # error row; at rho 1e-300 alpha/rho is inf, a malformed beam, so
+        # the point is infeasible
         base = _quick_cfg()
         base["beam"]["alpha"] = 1e300
         sweep_cfg = {"base": base,
@@ -618,11 +642,11 @@ class TestSweepCommand:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [row[1:3] for row in rows] == [["true", "error"],
-                                              ["true", "error"]]
+                                              ["false", "infeasible"]]
         assert rows[0][-1].startswith("the profile table needs ")
-        assert rows[1][-1] == ("beam wave coefficients [[inf, "
-                               "-9.999999999999999e+299], [-1.0, 1.0]] are "
-                               "past the float range")
+        assert rows[1][-1] == ("malformed scenario config: beam wave "
+                               "coefficients [[inf, -9.999999999999999e+299], "
+                               "[-1.0, 1.0]] are past the float range")
 
     def test_oversized_history_is_error_row(self, tmp_path, monkeypatch):
         monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 10_000)

@@ -1,4 +1,4 @@
-"""Energy components, Lyapunov functionals, multiplier search, and decay fits."""
+"""Energy components, Lyapunov functionals, multiplier choice, and decay fits."""
 
 import dataclasses
 import math
@@ -181,17 +181,35 @@ class TestLyapunovFunctionals:
 
 
 class TestSelectMultipliers:
-    def test_n3_doubling_oracle(self, certified_scenario):
-        # with beta = 1 the coupling inequality is m - 3 > 1, i.e. m > 4:
-        # the doubling search from 1 lands on 8
+    def test_closed_form_on_certified_decay(self, certified_scenario):
+        # each threshold solved by hand from its own inequalities, written
+        # out as criterion 5 writes them, then times 1.01
+        pr, w = certified_scenario.beam, certified_scenario.weights
         cert = certified_scenario.certificate
-        mult = select_multipliers(certified_scenario.beam,
-                                  certified_scenario.weights, cert)
-        assert mult.n3 == 8.0
-        lhs = multiplier_inequalities(
-            certified_scenario.beam, certified_scenario.weights, cert,
-            Multipliers(1.0, 1.0, 1.0, 4.0, mult.c_prime))
-        assert lhs[0] <= 1.0  # 4 - 3 = 1 fails the strict test
+        mult = select_multipliers(pr, w, cert)
+        a1, cp, d10 = pr.alpha1, mult.c_prime, float(w.delta1(0.0))
+        eps = cp * d10 / a1
+        a_coeff = a1 - a1 / 4.0 - w.beta0 * a1 / 4.0
+        n3 = 1.01 * 4.0 / pr.beta  # n3 beta - 3 > 1
+        # n2 gamma mu / 2 - gamma mu / 4 - n3 mu > 1
+        n2 = 1.01 * (1.0 + pr.gamma * pr.mu / 4.0 + n3 * pr.mu) / (
+            pr.gamma * pr.mu / 2.0)
+        # n1 a - n2^2 a1^2 / 4 + n3 a > 1
+        n1 = 1.01 * (1.0 + n2**2 * a1**2 / 4.0 - n3 * a_coeff) / a_coeff
+        s1 = (n1 * (pr.rho + n1 * pr.gamma * pr.mu + eps * d10)
+              + n2 * (pr.rho * pr.gamma + pr.rho**2 / (pr.gamma * pr.mu)
+                      + pr.gamma**3 * pr.mu + n2 * cp * d10**2 / 4.0)
+              + n3 * (pr.rho + eps * d10))
+        s2 = (n1 * eps * w.beta0 * d10
+              + n2 * n2 * cp * w.beta0**2 * d10**2 / 4.0
+              + n3 * eps * w.beta0 * d10)
+        n = 1.01 * max(1.0 + s1, 1.0 + s2) / cert.c  # c n - s > 1
+        assert (mult.n3, mult.n2) == (pytest.approx(4.04, rel=1e-15),
+                                      pytest.approx(10.6858, rel=1e-15))
+        for got, want in ((mult.n3, n3), (mult.n2, n2), (mult.n1, n1),
+                          (mult.n, n)):
+            assert got == pytest.approx(want, rel=1e-12)
+        assert min(multiplier_inequalities(pr, w, cert, mult)) > 1.0
 
     def test_substitute_and_check(self, certified_scenario):
         cert = certified_scenario.certificate
@@ -208,10 +226,11 @@ class TestSelectMultipliers:
            delta1=st.floats(0.0, 5.0), beta0=st.floats(0.0, 0.9),
            cs=st.tuples(*[st.floats(0.01, 5.0)] * 3))
     @settings(max_examples=200, deadline=None)
-    def test_each_multiplier_is_the_least_doubling(
+    def test_each_multiplier_is_just_past_its_threshold(
             self, rho, mu, gamma, beta, alpha1, length, delta1, beta0, cs):
-        # halving a multiplier above 1 fails its own inequalities, given
-        # the multipliers found before it (N3, N2, N1, then N)
+        # every side clears 1, and a multiplier above 1, divided by 1.02,
+        # fails its own inequalities given the multipliers found before it
+        # (N3, N2, N1, then N): it is within 1.01x of its threshold
         beam = BeamParams(rho=rho, alpha=alpha1 + gamma**2 * beta,
                           gamma=gamma, mu=mu, beta=beta, length=length)
         weights = WeightProfiles(delta0=delta1, beta0=beta0, d1_floor=delta1)
@@ -219,15 +238,34 @@ class TestSelectMultipliers:
         mult = select_multipliers(beam, weights, cert)
         assert all(v > 1.0 for v in multiplier_inequalities(
             beam, weights, cert, mult))
-        found = Multipliers(1.0, 1.0, 1.0, 1.0, mult.c_prime)
+        found = Multipliers(0.0, 0.0, 0.0, 0.0, mult.c_prime)
         for name, own in (("n3", slice(0, 1)), ("n2", slice(1, 2)),
                           ("n1", slice(2, 3)), ("n", slice(3, 5))):
             value = getattr(mult, name)
+            assert value >= 1.0
             if value > 1.0:
-                halved = dataclasses.replace(found, **{name: value / 2.0})
-                lhs = multiplier_inequalities(beam, weights, cert, halved)
+                below = dataclasses.replace(found, **{name: value / 1.02})
+                lhs = multiplier_inequalities(beam, weights, cert, below)
                 assert not all(v > 1.0 for v in lhs[own])
             found = dataclasses.replace(found, **{name: value})
+
+    def test_floor_of_one(self, certified_scenario):
+        # gamma 5, alpha1 1.32: the v_x inequality already holds at N1 = 0,
+        # so its threshold is negative and N1 is the floor, 1
+        beam = BeamParams(gamma=5.0, beta=1.0, alpha=26.32, mu=100.0)
+        w, cert = certified_scenario.weights, certified_scenario.certificate
+        mult = select_multipliers(beam, w, cert)
+        assert mult.n1 == 1.0
+        at_zero = dataclasses.replace(mult, n1=0.0)
+        assert multiplier_inequalities(beam, w, cert, at_zero)[2] > 1.0
+
+    def test_beta0_three_has_no_n1(self, certified_scenario):
+        # the v_x coefficient alpha1 (3 - beta0) / 4 is 0: no N1 clears it
+        weights = dataclasses.replace(certified_scenario.weights, beta0=3.0)
+        with pytest.raises(MultiplierSearchError,
+                           match="^the N1 inequalities cannot clear 1"):
+            select_multipliers(certified_scenario.beam, weights,
+                               certified_scenario.certificate)
 
     def test_c_prime_interpretation(self):
         assert abs(default_poincare_constant(1.0) - (2.0 / math.pi)**2) < 1e-15
