@@ -25,11 +25,11 @@ print(f"  dt={traj.dt:.5f}, {len(traj)} records")
 print(f"  E(0)={e[0]:.6f} -> E(T)={e[-1]:.3e}  (ratio {e[-1] / e[0]:.3e})")
 print()
 
-dis = energy_dissipation_check(traj, traj.certificate)
+dis = energy_dissipation_check(traj)
 print(f"dissipation inequality: {dis.n_violations} violations of "
       f"{dis.n_pairs} pairs, worst margin {dis.worst_margin:+.3e}")
 
-b1, b2 = lyapunov_equivalence(traj, traj.multipliers)
+b1, b2 = lyapunov_equivalence(traj)
 m = traj.multipliers
 print(f"Lyapunov multipliers: N={m.n:g} N1={m.n1:g} N2={m.n2:g} N3={m.n3:g}")
 print(f"equivalence ratios:   {b1:.4g} <= L/E <= {b2:.4g}")

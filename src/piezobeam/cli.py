@@ -3,7 +3,8 @@
 Exit codes: 0 pass, 1 usage/parse error, 2 infeasible certificate,
 3 failed verification, 4 runtime divergence.  All file output uses dot
 decimal separators, newline line endings, and 17 significant digits, so
-reruns are byte-identical.
+reruns are byte-identical.  summary.json's keys are spelled only here:
+_write_outputs writes them and _report_lines reads them back.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from . import diagnostics
 from .errors import ConfigError, DivergenceError, PiezobeamError
 from .scenario import Scenario, load_config
-from .solver import COLUMNS, run
+from .solver import COLUMNS, Grid, run
 from .sweep import SweepSpec, execute
 
 EXIT_OK = 0
@@ -51,6 +52,7 @@ def _print_certificate(cert):
 
 def cmd_check(args):
     scenario = Scenario.from_dict(load_config(args.config))
+    Grid(scenario.n, scenario.beam.length)  # refuses a spacing as run() does
     cert = scenario.certificate
     print("assumption checks:")
     for name, c in cert.assumptions.items():
@@ -84,27 +86,34 @@ def _write_outputs(traj, out_dir):
         _write_csv(os.path.join(out_dir, f"fields_{k}.csv"),
                    ("x", "v", "vt", "p", "pt"), rows)
 
-    cert = traj.certificate
+    try:
+        fit = diagnostics.fit_decay_rate(traj)
+    except PiezobeamError:
+        fit = None
+    try:
+        eq = diagnostics.lyapunov_equivalence(traj)
+    except PiezobeamError:
+        eq = None
+    dis = diagnostics.energy_dissipation_check(traj)
+    cert, mult = traj.certificate, traj.multipliers
     summary = {
         "status": traj.status,
-        "certificate": cert.as_dict(),
-        "multipliers": traj.multipliers.as_dict() if traj.multipliers else None,
-        "decay_fit": None,
-        "equivalence": None,
-        "dissipation": None,
+        "certificate": {"xi_bar": cert.xi_bar, "lambda": cert.lam,
+                        "C1": cert.c1, "C2": cert.c2, "C3": cert.c3,
+                        "C": cert.c, "valid": cert.valid,
+                        "diagnostics": list(cert.diagnostics)},
+        "multipliers": mult and {"N": mult.n, "N1": mult.n1, "N2": mult.n2,
+                                 "N3": mult.n3, "c_prime": mult.c_prime},
+        "decay_fit": fit and {"H1": fit.h1, "H2": fit.h2,
+                              "r_squared": fit.r_squared,
+                              "window": list(fit.window)},
+        "equivalence": eq and {"b1": eq[0], "b2": eq[1]},
+        "dissipation": {"n_pairs": dis.n_pairs,
+                        "n_violations": dis.n_violations,
+                        "worst_margin": dis.worst_margin,
+                        "worst_t": dis.worst_t, "tolerance": dis.tolerance,
+                        "passed": dis.passed},
     }
-    try:
-        summary["decay_fit"] = diagnostics.fit_decay_rate(traj).as_dict()
-    except PiezobeamError:
-        pass
-    if traj.multipliers is not None:
-        try:
-            b1, b2 = diagnostics.lyapunov_equivalence(traj, traj.multipliers)
-            summary["equivalence"] = {"b1": b1, "b2": b2}
-        except PiezobeamError:
-            pass
-    summary["dissipation"] = diagnostics.energy_dissipation_check(
-        traj, cert).as_dict()
     with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
         json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True,
                   allow_nan=False)

@@ -8,7 +8,8 @@ semi-discrete system is conserved up to time-integration error only).  The
 delay-free parts are the state's core; int_vt2_delayed is int z^2 dx of its
 delayed velocity z.  The delay-energy double integral is a trapezoid over the
 history's cached square integrals with an exponential kernel and a partial
-cell at the moving lower endpoint.
+cell at the moving lower endpoint.  The checks of a finished run take the
+trajectory alone, with the certificate and multipliers it carries.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ class Multipliers:
     def combine(self, e, k1, k2, k3):
         """L = N*E + N1*K1 + N2*K2 + N3*K3, on floats or arrays."""
         return self.n * e + self.n1 * k1 + self.n2 * k2 + self.n3 * k3
-
-    def as_dict(self):
-        return {"N": self.n, "N1": self.n1, "N2": self.n2, "N3": self.n3,
-                "c_prime": self.c_prime}
 
 
 def default_poincare_constant(length):
@@ -202,14 +199,10 @@ class DissipationReport:
     def passed(self):
         return self.n_violations == 0
 
-    def as_dict(self):
-        return {"n_pairs": self.n_pairs, "n_violations": self.n_violations,
-                "worst_margin": self.worst_margin, "worst_t": self.worst_t,
-                "tolerance": self.tolerance, "passed": self.passed}
 
-
-def energy_dissipation_check(trajectory, certificate):
-    """Check dE/dt <= -C (int v_t^2 + delayed) - C * kernel integral, discretely.
+def energy_dissipation_check(trajectory):
+    """Check dE/dt <= -C (int v_t^2 + delayed) - C * kernel integral, discretely,
+    with C the constant of the trajectory's certificate.
 
     The continuum inequality is checked between consecutive records with the
     right-hand side averaged over the pair and a resolution-scaled tolerance
@@ -217,8 +210,8 @@ def energy_dissipation_check(trajectory, certificate):
     """
     if len(trajectory) < 2:
         return DissipationReport(0, 0, -math.inf, math.nan, 0.0)
-    cmin = certificate.c if math.isfinite(certificate.c) else 0.0
-    cmin = max(cmin, 0.0)
+    cmin = trajectory.certificate.c
+    cmin = max(cmin, 0.0) if math.isfinite(cmin) else 0.0
     t, e = trajectory.times, trajectory.energies
     scale = max(float(e[0]), 1.0)
     tol = C_TOL * (trajectory.dt**2 + trajectory.grid.dx**2) * scale
@@ -235,8 +228,12 @@ def energy_dissipation_check(trajectory, certificate):
                              float(margin[worst]), float(t[worst + 1]), tol)
 
 
-def lyapunov_equivalence(trajectory, multipliers):
-    """Empirical equivalence ratios (b1, b2) of the combined functional vs E."""
+def lyapunov_equivalence(trajectory):
+    """Empirical equivalence ratios (b1, b2) of the trajectory's combined
+    functional vs E; undefined without multipliers (an invalid certificate)."""
+    if trajectory.multipliers is None:
+        raise UndefinedRatioError("trajectory has no Lyapunov multipliers; "
+                                  "equivalence ratios are undefined")
     e = trajectory.energies
     pos = e > 0
     if not pos.any():
@@ -244,7 +241,7 @@ def lyapunov_equivalence(trajectory, multipliers):
             "trajectory has no positive-energy samples; equivalence ratios "
             "are undefined")
     k1, k2, k3 = (trajectory.column(k)[pos] for k in ("K1", "K2", "K3"))
-    ratios = multipliers.combine(e[pos], k1, k2, k3) / e[pos]
+    ratios = trajectory.multipliers.combine(e[pos], k1, k2, k3) / e[pos]
     return float(ratios.min()), float(ratios.max())
 
 
@@ -256,10 +253,6 @@ class DecayFit:
     h2: float
     r_squared: float
     window: tuple
-
-    def as_dict(self):
-        return {"H1": self.h1, "H2": self.h2, "r_squared": self.r_squared,
-                "window": list(self.window)}
 
 
 def fit_decay_rate(trajectory):

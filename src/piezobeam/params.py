@@ -357,18 +357,6 @@ class StabilityCertificate:
     def c(self):
         return min(self.c1, self.c2, self.c3)
 
-    def as_dict(self):
-        return {
-            "xi_bar": self.xi_bar,
-            "lambda": self.lam,
-            "C1": self.c1,
-            "C2": self.c2,
-            "C3": self.c3,
-            "C": self.c,
-            "valid": self.valid,
-            "diagnostics": list(self.diagnostics),
-        }
-
 
 def build_certificate(delay, weights, horizon=40.0, xi_bar=None, lam=None):
     """Assemble the full certificate: assumption checks, weight, rate, constants.

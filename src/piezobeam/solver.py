@@ -527,7 +527,6 @@ class Trajectory:
     step is a multiple of field_stride, and the last: only recorded steps
     count, so output_stride 10 and field_stride 25 keep steps 0, 50, 100..."""
 
-    scenario: "object"
     certificate: "object"
     multipliers: "object"
     dt: float
@@ -601,7 +600,7 @@ def run(scenario, collect_fields=True):
     stride = scenario.output_stride
     n_rows = n_steps // stride + 1 + (n_steps % stride > 0)
     _check_run_floats(n_rows, len(COLUMNS), "the record")
-    traj = Trajectory(scenario, certificate, multipliers, dt, grid,
+    traj = Trajectory(certificate, multipliers, dt, grid,
                       np.empty((n_rows, len(COLUMNS))))
     filled = 0
 

@@ -74,7 +74,7 @@ def test_criterion_2_undamped_conservation(undamped_scenario):
 
 
 def test_criterion_3_dissipation_inequality(certified_run):
-    rep = energy_dissipation_check(certified_run, certified_run.certificate)
+    rep = energy_dissipation_check(certified_run)
     ok = rep.n_pairs > 0 and rep.n_violations == 0
     assert _line(ok, 3,
                  f"{rep.n_violations} violations of {rep.n_pairs} record "
@@ -94,7 +94,7 @@ def test_criterion_4_exponential_decay(certified_run):
 
 def test_criterion_5_lyapunov_equivalence(certified_run, certified_scenario):
     mult = certified_run.multipliers
-    b1, b2 = lyapunov_equivalence(certified_run, mult)
+    b1, b2 = lyapunov_equivalence(certified_run)
 
     # direct substitution of the five multiplier sign conditions, written out
     # independently of the library implementation

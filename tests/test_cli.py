@@ -217,6 +217,41 @@ class TestSimulate:
         assert summary["dissipation"]["n_violations"] == 0
         assert summary["equivalence"]["b1"] > 0
 
+    @pytest.mark.parametrize("preset", ["certified-decay", "undamped"])
+    def test_summary_key_tree(self, tmp_path, preset):
+        # every key of every block, with its JSON type; an invalid
+        # certificate has no multipliers, so no equivalence ratios
+        def tree(obj):
+            if isinstance(obj, dict):
+                return {k: tree(v) for k, v in obj.items()}
+            return None if obj is None else type(obj).__name__
+
+        cfg = load_config(preset)
+        cfg["numerics"].update(n=11, horizon_s=1.0)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                     "--out", out]) == EXIT_OK
+        with open(os.path.join(out, "summary.json")) as fh:
+            got = tree(json.load(fh))
+        want = {
+            "status": "str",
+            "certificate": {"xi_bar": "float", "lambda": "float",
+                            "C1": "float", "C2": "float", "C3": "float",
+                            "C": "float", "valid": "bool",
+                            "diagnostics": "list"},
+            "multipliers": {"N": "float", "N1": "float", "N2": "float",
+                            "N3": "float", "c_prime": "float"},
+            "decay_fit": {"H1": "float", "H2": "float", "r_squared": "float",
+                          "window": "list"},
+            "equivalence": {"b1": "float", "b2": "float"},
+            "dissipation": {"n_pairs": "int", "n_violations": "int",
+                            "worst_margin": "float", "worst_t": "float",
+                            "tolerance": "float", "passed": "bool"},
+        }
+        if preset == "undamped":
+            want.update(multipliers=None, equivalence=None)
+        assert got == want
+
     def test_trajectory_header(self, sim_dir):
         with open(os.path.join(sim_dir, "trajectory.csv")) as fh:
             header = fh.readline().strip()
@@ -278,29 +313,35 @@ class TestSimulate:
         assert err.startswith("error: multiplier search needs gamma > 0")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("section,key,value,numerics,message", [
-        ("beam", "rho", 1e200, {}, "multiplier inequalities are past"),
+    @pytest.mark.parametrize("section,key,value,numerics,message,check", [
+        ("beam", "rho", 1e200, {}, "multiplier inequalities are past",
+         EXIT_OK),
         ("weights", "delta1", {"kind": "constant", "value": 1e200}, {},
-         "multiplier inequalities are past"),
+         "multiplier inequalities are past", EXIT_OK),
         ("beam", "length_m", 1e200, {}, "grid spacing 9.999999999999999e+198 "
-         "squared is past the float range"),
+         "squared is past the float range", EXIT_VERIFICATION),
         ("beam", "length_m", 1e200, {"integrator": "implicit"},
-         "grid spacing 9.999999999999999e+198 squared is past"),
+         "grid spacing 9.999999999999999e+198 squared is past",
+         EXIT_VERIFICATION),
         ("beam", "length_m", 2.5e154, {"n": 3},
-         "Poincare constant of length 2.5e+154 is past the float range"),
+         "Poincare constant of length 2.5e+154 is past the float range",
+         EXIT_OK),
     ], ids=["rho", "delta1", "length", "length-implicit", "poincare"])
     def test_overflowing_value_exits_3(self, tmp_path, capsys, section, key,
-                                       value, numerics, message):
-        # a square past the float range raises OverflowError in Python
+                                       value, numerics, message, check):
+        # a square past the float range raises OverflowError in Python;
+        # check refuses the grid spacing as simulate does, but runs no
+        # multiplier search
         cfg = _quick_cfg(**{"n": 11, "horizon_s": 0.5, **numerics})
         cfg[section][key] = value
         path = _write_cfg(tmp_path, cfg)
-        assert main(["check", "--config", path]) == EXIT_OK
-        capsys.readouterr()
+        assert main(["check", "--config", path]) == check
+        check_err = capsys.readouterr().err
         assert main(["simulate", "--config", path,
                      "--out", str(tmp_path / "out")]) == EXIT_VERIFICATION
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
+        assert check_err == (err if check == EXIT_VERIFICATION else "")
 
     @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
     def test_grid_spacing_squared_underflow_exits_3(self, tmp_path, capsys,
@@ -311,14 +352,18 @@ class TestSimulate:
                          integrator=integrator)
         cfg["beam"]["length_m"] = 1e-170
         cfg["weights"]["beta0"] = 1.1
+        path = _write_cfg(tmp_path, cfg)
         out = str(tmp_path / "out")
+        message = (f"error: grid spacing {1e-170 / 10} squared is past the "
+                   "float range\n")
+        # check refuses it too, before it prints anything
+        assert main(["check", "--config", path]) == EXIT_VERIFICATION
+        assert capsys.readouterr() == ("", message)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+            assert main(["simulate", "--config", path,
                          "--out", out]) == EXIT_VERIFICATION
-        assert capsys.readouterr().err == (
-            f"error: grid spacing {1e-170 / 10} squared is past the float "
-            "range\n")
+        assert capsys.readouterr().err == message
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
@@ -353,7 +398,7 @@ class TestSimulate:
           "gamma": 0.0},
          "[[0.0, -0.0], [-0.0, 0.0]] give no positive wave speed"),
     ], ids=["overflow", "underflow"])
-    def test_beam_coefficients_past_float_range_exit_3(
+    def test_beam_coefficients_past_float_range_exit_1(
             self, tmp_path, capsys, beam, message, dt_s):
         # alpha/rho is inf, or every coefficient underflows to 0: the beam
         # is malformed, so check and simulate both refuse it as the config
@@ -626,7 +671,7 @@ class TestSweepCommand:
                                               ["true", "error"]]
         assert rows[1][-1].startswith("multiplier inequalities are past")
 
-    def test_overflowing_beam_coefficient_is_error_row(self, tmp_path):
+    def test_overflowing_beam_coefficient_is_infeasible_row(self, tmp_path):
         # alpha 1e300: at rho 1 the CFL step is too short for a table, an
         # error row; at rho 1e-300 alpha/rho is inf, a malformed beam, so
         # the point is infeasible

@@ -283,12 +283,14 @@ class TestSelectMultipliers:
                                certified_scenario.weights, NULL_CERT)
 
 
-def _fake_trajectory(ts, energies, k1=0.0, k2=0.0, k3=0.0):
+def _fake_trajectory(ts, energies, k1=0.0, k2=0.0, k3=0.0, certificate=None,
+                     multipliers=None):
     data = np.zeros((len(ts), len(COLUMNS)))
     for name, col in (("t", ts), ("E", energies), ("K1", k1), ("K2", k2),
                       ("K3", k3), ("L", math.nan)):
         data[:, COLUMNS.index(name)] = col
-    return Trajectory(None, None, None, dt=ts[1] - ts[0] if len(ts) > 1 else 1.0,
+    return Trajectory(certificate, multipliers,
+                      dt=ts[1] - ts[0] if len(ts) > 1 else 1.0,
                       grid=Grid(101, 1.0), data=data)
 
 
@@ -325,27 +327,35 @@ class TestDecayFit:
 class TestEquivalence:
     def test_pure_energy_trajectory(self):
         ts = np.linspace(0.0, 1.0, 11)
-        traj = _fake_trajectory(ts, np.exp(-ts))
         mult = Multipliers(4.0, 1.0, 1.0, 1.0, 0.4)
-        b1, b2 = lyapunov_equivalence(traj, mult)
+        traj = _fake_trajectory(ts, np.exp(-ts), multipliers=mult)
+        b1, b2 = lyapunov_equivalence(traj)
         assert b1 == b2 == 4.0
 
     def test_single_sample(self):
-        traj = _fake_trajectory([0.0], [1.0], k1=0.5)
         mult = Multipliers(4.0, 2.0, 0.0, 0.0, 0.4)
-        b1, b2 = lyapunov_equivalence(traj, mult)
+        traj = _fake_trajectory([0.0], [1.0], k1=0.5, multipliers=mult)
+        b1, b2 = lyapunov_equivalence(traj)
         assert b1 == b2 == 5.0
 
     def test_all_zero_energy(self):
-        traj = _fake_trajectory(np.linspace(0, 1, 5), np.zeros(5))
+        traj = _fake_trajectory(np.linspace(0, 1, 5), np.zeros(5),
+                                multipliers=Multipliers(1, 1, 1, 1, 0.4))
         with pytest.raises(UndefinedRatioError):
-            lyapunov_equivalence(traj, Multipliers(1, 1, 1, 1, 0.4))
+            lyapunov_equivalence(traj)
+
+    def test_no_multipliers(self):
+        # an invalid certificate's run carries no multipliers
+        traj = _fake_trajectory(np.linspace(0, 1, 5), np.exp(-np.arange(5)),
+                                certificate=NULL_CERT)
+        with pytest.raises(UndefinedRatioError, match="multipliers"):
+            lyapunov_equivalence(traj)
 
 
 class TestDissipationCheck:
     def test_single_sample_empty_report(self):
-        traj = _fake_trajectory([0.0], [1.0])
-        rep = energy_dissipation_check(traj, NULL_CERT)
+        traj = _fake_trajectory([0.0], [1.0], certificate=NULL_CERT)
+        rep = energy_dissipation_check(traj)
         assert rep.n_pairs == 0
         assert rep.passed
 
@@ -353,6 +363,6 @@ class TestDissipationCheck:
         from piezobeam import run
         sc = dataclasses.replace(undamped_scenario, horizon=2.0)
         traj = run(sc, collect_fields=False)
-        rep = energy_dissipation_check(traj, traj.certificate)
+        rep = energy_dissipation_check(traj)
         assert rep.n_pairs == len(traj) - 1
         assert rep.n_violations == 0

@@ -371,30 +371,30 @@ def windows(traj, width, step=1):
 @pytest.mark.parametrize("c_tol", [10.0, 0.0])
 def test_dissipation_check_matches_reference(short_run, c_tol, monkeypatch):
     monkeypatch.setattr(diagnostics, "C_TOL", c_tol)
-    cert = short_run.certificate
     for traj in windows(short_run, 3):
-        got = energy_dissipation_check(traj, cert)
-        assert repr(got) == repr(ref_energy_dissipation_check(traj, cert,
-                                                              c_tol))
+        got = energy_dissipation_check(traj)
+        assert repr(got) == repr(ref_energy_dissipation_check(
+            traj, traj.certificate, c_tol))
 
 
 def test_dissipation_check_tie_reports_first_pair(certified_scenario):
     # equal margins on every pair: the first pair is the worst one
     data = np.zeros((5, len(solver.COLUMNS)))
     data[:, 0] = 0.1 * np.arange(5)
-    traj = solver.Trajectory(None, None, None, dt=0.1, grid=Grid(101, 1.0),
-                             data=data)
-    cert = certified_scenario.certificate
-    got = energy_dissipation_check(traj, cert)
-    assert repr(got) == repr(ref_energy_dissipation_check(traj, cert))
+    traj = solver.Trajectory(certified_scenario.certificate, None, dt=0.1,
+                             grid=Grid(101, 1.0), data=data)
+    got = energy_dissipation_check(traj)
+    assert repr(got) == repr(ref_energy_dissipation_check(traj,
+                                                          traj.certificate))
     assert got.worst_t == 0.1
 
 
 def test_equivalence_matches_reference(short_run):
     mult = short_run.multipliers or Multipliers(8.0, 2.0, 1.0, 4.0, 0.4)
-    for traj in windows(short_run, 1):
-        got = lyapunov_equivalence(traj, mult)
-        assert repr(got) == repr(ref_lyapunov_equivalence(traj, mult))
+    for traj in windows(dataclasses.replace(short_run, multipliers=mult), 1):
+        got = lyapunov_equivalence(traj)
+        assert repr(got) == repr(ref_lyapunov_equivalence(traj,
+                                                          traj.multipliers))
     if short_run.multipliers is not None:
         lyap = [mult.n * r["E"] + mult.n1 * r["K1"] + mult.n2 * r["K2"]
                 + mult.n3 * r["K3"] for r in ref_records(short_run)]
