@@ -4,7 +4,9 @@ Exit codes: 0 pass, 1 usage/parse error, 2 infeasible certificate,
 3 failed verification, 4 runtime divergence.  All file output uses dot
 decimal separators, newline line endings, and 17 significant digits, so
 reruns are byte-identical.  summary.json's keys are spelled only here:
-_write_outputs writes them and _report_lines reads them back.
+_write_outputs writes them and _report_lines reads them back.  check runs
+a run's set-up, solver.plan, and no step: it refuses what simulate refuses
+there, with the same exit code and stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from . import diagnostics
 from .errors import ConfigError, DivergenceError, PiezobeamError
 from .scenario import Scenario, load_config
-from .solver import COLUMNS, Grid, run
+from .solver import COLUMNS, plan, run
 from .sweep import SweepSpec, execute
 
 EXIT_OK = 0
@@ -52,7 +54,7 @@ def _print_certificate(cert):
 
 def cmd_check(args):
     scenario = Scenario.from_dict(load_config(args.config))
-    Grid(scenario.n, scenario.beam.length)  # refuses a spacing as run() does
+    plan(scenario)  # refuses what a run's set-up refuses
     cert = scenario.certificate
     print("assumption checks:")
     for name, c in cert.assumptions.items():
@@ -233,7 +235,7 @@ def build_parser():
                     "piezoelectric beam system")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="validate assumptions and print the certificate")
+    p = sub.add_parser("check", help="set up as simulate does, print the certificate")
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_check)
 

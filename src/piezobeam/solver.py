@@ -11,7 +11,7 @@ and wave speed; both steppers end in one tail (blow-up guard, push, evict).
 A state is built whole: its delay-free energy parts (the guard's and the
 record's), its delayed velocity v_t(t - tau(t)), sampled once per state, and
 an explicit step's acceleration (the next step's first) sit beside its fields.
-The steppers, the record and the history's stamps read run()'s profile_table.
+The steppers, the record and the history's stamps read plan()'s profile_table.
 No state changes, so the trajectory keeps the recorded states
 themselves as its field snapshots, with the run's Grid beside them.
 
@@ -360,9 +360,11 @@ def _finish_step(state, fields, history, operator, label):
     core = _core_energy(*fields, operator)
     if not math.isfinite(core.total) or (
             e_before > 1e-300 and core.total > 10.0 * e_before):
+        cause = ("time step too large" if math.isfinite(e_before)
+                 else "energy already non-finite before the step")
         raise DivergenceError(
             f"energy blow-up guard tripped during {label} "
-            f"({e_before:.3e} -> {core.total:.3e}); time step too large",
+            f"({e_before:.3e} -> {core.total:.3e}); {cause}",
         )
     history.push(fields[1], core.int_vt2)
     history.evict()
@@ -550,14 +552,11 @@ class Trajectory:
         return self.column("E")
 
 
-def run(scenario, collect_fields=True):
-    """Integrate a scenario and record energy/Lyapunov diagnostics.
-
-    Deterministic: fixed dt (CFL- and delay-clamped, then rounded so an
-    integer number of steps hits the horizon exactly), no randomness.
-    A DivergenceError, or a HistoryUnderrunError after step 0, is raised
-    with .step and the partial trajectory (.trajectory) attached.
-    """
+def plan(scenario):
+    """run()'s set-up before its initial fields, with every refusal it makes
+    there: (grid, operator, dt, n_steps, profiles, span, multipliers,
+    n_rows).  dt is CFL- and delay-clamped, then rounded so whole steps hit
+    the horizon; multipliers is None for an invalid certificate."""
     grid = Grid(scenario.n, scenario.beam.length)
     operator = SpatialOperator(scenario.beam, grid)
     certificate = scenario.certificate
@@ -587,19 +586,27 @@ def run(scenario, collect_fields=True):
     span = max(0.0, min(scenario.delay.tau_bar, tau_max))
     # init_history's ring, refused before any array of n floats is made
     HistoryBuffer.check_rows(dt, span + 2.0 * dt, grid.n)
+    multipliers = (diagnostics.select_multipliers(
+        scenario.beam, scenario.weights, certificate)
+        if certificate.valid else None)
+    stride = scenario.output_stride
+    n_rows = n_steps // stride + 1 + (n_steps % stride > 0)
+    _check_run_floats(n_rows, len(COLUMNS), "the record")
+    return grid, operator, dt, n_steps, profiles, span, multipliers, n_rows
+
+
+def run(scenario, collect_fields=True):
+    """Integrate a scenario as plan(scenario) sets it up and record its
+    diagnostics; a DivergenceError, or a HistoryUnderrunError after step 0,
+    carries .step and the partial trajectory (.trajectory)."""
+    (grid, operator, dt, n_steps, profiles, span, multipliers,
+     n_rows) = plan(scenario)
+    certificate = scenario.certificate
     *fields, g0 = initial_fields(scenario, grid.x)
     history = init_history(grid, span, g0, dt, profiles[:, 0])
     state = initial_state(fields, history, operator, float(profiles[0, 1]),
                           scenario.integrator == "explicit")
-
-    multipliers = None
-    if certificate.valid:
-        multipliers = diagnostics.select_multipliers(
-            scenario.beam, scenario.weights, certificate)
-
     stride = scenario.output_stride
-    n_rows = n_steps // stride + 1 + (n_steps % stride > 0)
-    _check_run_floats(n_rows, len(COLUMNS), "the record")
     traj = Trajectory(certificate, multipliers, dt, grid,
                       np.empty((n_rows, len(COLUMNS))))
     filled = 0

@@ -83,7 +83,7 @@ class TestCheck:
 
     @pytest.mark.parametrize("section,key,value,reason", [
         ("delay", "tau_bar_s", 0.0, "need tau_bar > 0, got 0.0"),
-        ("certificate", "lambda", -2000.0,
+        ("certificate", "lambda", -1.0,
          "dissipation_constant_C3_nonpositive")])
     def test_nonpositive_tau_bar_or_lambda_exits_2(self, tmp_path, capsys,
                                                    section, key, value,
@@ -201,6 +201,70 @@ class TestCheck:
                               "gamma**2 * beta must be > 0 (got -inf)")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("patch,max_floats,code,message", [
+        ({"beam.length_m": 1e-170}, None, EXIT_VERIFICATION,
+         "grid spacing 1e-171 squared is past the float range\n"),
+        ({"delay": {"kind": "constant", "value_s": 4e-200, "tau0_s": 4e-200,
+                    "tau_bar_s": 4e-200},
+          "weights.beta0": 0.3, "numerics.dt_s": 1e-200}, None, EXIT_USAGE,
+         "time step 1e-200 squared is outside the float range\n"),
+        ({"numerics.horizon_s": 1e6}, 10_000, EXIT_USAGE,
+         "the profile table needs "),
+        ({"certificate.lambda": -3000.0}, None, EXIT_USAGE,
+         "certificate lambda -3000.0 puts the delay kernel weight"),
+        ({"numerics.dt_s": 5e-4}, 10_000, EXIT_USAGE,
+         "the history ring needs "),
+        ({"beam.gamma": 0.0}, None, EXIT_VERIFICATION,
+         "multiplier search needs gamma > 0"),
+        ({"beam.rho": 1e200}, None, EXIT_VERIFICATION,
+         "multiplier inequalities are past the float range"),
+        ({"weights.delta1": {"kind": "constant", "value": 1e200}}, None,
+         EXIT_VERIFICATION, "multiplier inequalities are past"),
+        ({"beam.length_m": 2.5e154, "numerics.n": 3}, None,
+         EXIT_VERIFICATION,
+         "Poincare constant of length 2.5e+154 is past the float range\n"),
+        ({"numerics.dt_s": 0.01, "numerics.horizon_s": 9.99,
+          "numerics.output_stride": 1}, 10_000, EXIT_USAGE,
+         "the record needs 1000 x 14 floats"),
+    ], ids=["grid-spacing", "dt-squared", "profile-table", "lambda", "ring",
+            "gamma", "rho", "delta1", "poincare", "record"])
+    def test_refuses_what_simulate_refuses(self, tmp_path, capsys,
+                                           monkeypatch, patch, max_floats,
+                                           code, message):
+        # check takes run()'s set-up, solver.plan, so it exits as simulate
+        # does before its first step, with the same error line
+        if max_floats is not None:
+            monkeypatch.setattr(solver, "MAX_RUN_FLOATS", max_floats)
+        cfg = _quick_cfg(n=11, horizon_s=0.5)
+        for path, value in patch.items():
+            *sections, key = path.split(".")
+            section = cfg
+            for name in sections:
+                section = section[name]
+            section[key] = value
+        path, out = _write_cfg(tmp_path, cfg), str(tmp_path / "out")
+        assert main(["check", "--config", path]) == code
+        check_out, check_err = capsys.readouterr()
+        assert main(["simulate", "--config", path, "--out", out]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert (check_out, check_err) == ("", err)
+        assert not os.path.exists(out)
+
+    def test_takes_no_step(self, capsys, monkeypatch):
+        assert main(["check", "--config", "certified-decay"]) == EXIT_OK
+        expected = capsys.readouterr().out
+
+        def refused(*args, **kwargs):
+            raise AssertionError("check started a run")
+
+        for name in ("initial_fields", "init_history"):
+            monkeypatch.setattr(solver, name, refused)
+        for name in ("explicit", "implicit"):
+            monkeypatch.setitem(solver.STEPPERS, name, refused)
+        assert main(["check", "--config", "certified-decay"]) == EXIT_OK
+        assert capsys.readouterr() == (expected, "")
+
 
 class TestSimulate:
     def test_outputs_exist(self, sim_dir):
@@ -313,35 +377,27 @@ class TestSimulate:
         assert err.startswith("error: multiplier search needs gamma > 0")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("section,key,value,numerics,message,check", [
-        ("beam", "rho", 1e200, {}, "multiplier inequalities are past",
-         EXIT_OK),
+    @pytest.mark.parametrize("section,key,value,numerics,message", [
+        ("beam", "rho", 1e200, {}, "multiplier inequalities are past"),
         ("weights", "delta1", {"kind": "constant", "value": 1e200}, {},
-         "multiplier inequalities are past", EXIT_OK),
+         "multiplier inequalities are past"),
         ("beam", "length_m", 1e200, {}, "grid spacing 9.999999999999999e+198 "
-         "squared is past the float range", EXIT_VERIFICATION),
+         "squared is past the float range"),
         ("beam", "length_m", 1e200, {"integrator": "implicit"},
-         "grid spacing 9.999999999999999e+198 squared is past",
-         EXIT_VERIFICATION),
+         "grid spacing 9.999999999999999e+198 squared is past"),
         ("beam", "length_m", 2.5e154, {"n": 3},
-         "Poincare constant of length 2.5e+154 is past the float range",
-         EXIT_OK),
+         "Poincare constant of length 2.5e+154 is past the float range"),
     ], ids=["rho", "delta1", "length", "length-implicit", "poincare"])
     def test_overflowing_value_exits_3(self, tmp_path, capsys, section, key,
-                                       value, numerics, message, check):
-        # a square past the float range raises OverflowError in Python;
-        # check refuses the grid spacing as simulate does, but runs no
-        # multiplier search
+                                       value, numerics, message):
+        # a square past the float range raises OverflowError in Python
         cfg = _quick_cfg(**{"n": 11, "horizon_s": 0.5, **numerics})
         cfg[section][key] = value
         path = _write_cfg(tmp_path, cfg)
-        assert main(["check", "--config", path]) == check
-        check_err = capsys.readouterr().err
         assert main(["simulate", "--config", path,
                      "--out", str(tmp_path / "out")]) == EXIT_VERIFICATION
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and "Traceback" not in err
-        assert check_err == (err if check == EXIT_VERIFICATION else "")
 
     @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
     def test_grid_spacing_squared_underflow_exits_3(self, tmp_path, capsys,
@@ -471,9 +527,9 @@ class TestSimulate:
         assert err == ("error: delay tau0_s must be > 0 to simulate, "
                        f"got {tau0}\n")
         assert not os.path.exists(out)
-        # check reports the violated lower bound
-        assert main(["check", "--config", path]) == EXIT_INFEASIBLE
-        assert "  violated: delay_lower_bound\n" in capsys.readouterr().out
+        # check refuses it as simulate does, before it prints anything
+        assert main(["check", "--config", path]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize("lam,code", [(-3000.0, EXIT_USAGE),
                                           (-1.0, EXIT_OK)])
@@ -516,6 +572,24 @@ class TestSimulate:
             assert summary["certificate"]["valid"] is False
             assert summary["certificate"]["C"] is None
         assert main(["report", "--dir", out]) == EXIT_VERIFICATION
+
+    def test_nonfinite_initial_energy_is_not_blamed_on_the_step(
+            self, tmp_path, capsys):
+        # amplitude 1e200 makes E(0) inf: the guard trips on the first
+        # step, but no time step is at fault
+        cfg = _quick_cfg(n=11, horizon_s=0.5)
+        cfg["initial"]["amplitude"] = 1e200
+        out = str(tmp_path / "out")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                         "--out", out])
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "divergence: energy blow-up guard tripped during explicit step "
+            "(inf -> inf); energy already non-finite before the step "
+            "(step 1)\n")
+        with open(os.path.join(out, "summary.json")) as fh:
+            assert json.load(fh)["status"] == "diverged"
 
     def test_divergent_run_exits_4_with_partial_output(self, tmp_path):
         # force an unstable explicit step with a huge dt override

@@ -132,14 +132,14 @@ def test_run_matches_reference(certified_scenario):
     cert = traj.certificate
     assert cert.valid
 
-    # replay the run's steps, mirroring every snapshot into the reference
-    grid = Grid(sc.n, sc.beam.length)
-    op = SpatialOperator(sc.beam, grid)
+    # replay the run's steps from its own set-up, mirroring every snapshot
+    # into the reference
+    grid, op, dt, _, table, span, _, _ = solver.plan(sc)
+    assert dt == traj.dt
     *fields, g0 = initial_fields(sc, grid.x)
-    table = profile_table(sc.delay, sc.weights, traj.dt, len(traj) - 1)
-    history = init_history(grid, sc.delay.tau_bar, g0, traj.dt, table[:, 0])
+    history = init_history(grid, span, g0, dt, table[:, 0])
     state = initial_state(fields, history, op, table[0, 1], True)
-    ref = RefHistory(traj.dt, history.span, grid.dx)
+    ref = RefHistory(dt, history.span, grid.dx)
     for t in history.times:
         ref.push(t, history.sample(t))
 
@@ -148,7 +148,7 @@ def test_run_matches_reference(certified_scenario):
     ks = np.column_stack([traj.column(name) for name in ("K1", "K2", "K3")])
     for k, (t, k_got) in enumerate(zip(traj.times, ks)):
         if k:
-            state = step_explicit(state, history, op, table, k - 1, traj.dt)
+            state = step_explicit(state, history, op, table, k - 1, dt)
             ref.push(state.t, state.vt)
             ref.evict(state.t)
         assert t == state.t
@@ -156,7 +156,7 @@ def test_run_matches_reference(certified_scenario):
                                       sc.weights, grid.dx))
         k_err.append(max(abs(got - want) for got, want in zip(
             k_got, ref_lyapunov(state, sc.beam, grid.dx))))
-    assert len(e_ref) == int(round(2.0 / traj.dt)) + 1
+    assert len(e_ref) == int(round(2.0 / dt)) + 1
 
     e_ref = np.array(e_ref)
     rel = np.abs(traj.energies - e_ref) / e_ref

@@ -638,6 +638,26 @@ class TestSteppers:
 
 
 class TestRun:
+    def test_plans_once(self, certified_scenario, monkeypatch):
+        # run() takes its set-up from one plan call, so a valid run chooses
+        # its multipliers once
+        calls = {"plan": 0, "select_multipliers": 0}
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(solver, "plan")
+        count(solver.diagnostics, "select_multipliers")
+        sc = dataclasses.replace(certified_scenario, n=11, horizon=0.5)
+        assert run(sc, collect_fields=False).multipliers is not None
+        assert calls == {"plan": 1, "select_multipliers": 1}
+
     def test_zero_horizon_single_record(self, certified_scenario):
         traj = run(dataclasses.replace(certified_scenario, horizon=0.0),
                    collect_fields=False)
