@@ -201,11 +201,10 @@ def _write_kind(obj, name):
 
 
 def initial_fields(scenario, x):
-    """Initial (v0, v1, p0, p1) arrays plus the history function g0(x, s).
+    """Initial (v0, v1, p0, p1) arrays on the nodes x.
 
-    Every preset satisfies v(0)=p(0)=0 and zero slope at x=L; g0 extends the
-    initial velocity constantly in time, so the newest history entry matches
-    the initial velocity by construction.
+    Every preset satisfies v(0)=p(0)=0 and zero slope at x=L; the run's
+    history holds v1 at every stamp before t = 0 (solver.init_history).
     """
     amp = scenario.initial_amplitude
     length = scenario.beam.length
@@ -220,11 +219,7 @@ def initial_fields(scenario, x):
     v1 = np.zeros_like(x)
     p0 = np.zeros_like(x)
     p1 = np.zeros_like(x)
-
-    def g0(xs, s):
-        return np.interp(xs, x, v1)
-
-    return v0, v1, p0, p1, g0
+    return v0, v1, p0, p1
 
 
 def load_config(path_or_name):

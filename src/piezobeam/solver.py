@@ -2,18 +2,21 @@
 
 Spatial layout: uniform grid on [0, L], Dirichlet at x=0 for both fields,
 zero-slope (Neumann) closure at x=L.  The delayed velocity v_t(x, t - tau(t))
-is realized by a history ring on the run's stamps (-k*dt, then the step
-times) with linear interpolation, not by discretizing the auxiliary
-transport variable on a second axis.  The Grid owns the spacing and the
-read-only trapezoid weight vector of every spatial integral, the history's
-included; the SpatialOperator owns the 2x2 coefficient matrix of its stencil
-and wave speed; both steppers end in one tail (blow-up guard, push, evict).
-A state is built whole: its delay-free energy parts (the guard's and the
-record's), its delayed velocity v_t(t - tau(t)), sampled once per state, and
-an explicit step's acceleration (the next step's first) sit beside its fields.
-The steppers, the record and the history's stamps read plan()'s profile_table.
-No state changes, so the trajectory keeps the recorded states
-themselves as its field snapshots, with the run's Grid beside them.
+is realized by a history ring on the run's stamps (-k*dt, each holding the
+initial velocity, then the step times) with linear interpolation, not by
+discretizing the auxiliary transport variable on a second axis.  The Grid
+owns the spacing and the read-only trapezoid weight vector of every spatial
+integral, the history's included; the SpatialOperator owns the 2x2
+coefficient matrix of its stencil and wave speed; both steppers end in one
+tail (blow-up guard, push, evict).  A state is built whole: its delay-free
+energy parts (the guard's and the record's), its delayed velocity
+v_t(t - tau(t)), sampled once per state, and an explicit step's
+acceleration (the next step's first) sit beside its fields.  plan() sets a
+run up whole, through its history and its state at t = 0, with every
+refusal made before the first step; run() only steps and records.  The
+steppers, the record and the history's stamps read plan()'s profile_table.
+No state changes, so the trajectory keeps the recorded states themselves as
+its field snapshots, with the run's Grid beside them.
 
 Two integrators: an explicit central-difference (velocity-Verlet style) scheme
 with semi-implicit treatment of the instantaneous damping, and a backward-Euler
@@ -33,13 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import diagnostics
-from .errors import (
-    ConfigError,
-    DivergenceError,
-    GridError,
-    HistoryUnderrunError,
-    ProfileEvaluationError,
-)
+from .errors import (ConfigError, DivergenceError, GridError,
+                     HistoryUnderrunError)
 from .scenario import initial_fields
 
 
@@ -301,27 +299,21 @@ class HistoryBuffer:
         return total
 
 
-def init_history(grid, span, g0, dt, times):
-    """A history buffer on the run's stamps, pre-filled from the
-    initial-history function g0(x, s).
+def init_history(grid, span, vt0, dt, times):
+    """A history buffer on the run's stamps, every stamp before times[0]
+    holding vt0, the initial velocity extended constantly back in time.
 
     The stamps are s_k = -k*dt down past -span, the longest delay served
     (>= 0), then times, the run's step times from 0 (profile_table's t
-    column).  g0 fills the snapshots from s_k to times[0]; the newest (s=0)
-    matches the initial velocity when g0(., 0) does.
+    column); vt0's int v_t^2 is computed once for all its snapshots.
     """
     HistoryBuffer.check_rows(dt, span + 2.0 * dt, grid.n)  # before the stamps
     k_max = int(math.ceil((span + dt) / dt))
     stamps = np.concatenate((-np.arange(k_max, 0, -1) * dt, times))
     buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights, stamps)
-    x = grid.x
-    for s in stamps[:k_max + 1].tolist():
-        snap = np.asarray(g0(x, s), dtype=float)
-        if not np.all(np.isfinite(snap)):
-            raise ProfileEvaluationError(
-                f"initial history g0 non-finite at s={s:.6g}"
-            )
-        buf.push(snap)
+    sq = buf.square_integral(vt0)
+    for _ in range(k_max + 1):
+        buf.push(vt0, sq)
     return buf
 
 
@@ -360,12 +352,9 @@ def _finish_step(state, fields, history, operator, label):
     core = _core_energy(*fields, operator)
     if not math.isfinite(core.total) or (
             e_before > 1e-300 and core.total > 10.0 * e_before):
-        cause = ("time step too large" if math.isfinite(e_before)
-                 else "energy already non-finite before the step")
         raise DivergenceError(
             f"energy blow-up guard tripped during {label} "
-            f"({e_before:.3e} -> {core.total:.3e}); {cause}",
-        )
+            f"({e_before:.3e} -> {core.total:.3e}); time step too large")
     history.push(fields[1], core.int_vt2)
     history.evict()
     return core
@@ -553,10 +542,11 @@ class Trajectory:
 
 
 def plan(scenario):
-    """run()'s set-up before its initial fields, with every refusal it makes
-    there: (grid, operator, dt, n_steps, profiles, span, multipliers,
-    n_rows).  dt is CFL- and delay-clamped, then rounded so whole steps hit
-    the horizon; multipliers is None for an invalid certificate."""
+    """A run set up whole, with every refusal it makes before its first step:
+    (operator, dt, n_steps, profiles, multipliers, n_rows, history, state).
+    dt is CFL- and delay-clamped, then rounded so whole steps hit the
+    horizon; multipliers is None for an invalid certificate; state is the
+    one at t = 0, refused unless its energy is finite."""
     grid = Grid(scenario.n, scenario.beam.length)
     operator = SpatialOperator(scenario.beam, grid)
     certificate = scenario.certificate
@@ -564,10 +554,14 @@ def plan(scenario):
     dt0 = cfl_timestep(operator, scenario.delay, scenario.cfl_safety)
     if scenario.dt is not None:
         dt0 = min(scenario.dt, scenario.delay.tau0 / 4.0)
-    if not dt0 > 0:  # only tau0 <= 0 clamps the step to <= 0
+    if not scenario.delay.tau0 > 0:  # the step is clamped to tau0 / 4
         raise ConfigError(f"delay tau0_s must be > 0 to simulate, got "
                           f"{scenario.delay.tau0}")
-    n_steps = max(0, int(math.ceil(scenario.horizon / dt0 - 1e-12)))
+    steps = scenario.horizon / dt0 if dt0 > 0 else math.inf
+    if steps == math.inf:  # dt0 underflowed to 0, or the quotient overflows
+        raise ConfigError(f"time step {dt0} makes the step count over "
+                          f"horizon_s {scenario.horizon} past the float range")
+    n_steps = max(0, int(math.ceil(steps - 1e-12)))
     dt = scenario.horizon / n_steps if n_steps else dt0
     if not 0 < dt * dt < math.inf:  # the steps multiply and divide by dt**2
         raise ConfigError(f"time step {dt} squared is outside the float "
@@ -592,22 +586,25 @@ def plan(scenario):
     stride = scenario.output_stride
     n_rows = n_steps // stride + 1 + (n_steps % stride > 0)
     _check_run_floats(n_rows, len(COLUMNS), "the record")
-    return grid, operator, dt, n_steps, profiles, span, multipliers, n_rows
+    fields = initial_fields(scenario, grid.x)
+    with np.errstate(all="ignore"):  # a non-finite E(0) is refused below
+        history = init_history(grid, span, fields[1], dt, profiles[:, 0])
+        state = initial_state(fields, history, operator, float(profiles[0, 1]),
+                              scenario.integrator == "explicit")
+    if not math.isfinite(state.core.total):
+        raise ConfigError(f"initial energy {state.core.total} is not finite")
+    return operator, dt, n_steps, profiles, multipliers, n_rows, history, state
 
 
 def run(scenario, collect_fields=True):
-    """Integrate a scenario as plan(scenario) sets it up and record its
-    diagnostics; a DivergenceError, or a HistoryUnderrunError after step 0,
-    carries .step and the partial trajectory (.trajectory)."""
-    (grid, operator, dt, n_steps, profiles, span, multipliers,
-     n_rows) = plan(scenario)
+    """Integrate a scenario from plan(scenario) and record its diagnostics;
+    a DivergenceError, or a HistoryUnderrunError after step 0, carries .step
+    and the partial trajectory (.trajectory)."""
+    (operator, dt, n_steps, profiles, multipliers, n_rows, history,
+     state) = plan(scenario)
     certificate = scenario.certificate
-    *fields, g0 = initial_fields(scenario, grid.x)
-    history = init_history(grid, span, g0, dt, profiles[:, 0])
-    state = initial_state(fields, history, operator, float(profiles[0, 1]),
-                          scenario.integrator == "explicit")
     stride = scenario.output_stride
-    traj = Trajectory(certificate, multipliers, dt, grid,
+    traj = Trajectory(certificate, multipliers, dt, operator.grid,
                       np.empty((n_rows, len(COLUMNS))))
     filled = 0
 

@@ -81,8 +81,10 @@ class TestCheck:
         assert f"  violated: need 0 <= d < 1, got d={d}\n" in out
         assert "valid: False" in out
 
+    # a tau_bar_s of 0 voids the certificate too, but its history cannot
+    # serve the delay at t = 0, so the set-up refuses it first (exit 3; see
+    # test_refuses_what_simulate_refuses)
     @pytest.mark.parametrize("section,key,value,reason", [
-        ("delay", "tau_bar_s", 0.0, "need tau_bar > 0, got 0.0"),
         ("certificate", "lambda", -1.0,
          "dissipation_constant_C3_nonpositive")])
     def test_nonpositive_tau_bar_or_lambda_exits_2(self, tmp_path, capsys,
@@ -226,13 +228,30 @@ class TestCheck:
         ({"numerics.dt_s": 0.01, "numerics.horizon_s": 9.99,
           "numerics.output_stride": 1}, 10_000, EXIT_USAGE,
          "the record needs 1000 x 14 floats"),
+        ({"initial.amplitude": 1e200}, None, EXIT_USAGE,
+         "initial energy inf is not finite\n"),
+        ({"delay.tau_bar_s": 0.0}, None, EXIT_VERIFICATION,
+         "query t=-0.5 precedes history start "),
+        ({"numerics.horizon_s": 1e300, "numerics.dt_s": 1e-10}, None,
+         EXIT_USAGE, "time step 1e-10 makes the step count over horizon_s "
+         "1e+300 past the float range\n"),
+        ({"numerics.cfl_safety": 1e-320}, None, EXIT_USAGE,
+         "time step 6.2e-322 makes the step count over horizon_s 0.5 "),
+        ({"delay": {"kind": "constant", "value_s": 1e-310, "tau0_s": 1e-310,
+                    "tau_bar_s": 1e-310}}, None, EXIT_USAGE,
+         "time step 2.5e-311 makes the step count "),
+        ({"numerics.cfl_safety": 5e-324}, None, EXIT_USAGE,
+         "time step 0.0 makes the step count "),
     ], ids=["grid-spacing", "dt-squared", "profile-table", "lambda", "ring",
-            "gamma", "rho", "delta1", "poincare", "record"])
+            "gamma", "rho", "delta1", "poincare", "record", "initial-energy",
+            "tau-bar-0", "steps-horizon", "steps-cfl", "steps-delay",
+            "step-underflow"])
     def test_refuses_what_simulate_refuses(self, tmp_path, capsys,
                                            monkeypatch, patch, max_floats,
                                            code, message):
         # check takes run()'s set-up, solver.plan, so it exits as simulate
-        # does before its first step, with the same error line
+        # does before its first step, with the same error line and no
+        # numpy warning
         if max_floats is not None:
             monkeypatch.setattr(solver, "MAX_RUN_FLOATS", max_floats)
         cfg = _quick_cfg(n=11, horizon_s=0.5)
@@ -243,9 +262,11 @@ class TestCheck:
                 section = section[name]
             section[key] = value
         path, out = _write_cfg(tmp_path, cfg), str(tmp_path / "out")
-        assert main(["check", "--config", path]) == code
-        check_out, check_err = capsys.readouterr()
-        assert main(["simulate", "--config", path, "--out", out]) == code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", path]) == code
+            check_out, check_err = capsys.readouterr()
+            assert main(["simulate", "--config", path, "--out", out]) == code
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}")
         assert (check_out, check_err) == ("", err)
@@ -256,10 +277,8 @@ class TestCheck:
         expected = capsys.readouterr().out
 
         def refused(*args, **kwargs):
-            raise AssertionError("check started a run")
+            raise AssertionError("check took a step")
 
-        for name in ("initial_fields", "init_history"):
-            monkeypatch.setattr(solver, name, refused)
         for name in ("explicit", "implicit"):
             monkeypatch.setitem(solver.STEPPERS, name, refused)
         assert main(["check", "--config", "certified-decay"]) == EXIT_OK
@@ -572,24 +591,6 @@ class TestSimulate:
             assert summary["certificate"]["valid"] is False
             assert summary["certificate"]["C"] is None
         assert main(["report", "--dir", out]) == EXIT_VERIFICATION
-
-    def test_nonfinite_initial_energy_is_not_blamed_on_the_step(
-            self, tmp_path, capsys):
-        # amplitude 1e200 makes E(0) inf: the guard trips on the first
-        # step, but no time step is at fault
-        cfg = _quick_cfg(n=11, horizon_s=0.5)
-        cfg["initial"]["amplitude"] = 1e200
-        out = str(tmp_path / "out")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["simulate", "--config", _write_cfg(tmp_path, cfg),
-                         "--out", out])
-        assert code == EXIT_DIVERGED
-        assert capsys.readouterr().err == (
-            "divergence: energy blow-up guard tripped during explicit step "
-            "(inf -> inf); energy already non-finite before the step "
-            "(step 1)\n")
-        with open(os.path.join(out, "summary.json")) as fh:
-            assert json.load(fh)["status"] == "diverged"
 
     def test_divergent_run_exits_4_with_partial_output(self, tmp_path):
         # force an unstable explicit step with a huge dt override

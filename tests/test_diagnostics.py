@@ -52,8 +52,7 @@ def _state(x, v=None, vt=None, p=None, pt=None):
 
 
 def _zero_hist(grid, dt=0.01):
-    return init_history(grid, SPAN, lambda x, s: np.zeros_like(x), dt,
-                        [0.0])
+    return init_history(grid, SPAN, np.zeros(grid.n), dt, [0.0])
 
 
 def _row(state, hist, beam=BEAM):
@@ -79,8 +78,7 @@ class TestEnergy:
         beam = BeamParams(rho=2.0, alpha=2.0, gamma=1.0, mu=1.0, beta=1.0,
                           length=1.0)
         g = Grid(101, 1.0)
-        hist = init_history(g, SPAN, lambda x, s: np.ones_like(x), 0.01,
-                            [0.0])
+        hist = init_history(g, SPAN, np.ones(g.n), 0.01, [0.0])
         rep = _row(_state(g.x, vt=np.ones(g.n)), hist, beam)
         assert abs(rep["kinetic_v"] - 1.0) < 1e-14
         assert abs(rep["E"] - 1.0) < 1e-14

@@ -26,10 +26,8 @@ from piezobeam import (
     SpatialOperator,
     energy_dissipation_check,
     fit_decay_rate,
-    init_history,
     load_scenario,
     lyapunov_equivalence,
-    profile_table,
     run,
     step_explicit,
     step_implicit,
@@ -37,8 +35,6 @@ from piezobeam import (
 from piezobeam import diagnostics, solver
 from piezobeam.diagnostics import DecayFit, DissipationReport, Multipliers
 from piezobeam.errors import ConfigError, HistoryUnderrunError
-from piezobeam.scenario import initial_fields
-from piezobeam.solver import initial_state
 
 E_RTOL = 1e-12
 K_ATOL = 1e-12  # times max(E(0), 1)
@@ -134,12 +130,10 @@ def test_run_matches_reference(certified_scenario):
 
     # replay the run's steps from its own set-up, mirroring every snapshot
     # into the reference
-    grid, op, dt, _, table, span, _, _ = solver.plan(sc)
+    op, dt, _, table, _, _, history, state = solver.plan(sc)
     assert dt == traj.dt
-    *fields, g0 = initial_fields(sc, grid.x)
-    history = init_history(grid, span, g0, dt, table[:, 0])
-    state = initial_state(fields, history, op, table[0, 1], True)
-    ref = RefHistory(dt, history.span, grid.dx)
+    dx = op.grid.dx
+    ref = RefHistory(dt, history.span, dx)
     for t in history.times:
         ref.push(t, history.sample(t))
 
@@ -153,9 +147,9 @@ def test_run_matches_reference(certified_scenario):
             ref.evict(state.t)
         assert t == state.t
         e_ref.append(ref_energy_total(state, ref, sc.beam, cert, sc.delay,
-                                      sc.weights, grid.dx))
+                                      sc.weights, dx))
         k_err.append(max(abs(got - want) for got, want in zip(
-            k_got, ref_lyapunov(state, sc.beam, grid.dx))))
+            k_got, ref_lyapunov(state, sc.beam, dx))))
     assert len(e_ref) == int(round(2.0 / dt)) + 1
 
     e_ref = np.array(e_ref)
@@ -224,14 +218,9 @@ def test_history_buffer_full_without_evictions():
 @pytest.mark.parametrize("stepper", [step_explicit, step_implicit])
 def test_guard_energy_carried_forward(certified_scenario, monkeypatch,
                                       stepper):
-    sc = certified_scenario
-    grid = Grid(51, sc.beam.length)
-    op = SpatialOperator(sc.beam, grid)
-    dt = 0.005
-    *fields, g0 = initial_fields(sc, grid.x)
-    table = profile_table(sc.delay, sc.weights, dt, 20)
-    history = init_history(grid, sc.delay.tau_bar, g0, dt, table[:, 0])
-
+    sc = dataclasses.replace(
+        certified_scenario, n=51, dt=0.005, horizon=0.1,
+        integrator="explicit" if stepper is step_explicit else "implicit")
     fresh = solver._core_energy
     calls = []
 
@@ -240,8 +229,7 @@ def test_guard_energy_carried_forward(certified_scenario, monkeypatch,
         return fresh(*args)
 
     monkeypatch.setattr(solver, "_core_energy", counting)
-    state = initial_state(fields, history, op, table[0, 1],
-                          stepper is step_explicit)
+    op, dt, _, table, _, _, history, state = solver.plan(sc)
     for k in range(1, 21):
         state = stepper(state, history, op, table, k - 1, dt)
         # once for the initial state, then once per new state
@@ -271,12 +259,7 @@ def test_explicit_acceleration_carried_forward(certified_scenario,
     assert n_steps > 100
     assert len(calls) == n_steps + 1  # one per step plus the initial state
 
-    grid = Grid(51, sc.beam.length)
-    op = SpatialOperator(sc.beam, grid)
-    *fields, g0 = initial_fields(sc, grid.x)
-    table = profile_table(sc.delay, sc.weights, traj.dt, n_steps)
-    history = init_history(grid, sc.delay.tau_bar, g0, traj.dt, table[:, 0])
-    state = initial_state(fields, history, op, table[0, 1], True)
+    op, _, _, table, _, _, history, state = solver.plan(sc)
     for k in range(n_steps):
         state = step_explicit(state, history, op, table, k, traj.dt)
         n_calls = len(calls)

@@ -32,7 +32,6 @@ from piezobeam.errors import (
     DivergenceError,
     GridError,
     HistoryUnderrunError,
-    ProfileEvaluationError,
 )
 
 BEAM = BeamParams(rho=1.0, alpha=2.0, gamma=1.0, mu=1.0, beta=1.0, length=1.0)
@@ -47,7 +46,7 @@ def _scale(st):
 
 def zero_history(grid, dt, times=(0.0,)):
     """A zero history with stamps -k*dt, then times (a run's step times)."""
-    return init_history(grid, SPAN, lambda x, s: np.zeros_like(x), dt, times)
+    return init_history(grid, SPAN, np.zeros(grid.n), dt, times)
 
 
 class TestGrid:
@@ -156,8 +155,7 @@ class TestHistoryBuffer:
         # vt = c: double integral = c^2 * L * (1 - e^{-lam tau}) / lam
         g = Grid(101, 1.0)
         dt = 0.01
-        buf = init_history(g, SPAN, lambda x, s: np.full_like(x, 2.0), dt,
-                           [0.0])
+        buf = init_history(g, SPAN, np.full(g.n, 2.0), dt, [0.0])
         lam = 0.8
         tau = 0.5
         sq_lo = buf.square_integral(buf.sample(-tau))
@@ -203,45 +201,47 @@ class TestInitHistory:
     def test_constant_in_time(self):
         g = Grid(21, 1.0)
         v1 = np.sin(math.pi * g.x / 2.0)
-        buf = init_history(g, SPAN, lambda x, s: np.interp(x, g.x, v1), 0.05,
-                           [0.0])
+        buf = init_history(g, SPAN, v1, 0.05, [0.0])
         for t in buf.times:
             assert np.array_equal(buf.sample(t), v1)
         assert buf.newest_time == 0.0
-
-    def test_analytic_history_reproduced(self):
-        g = Grid(21, 1.0)
-        f = lambda x, s: np.sin(math.pi * x) * math.exp(s)
-        buf = init_history(g, SPAN, f, 0.05, [0.0])
-        for t in buf.times:
-            assert np.max(np.abs(buf.sample(t) - f(g.x, t))) < 1e-15
 
     def test_spans_delay(self):
         g = Grid(21, 1.0)
         buf = zero_history(g, 0.05)
         assert buf.times[0] <= -SPAN
 
-    def test_nonfinite_rejected(self):
-        g = Grid(21, 1.0)
-        with pytest.raises(ProfileEvaluationError):
-            init_history(g, SPAN, lambda x, s: np.full_like(x, np.nan), 0.05,
-                         [0.0])
+    def test_nonfinite_initial_velocity_refused_by_plan(
+            self, certified_scenario, monkeypatch):
+        # v1 is the initial v_t and the whole pre-history: a non-finite v1
+        # makes E(0) non-finite, which plan refuses before any step
+        initial_fields = solver.initial_fields
+
+        def nan_velocity(scenario, x):
+            v0, v1, p0, p1 = initial_fields(scenario, x)
+            return v0, np.full_like(v1, np.nan), p0, p1
+
+        monkeypatch.setattr(solver, "initial_fields", nan_velocity)
+        sc = dataclasses.replace(certified_scenario, n=21, horizon=0.5)
+        with pytest.raises(ConfigError,
+                           match="^initial energy nan is not finite$"):
+            solver.plan(sc)
 
 
 class TestRunFloatBound:
     def test_history_refused_before_g0(self, monkeypatch):
+        # the ring is refused before init_history makes its buffer
         monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 100)
-        calls = []
 
-        def g0(x, s):
-            calls.append(s)
-            return np.zeros_like(x)
+        class Unbuilt(HistoryBuffer):
+            def __init__(self, *args):
+                raise AssertionError("history buffer built")
 
+        monkeypatch.setattr(solver, "HistoryBuffer", Unbuilt)
         with pytest.raises(ConfigError, match=r"^the history ring needs \d+ "
                                               r"x 21 floats, more than the "
                                               r"100 a run may allocate$"):
-            init_history(Grid(21, 1.0), SPAN, g0, 0.05, [0.0])
-        assert calls == []
+            init_history(Grid(21, 1.0), SPAN, np.zeros(21), 0.05, [0.0])
 
     def test_history_refused_before_grid_arrays(self, certified_scenario,
                                                 monkeypatch):
@@ -522,8 +522,8 @@ class TestSteppers:
         dt = 0.01
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(sc.delay, sc.weights, dt, 6)
-        buf = init_history(g, sc.delay.tau_bar,
-                           lambda x, s: np.zeros_like(x), dt, table[:, 0])
+        buf = init_history(g, sc.delay.tau_bar, np.zeros(g.n), dt,
+                           table[:, 0])
         st = _start(v0, buf, op, table, explicit=False)
         st = step_implicit(st, buf, op, table, 0, dt)
         diag, off = op.implicit_buffers
@@ -586,8 +586,8 @@ class TestSteppers:
         for f in fields:  # the discrete zero slope the step imposes
             f[-1] = (4.0 * f[-2] - f[-3]) / 3.0
         table = profile_table(sc.delay, weights, dt, 1)
-        buf = init_history(g, sc.delay.tau_bar,
-                           lambda x, s: 0.3 * np.sin(x + s), dt, table[:, 0])
+        buf = init_history(g, sc.delay.tau_bar, 0.3 * np.sin(x), dt,
+                           table[:, 0])
         st = initial_state(fields, buf, op, table[0, 1], False)
         t_new, tau_new, d1, _, d2 = table[1].tolist()
         z = buf.sample(t_new - tau_new).copy()
@@ -619,11 +619,16 @@ class TestSteppers:
         g = Grid(21, sc.beam.length)
         op = SpatialOperator(sc.beam, g)
         dt = 0.01
-        rows = HistoryBuffer.check_rows(dt, sc.delay.tau_bar + 2.0 * dt, g.n)
+        span = sc.delay.tau_bar + 2.0 * dt
+        rows = HistoryBuffer.check_rows(dt, span, g.n)
         n_steps = 4 * rows  # the ring wraps 4 times
         table = profile_table(sc.delay, sc.weights, dt, n_steps)
-        buf = init_history(g, sc.delay.tau_bar,
-                           lambda x, s: np.sin(x + 3.0 * s), dt, table[:, 0])
+        # a history that differs between stamps, as init_history lays it out
+        k_max = int(math.ceil((sc.delay.tau_bar + dt) / dt))
+        stamps = np.r_[-np.arange(k_max, 0, -1) * dt, table[:, 0]]
+        buf = HistoryBuffer(dt, span, g.weights, stamps)
+        for s in stamps[:k_max + 1]:
+            buf.push(np.sin(g.x + 3.0 * s))
         assert len(buf._ring) == rows
         st = _start(np.sin(np.pi * g.x / 2.0), buf, op, table, False)
         sample, samples = buf.sample, []
@@ -777,7 +782,7 @@ class TestRun:
         # whose delayed velocity, and so its solve, is not finite
         from piezobeam import solver
 
-        def nan_history(grid, span, g0, dt, times):
+        def nan_history(grid, span, vt0, dt, times):
             k_max = int(math.ceil((span + dt) / dt))
             buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights,
                                 np.r_[-np.arange(k_max, 0, -1) * dt, times])

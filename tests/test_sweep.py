@@ -221,13 +221,18 @@ def test_run_failure_recorded_as_error_row(monkeypatch, error):
 
 def test_diverged_point_recorded_as_diverged_row():
     # dt_s = 0.1 is past the CFL step (about 0.03) at n = 11: the blow-up
-    # guard trips
+    # guard trips; dt_s = 1e-310 gives a step count past the float range,
+    # which the set-up refuses, and the sweep goes on
     base = _base()
     base["numerics"]["dt_s"] = 0.001
-    spec = SweepSpec(base, axes=(("numerics.dt_s", (0.001, 0.1)),), n=11,
-                     horizon=2.0)
-    ok, diverged = execute(spec)
-    assert (ok.status, diverged.status) == ("ok", "diverged")
+    spec = SweepSpec(base, axes=(("numerics.dt_s", (0.001, 1e-310, 0.1)),),
+                     n=11, horizon=2.0)
+    ok, refused, diverged = execute(spec)
+    assert (ok.status, refused.status, diverged.status) == (
+        "ok", "error", "diverged")
+    assert refused.valid and refused.violated == [
+        "time step 1e-310 makes the step count over horizon_s 2.0 past the "
+        "float range"]
     assert ok.valid and diverged.valid and not diverged.violated
     assert ok.h2 > 0
     assert all(math.isnan(x) for x in (diverged.h2, diverged.r_squared,
@@ -246,7 +251,8 @@ SCALARS = (st.floats() | st.integers(-10**6, 10**6) | st.booleans()
            | st.text() | st.none())
 
 
-# huge amplitudes overflow the energy to inf: a diverged row, as intended
+# huge amplitudes overflow the energy to inf: an error row when E(0) is
+# inf, a diverged row when a step makes it so
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(path=st.sampled_from(["weights.beta0", "weights.M1",
