@@ -26,9 +26,9 @@ C_TOL = 10.0  # energy_dissipation_check's tolerance per (dt^2 + dx^2)
 FIT_WINDOW = 0.5  # trailing fraction of the run that fit_decay_rate reads
 
 
-def energy(state, history, operator, tau_t, d1, certificate, multipliers):
-    """The trajectory row at the state's time t, in solver.COLUMNS order;
-    tau_t and d1 are tau(t) and delta1(t), from the run's profile_table.
+def energy(state, history, operator, k, d1, certificate, multipliers):
+    """The trajectory row of the run's state k at its time t, in
+    solver.COLUMNS order; d1 is delta1(t), from the run's profile_table.
 
     E adds to the delay-free energy a delay term of weight xi_bar * d1;
     an invalid certificate (non-finite xi_bar) contributes no delay energy.
@@ -41,7 +41,7 @@ def energy(state, history, operator, tau_t, d1, certificate, multipliers):
     core = state.core
 
     int_vt2_delayed = history.square_integral(state.z)
-    kernel = history.weighted_square_integral(t, tau_t, lam, int_vt2_delayed)
+    kernel = history.weighted_square_integral(k, lam, int_vt2_delayed)
     delay_term = 0.5 * xi_t * kernel
     e = core.total + delay_term
 

@@ -18,7 +18,8 @@ class ConfigError(PiezobeamError):
 
 
 class HistoryUnderrunError(PiezobeamError):
-    """A delayed-velocity query fell before the start of the history buffer."""
+    """A state's delayed-velocity sample falls outside the stamps its history
+    serves then; refused when the history is built, naming the step."""
 
 
 class DivergenceError(PiezobeamError):

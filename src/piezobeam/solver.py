@@ -13,8 +13,9 @@ energy parts (the guard's and the record's), its delayed velocity
 v_t(t - tau(t)), sampled once per state, and an explicit step's
 acceleration (the next step's first) sit beside its fields.  plan() sets a
 run up whole, through its history and its state at t = 0, with every
-refusal made before the first step; run() only steps and records.  The
-steppers, the record and the history's stamps read plan()'s profile_table.
+refusal made before the first step, a delayed sample outside the history
+included (the history brackets each state's sample when it is built);
+run() only steps and records.  All read plan()'s profile_table.
 No state changes, so the trajectory keeps the recorded states themselves as
 its field snapshots, with the run's Grid beside them.
 
@@ -91,7 +92,7 @@ class CoreEnergy(NamedTuple):
 
 class SimState(NamedTuple):
     """Fields at time t, their core energy parts, their delayed velocity z =
-    history.sample(t - tau(t)) and, explicit only, acc = operator.apply(v, p).
+    history.sample(k) of state k and, explicit only, acc = operator.apply(v, p).
     No array changes in place: the snapshots and initial state rely on it."""
 
     t: float
@@ -104,10 +105,10 @@ class SimState(NamedTuple):
     acc: tuple | None = None
 
 
-def initial_state(fields, history, operator, tau0, explicit):
+def initial_state(fields, history, operator, explicit):
     """The state at t = 0 of fields (v, v_t, p, p_t); acc only if explicit."""
     return SimState(0.0, *fields, _core_energy(*fields, operator),
-                    history.sample(0.0 - tau0),
+                    history.sample(0),
                     operator.apply(fields[0], fields[2]) if explicit else None)
 
 
@@ -172,29 +173,54 @@ class SpatialOperator:
 
 
 class HistoryBuffer:
-    """v_t snapshots at the run's time stamps, for delayed sampling.
+    """v_t snapshots at the run's stamps, every delayed sample bracketed
+    once, when the buffer is built.
 
-    weights is the grid's trapezoid weight vector (Grid.weights): it sets
-    the snapshot length and is the quadrature of every int v_t^2.
-    times holds every stamp up front, equispaced with gap dt and kept
-    read-only: the j-th push is the snapshot at times[j].  Snapshot j fills
-    ring row j % cap, where cap is the most rows the span holds between
-    evictions, and its cached int v_t^2 sits at sq[j], so every delay window
-    is one contiguous slice.  sample(t) is exact at stored stamps and keeps
-    nothing: the delayed velocity is the state's (SimState.z).
+    weights (Grid.weights) sets the snapshot length and is the quadrature of
+    every int v_t^2.  Push j stores the snapshot at stamps[j] in ring row
+    j % cap, and its int v_t^2 at sq[j].  The run's states sit at the last
+    len(taus) stamps: state k samples t_k - taus[k] once the pushes reach
+    t_{max(k - lag, 0)} (lag 0: an explicit state samples after its own
+    push, 1: an implicit one before it).  Its bracket, the last stamp at or
+    before that time and a weight, is refused here unless it lies among the
+    stamps evict serves then: those after newest - span - dt/2, and one
+    before them.  Its delay window starts at the first stamp past
+    t_k - taus[k] - 1e-9 dt, with a partial cell before it if that stamp is
+    past t_k - taus[k] + 1e-9 dt.  The delayed velocity is the state's.
     """
 
-    def __init__(self, dt, span, weights, times):
-        self.dt = dt
-        self.span = span
+    def __init__(self, dt, span, weights, stamps, taus, lag):
         self._cap = self.check_rows(dt, span, len(weights))
-        self._times = np.array(times, dtype=float)
-        if not np.all(self._times[1:] > self._times[:-1]):
+        # per state a query, bracket, weight, window start and partial-cell
+        # flag; per stamp the oldest stamp served after its push
+        _check_run_floats(len(stamps), 6, "the history's bracket table")
+        s = np.array(stamps, dtype=float)
+        if not np.all(s[1:] > s[:-1]):
             raise ConfigError("history timestamps must be strictly increasing")
-        self._times.flags.writeable = False
+        self._first = len(s) - len(taus)  # state k's stamp
+        query = s[self._first:] - taus
+        index = s.searchsorted(query, side="right") - 1
+        # evict's oldest served stamp after each push
+        self._served = np.maximum(0, np.minimum(
+            np.arange(len(s)) - 1,
+            s.searchsorted(s - span - 0.5 * dt, side="right") - 1))
+        newest = self._first + np.maximum(np.arange(len(taus)) - lag, 0)
+        bad = ~((index >= self._served[newest]) & (query <= s[newest]))
+        if bad.any():
+            k = int(bad.argmax())
+            q, lo, hi = query[k], s[self._served[newest[k]]], s[newest[k]]
+            raise HistoryUnderrunError(
+                f"query t={q:.9g} is ahead of newest snapshot {hi:.9g} "
+                f"(step {k})" if q > hi else
+                f"query t={q:.9g} precedes history start {lo:.9g}; buffer "
+                f"span is too short for the configured delay (step {k})")
+        self._stamps, self._query, self._index = s, query, index
+        self._frac = (query - s[index]) / np.append(np.diff(s), np.inf)[index]
+        self._start = s.searchsorted(query - 1e-9 * dt)
+        self._partial = s[self._start] > query + 1e-9 * dt
         self._w = weights
         self._ring = np.empty((self._cap, len(weights)))
-        self._sq = np.empty(len(self._times))
+        self._sq = np.empty(len(s))
         self._lo = self._end = 0  # oldest served stamp; one past the newest
 
     @staticmethod
@@ -208,9 +234,6 @@ class HistoryBuffer:
         _check_run_floats(rows, n, "the history ring")
         return rows
 
-    def _row(self, i):
-        return self._ring[(self._lo + i) % self._cap]
-
     def square_integral(self, row):
         """Trapezoid of row squared: int v_t^2 dx of a snapshot or sample."""
         return float(np.dot(row * self._w, row))
@@ -219,7 +242,7 @@ class HistoryBuffer:
         """Store the snapshot at the next stamp; sq_integral is its int v_t^2
         if known."""
         j = self._end
-        if j == len(self._times):
+        if j == len(self._stamps):
             raise ConfigError(f"history has no stamp past its {j} pushed")
         if j - self._lo == self._cap:
             raise ConfigError(f"history holds at most {self._cap} snapshots "
@@ -232,85 +255,49 @@ class HistoryBuffer:
 
     def evict(self):
         """Serve only the stamps after newest - span - dt/2, and one before."""
-        cutoff = self.newest_time - self.span - 0.5 * self.dt
-        while self._end - self._lo > 2 and self._times[self._lo + 1] <= cutoff:
-            self._lo += 1
+        self._lo = int(self._served[self._end - 1])
 
-    @property
-    def times(self):
-        return self._times[self._lo:self._end]
-
-    @property
-    def newest_time(self):
-        return float(self._times[self._end - 1])
-
-    def sample(self, t_query):
-        """Linear interpolation in time, elementwise in x; exact at stored stamps.
-
-        The result is read-only: the state that keeps it shares it.
-        """
-        t0 = float(self._times[self._lo])
-        eps = 1e-9 * self.dt
-        if t_query < t0 - eps:
-            raise HistoryUnderrunError(
-                f"query t={t_query:.9g} precedes history start {t0:.9g}; "
-                "buffer span is too short for the configured delay")
-        if t_query > self.newest_time + eps:
-            raise HistoryUnderrunError(
-                f"query t={t_query:.9g} is ahead of newest snapshot "
-                f"{self.newest_time:.9g}")
-        if self._end - self._lo == 1:
-            snap = self._row(0).copy()
-        else:
-            pos = (t_query - t0) / self.dt
-            i = max(0, min(int(math.floor(pos)), self._end - self._lo - 2))
-            t_i = float(self._times[self._lo + i])
-            w = (t_query - t_i) / (float(self._times[self._lo + i + 1]) - t_i)
-            w = min(max(w, 0.0), 1.0)
-            if w == 0.0 or w == 1.0:
-                snap = self._row(i + int(w)).copy()
-            else:
-                snap = (1.0 - w) * self._row(i) + w * self._row(i + 1)
+    def sample(self, k):
+        """State k's delayed velocity, linear in time and elementwise in x,
+        exact at a stamp; read-only, as the state that keeps it shares it."""
+        i, w = self._index[k], self._frac[k]
+        snap = self._ring[i % self._cap]
+        snap = (snap.copy() if w == 0.0
+                else (1.0 - w) * snap + w * self._ring[(i + 1) % self._cap])
         snap.flags.writeable = False
         return snap
 
-    def weighted_square_integral(self, t, tau_t, lam, sq_lo):
-        """Double integral over [t - tau_t, t] of exp(lam*(s-t)) * int v_t^2 dx ds.
+    def weighted_square_integral(self, k, lam, sq_lo):
+        """Double integral over [t - tau, t] of exp(lam*(s-t)) * int v_t^2
+        dx ds at state k's time t and delay tau.
 
-        Trapezoid over the stored timestamps inside the window plus a partial
-        cell at the lower endpoint, where int v_t^2 is the caller's sq_lo.
+        Trapezoid over the stamps inside the window plus its partial cell,
+        if it has one, whose lower int v_t^2 is the caller's sq_lo.
         """
-        t_lo = t - tau_t
-        times = self.times
-        eps = 1e-9 * self.dt
-        if t_lo < times[0] - eps:
-            raise HistoryUnderrunError(
-                f"delay-energy window start {t_lo:.9g} precedes history start")
-        a = int(times.searchsorted(t_lo - eps, side="left"))
-        b = int(times.searchsorted(t + eps, side="right"))
-        ts = times[a:b]
-        f = self._sq[self._lo + a:self._lo + b] * np.exp(lam * (ts - t))
-        total = (0.5 * float(np.dot(ts[1:] - ts[:-1], f[1:] + f[:-1]))
-                 if len(ts) > 1 else 0.0)
-        # partial cell between t_lo and the first stored stamp in the window
-        if len(ts) > 0 and ts[0] > t_lo + eps:
+        j, a = self._first + k, self._start[k]
+        t, t_lo = float(self._stamps[j]), float(self._query[k])
+        ts = self._stamps[a:j + 1]
+        f = self._sq[a:j + 1] * np.exp(lam * (ts - t))
+        total = 0.5 * float(np.dot(ts[1:] - ts[:-1], f[1:] + f[:-1]))
+        if self._partial[k]:
             f_lo = sq_lo * math.exp(lam * (t_lo - t))
             total += 0.5 * (f_lo + float(f[0])) * (float(ts[0]) - t_lo)
         return total
 
 
-def init_history(grid, span, vt0, dt, times):
-    """A history buffer on the run's stamps, every stamp before times[0]
-    holding vt0, the initial velocity extended constantly back in time.
+def init_history(grid, span, vt0, dt, times, taus, lag):
+    """A history buffer for states at times with delays taus (the profile
+    table's t and tau columns) and sample lag (HistoryBuffer), every stamp
+    before times[0] holding vt0, the initial velocity extended back in time.
 
     The stamps are s_k = -k*dt down past -span, the longest delay served
-    (>= 0), then times, the run's step times from 0 (profile_table's t
-    column); vt0's int v_t^2 is computed once for all its snapshots.
+    (>= 0), then times; vt0's int v_t^2 is computed once for all its
+    snapshots.
     """
     HistoryBuffer.check_rows(dt, span + 2.0 * dt, grid.n)  # before the stamps
     k_max = int(math.ceil((span + dt) / dt))
     stamps = np.concatenate((-np.arange(k_max, 0, -1) * dt, times))
-    buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights, stamps)
+    buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights, stamps, taus, lag)
     sq = buf.square_integral(vt0)
     for _ in range(k_max + 1):
         buf.push(vt0, sq)
@@ -370,7 +357,7 @@ def step_explicit(state, history, operator, profiles, k, dt):
     """
     pr = operator.params
     _, _, d1_now, d1_mid, d2_now = profiles[k].tolist()
-    t_new, tau_new = profiles[k + 1, :2].tolist()  # t_new is t + dt bitwise
+    t_new = float(profiles[k + 1, 0])  # t + dt bitwise
     z = state.z
 
     acc_v0, acc_p0 = state.acc
@@ -389,7 +376,7 @@ def step_explicit(state, history, operator, profiles, k, dt):
 
     fields = (v_new, vt_new, p_new, pt_new)
     core = _finish_step(state, fields, history, operator, "explicit step")
-    return SimState(t_new, *fields, core, history.sample(t_new - tau_new),
+    return SimState(t_new, *fields, core, history.sample(k + 1),
                     (acc_v1, acc_p1))
 
 
@@ -476,8 +463,8 @@ def step_implicit(state, history, operator, profiles, k, dt):
     T (P (I + m_i D))^{-1} P T^T r, T = A0^{-1/2} R: two SPD dptsv solves.
     """
     pr = operator.params
-    t_new, tau_new, d1, _, d2_new = profiles[k + 1].tolist()
-    z = history.sample(t_new - tau_new)
+    t_new, _, d1, _, d2_new = profiles[k + 1].tolist()
+    z = history.sample(k + 1)
     diag, off, tm = _implicit_matrix(operator, dt, d1)
 
     r_v = ((pr.rho / dt**2 + d1 / dt) * state.v[1:-1]
@@ -497,7 +484,6 @@ def step_implicit(state, history, operator, profiles, k, dt):
 
     fields = (vp[0], vpt[0], vp[1], vpt[1])
     core = _finish_step(state, fields, history, operator, "implicit step")
-    # the push keeps z's bracket: z stays history.sample(t_new - tau_new)
     return SimState(t_new, *fields, core, z)
 
 
@@ -516,7 +502,8 @@ class Trajectory:
     """Recorded diagnostics: one row of data per record, columns as COLUMNS;
     grid is the run's Grid, and fields holds the recorded SimStates whose
     step is a multiple of field_stride, and the last: only recorded steps
-    count, so output_stride 10 and field_stride 25 keep steps 0, 50, 100..."""
+    count, so output_stride 10 and field_stride 25 keep steps 0, 50, 100...
+    status is "ok", or "diverged" on a DivergenceError's partial trajectory."""
 
     certificate: "object"
     multipliers: "object"
@@ -543,10 +530,11 @@ class Trajectory:
 
 def plan(scenario):
     """A run set up whole, with every refusal it makes before its first step:
-    (operator, dt, n_steps, profiles, multipliers, n_rows, history, state).
+    (operator, dt, n_steps, profiles, multipliers, data, history, state).
     dt is CFL- and delay-clamped, then rounded so whole steps hit the
     horizon; multipliers is None for an invalid certificate; state is the
-    one at t = 0, refused unless its energy is finite."""
+    one at t = 0, and data the record with state's row first, refused
+    unless its E and, with multipliers, its L are finite."""
     grid = Grid(scenario.n, scenario.beam.length)
     operator = SpatialOperator(scenario.beam, grid)
     certificate = scenario.certificate
@@ -587,48 +575,49 @@ def plan(scenario):
     n_rows = n_steps // stride + 1 + (n_steps % stride > 0)
     _check_run_floats(n_rows, len(COLUMNS), "the record")
     fields = initial_fields(scenario, grid.x)
-    with np.errstate(all="ignore"):  # a non-finite E(0) is refused below
-        history = init_history(grid, span, fields[1], dt, profiles[:, 0])
-        state = initial_state(fields, history, operator, float(profiles[0, 1]),
-                              scenario.integrator == "explicit")
+    explicit = scenario.integrator == "explicit"
+    data = np.empty((n_rows, len(COLUMNS)))
+    with np.errstate(all="ignore"):  # a non-finite E(0) or L(0): see below
+        history = init_history(grid, span, fields[1], dt, profiles[:, 0],
+                               profiles[:, 1], int(not explicit))
+        state = initial_state(fields, history, operator, explicit)
+        data[0] = diagnostics.energy(state, history, operator, 0,
+                                     float(profiles[0, 2]), certificate,
+                                     multipliers)
     if not math.isfinite(state.core.total):
         raise ConfigError(f"initial energy {state.core.total} is not finite")
-    return operator, dt, n_steps, profiles, multipliers, n_rows, history, state
+    lyap = data[0, COLUMNS.index("L")]
+    if multipliers is not None and not math.isfinite(lyap):
+        raise ConfigError(f"initial Lyapunov value {lyap} is not finite")
+    return operator, dt, n_steps, profiles, multipliers, data, history, state
 
 
 def run(scenario, collect_fields=True):
     """Integrate a scenario from plan(scenario) and record its diagnostics;
-    a DivergenceError, or a HistoryUnderrunError after step 0, carries .step
-    and the partial trajectory (.trajectory)."""
-    (operator, dt, n_steps, profiles, multipliers, n_rows, history,
+    a DivergenceError carries .step and the partial trajectory
+    (.trajectory)."""
+    (operator, dt, n_steps, profiles, multipliers, data, history,
      state) = plan(scenario)
     certificate = scenario.certificate
-    stride = scenario.output_stride
-    traj = Trajectory(certificate, multipliers, dt, operator.grid,
-                      np.empty((n_rows, len(COLUMNS))))
-    filled = 0
-
-    def record(k, st):
-        nonlocal filled
-        _, tau_t, d1, _, _ = profiles[k].tolist()
-        traj.data[filled] = diagnostics.energy(
-            st, history, operator, tau_t, d1, certificate, multipliers)
-        filled += 1
-        if collect_fields and (k % scenario.field_stride == 0 or k == n_steps):
-            traj.fields.append(st)
-
+    stride, field_stride = scenario.output_stride, scenario.field_stride
+    traj = Trajectory(certificate, multipliers, dt, operator.grid, data,
+                      [state] if collect_fields else [])
+    filled = 1  # plan recorded the state at t = 0
     stepper = STEPPERS[scenario.integrator]
-    record(0, state)
     for k in range(1, n_steps + 1):
         try:
             state = stepper(state, history, operator, profiles, k - 1, dt)
-            if k % stride == 0 or k == n_steps:
-                record(k, state)
-        except (DivergenceError, HistoryUnderrunError) as exc:
-            diverged = isinstance(exc, DivergenceError)
-            traj.status = "diverged" if diverged else "error"
-            traj.data = traj.data[:filled]
-            err = type(exc)(f"{exc} (step {k})")
+        except DivergenceError as exc:
+            traj.status = "diverged"
+            traj.data = data[:filled]
+            err = DivergenceError(f"{exc} (step {k})")
             err.step, err.trajectory = k, traj
             raise err from exc
+        if k % stride == 0 or k == n_steps:
+            data[filled] = diagnostics.energy(
+                state, history, operator, k, float(profiles[k, 2]),
+                certificate, multipliers)
+            filled += 1
+            if collect_fields and (k % field_stride == 0 or k == n_steps):
+                traj.fields.append(state)
     return traj

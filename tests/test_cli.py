@@ -242,10 +242,19 @@ class TestCheck:
          "time step 2.5e-311 makes the step count "),
         ({"numerics.cfl_safety": 5e-324}, None, EXIT_USAGE,
          "time step 0.0 makes the step count "),
+        # tau swings to 1.1, past tau_bar_s 0.6: step 6's delayed sample
+        # falls before the history's first stamp
+        ({"delay.amplitude_s": 0.6, "numerics.horizon_s": 5.0}, None,
+         EXIT_VERIFICATION, "query t=-0.511131633 precedes history start "
+         "-0.49382716; buffer span is too short for the configured delay "
+         "(step 6)\n"),
+        # E(0) is finite, N times it is not
+        ({"initial.amplitude": 1e153}, None, EXIT_USAGE,
+         "initial Lyapunov value inf is not finite\n"),
     ], ids=["grid-spacing", "dt-squared", "profile-table", "lambda", "ring",
             "gamma", "rho", "delta1", "poincare", "record", "initial-energy",
             "tau-bar-0", "steps-horizon", "steps-cfl", "steps-delay",
-            "step-underflow"])
+            "step-underflow", "delay-past-history", "initial-lyapunov"])
     def test_refuses_what_simulate_refuses(self, tmp_path, capsys,
                                            monkeypatch, patch, max_floats,
                                            code, message):

@@ -51,16 +51,21 @@ def _state(x, v=None, vt=None, p=None, pt=None):
     return SimState(0.0, pick(v), pick(vt), pick(p), pick(pt), None, None)
 
 
-def _zero_hist(grid, dt=0.01):
-    return init_history(grid, SPAN, np.zeros(grid.n), dt, [0.0])
+def _hist(grid, vt0, dt=0.01):
+    """A history for one state, at t = 0 with NO_DELAY's tau = 0.5."""
+    return init_history(grid, SPAN, vt0, dt, [0.0], [0.5], 0)
+
+
+def _zero_hist(grid):
+    return _hist(grid, np.zeros(grid.n))
 
 
 def _row(state, hist, beam=BEAM):
     """energy() of the state run() builds from state's fields, with
     NO_DELAY's tau = 0.5 and delta1 = 1, keyed by column name."""
     op = SpatialOperator(beam, Grid(len(state.v), beam.length))
-    state = initial_state(state[1:5], hist, op, 0.5, False)
-    return dict(zip(COLUMNS, energy(state, hist, op, 0.5, 1.0, NULL_CERT,
+    state = initial_state(state[1:5], hist, op, False)
+    return dict(zip(COLUMNS, energy(state, hist, op, 0, 1.0, NULL_CERT,
                                     None)))
 
 
@@ -78,7 +83,7 @@ class TestEnergy:
         beam = BeamParams(rho=2.0, alpha=2.0, gamma=1.0, mu=1.0, beta=1.0,
                           length=1.0)
         g = Grid(101, 1.0)
-        hist = init_history(g, SPAN, np.ones(g.n), 0.01, [0.0])
+        hist = _hist(g, np.ones(g.n))
         rep = _row(_state(g.x, vt=np.ones(g.n)), hist, beam)
         assert abs(rep["kinetic_v"] - 1.0) < 1e-14
         assert abs(rep["E"] - 1.0) < 1e-14

@@ -3,14 +3,18 @@ column-wise certificate checks with reference implementations.
 
 The reference functions below are the plain ``np.trapezoid`` / ``np.diff``
 formulas for the energy parts and K1-K3, a deque-of-arrays history buffer
-with the same eviction, bracketing and delay-kernel rules, and per-record
-loops for the dissipation check, the equivalence ratios and the decay fit.
-The package computes the same quantities as dot products with one trapezoid
-weight vector, keeps its history in preallocated contiguous storage and
-runs the checks as array expressions over the trajectory's columns.
-Interpolation and check arithmetic is unchanged, so samples and check
-results agree bitwise; quadrature sums run in a different order, so
-integrals agree to a float64 roundoff tolerance.
+with the same eviction and delay-kernel rules that brackets each query as it
+comes (a floor, clamps and a tolerance), and per-record loops for the
+dissipation check, the equivalence ratios and the decay fit.  The package
+computes the same quantities as dot products with one trapezoid weight
+vector, keeps its history in preallocated contiguous storage, brackets every
+delayed sample once, by comparison with the stamps, when it builds the
+history, and runs the checks as array expressions over the trajectory's
+columns.  Away from a stamp both brackets are the same, so samples and check
+results agree bitwise; within rounding of a stamp the floor may take the
+cell below with a weight of about 1, so samples agree to roundoff.
+Quadrature sums run in a different order, so integrals agree to a float64
+roundoff tolerance.
 """
 
 import dataclasses
@@ -129,13 +133,15 @@ def test_run_matches_reference(certified_scenario):
     assert cert.valid
 
     # replay the run's steps from its own set-up, mirroring every snapshot
-    # into the reference
+    # into the reference: the pre-history is the initial velocity, and the
+    # span is plan's, the longest tau capped by tau_bar, plus 2 dt
     op, dt, _, table, _, _, history, state = solver.plan(sc)
     assert dt == traj.dt
     dx = op.grid.dx
-    ref = RefHistory(dt, history.span, dx)
-    for t in history.times:
-        ref.push(t, history.sample(t))
+    span = max(0.0, min(sc.delay.tau_bar, float(table[:, 1].max())))
+    ref = RefHistory(dt, span + 2.0 * dt, dx)
+    for t in history._stamps[:history._end]:
+        ref.push(t, state.vt)
 
     e_ref = []
     k_err = []
@@ -158,7 +164,39 @@ def test_run_matches_reference(certified_scenario):
     assert max(k_err) <= K_ATOL * max(e_ref[0], 1.0)
 
 
+@pytest.mark.parametrize("integrator", ["explicit", "implicit"])
+def test_near_stamp_samples_match_reference(certified_scenario, integrator):
+    # tau = 0.5 at dt = 1/30: every t_k - tau lies within rounding of the
+    # stamp 15 steps back, where the reference's floor may take the cell
+    # below with a weight of about 1; an explicit state samples after its
+    # push and evict, an implicit one before them
+    delay = dataclasses.replace(certified_scenario.delay, kind="constant",
+                                mean=0.5)
+    sc = dataclasses.replace(certified_scenario, n=11, horizon=3.0,
+                             dt=1.0 / 30.0, delay=delay,
+                             integrator=integrator)
+    op, dt, n_steps, table, _, _, history, state = solver.plan(sc)
+    ref = RefHistory(dt, 0.5 + 2.0 * dt, op.grid.dx)
+    for t in history._stamps[:history._end]:
+        ref.push(t, state.vt)
+    stepper = {"explicit": step_explicit, "implicit": step_implicit}
+    for k in range(n_steps + 1):
+        if k:
+            state = stepper[integrator](state, history, op, table, k - 1, dt)
+        if k and integrator == "explicit":
+            ref.push(state.t, state.vt)
+            ref.evict(state.t)
+        want = ref.sample(state.t - table[k, 1])
+        assert np.max(np.abs(state.z - want)) <= 1e-15 * np.max(np.abs(want))
+        if k and integrator == "implicit":
+            ref.push(state.t, state.vt)
+            ref.evict(state.t)
+    assert n_steps == 90
+
+
 def test_history_buffer_matches_reference_across_evictions():
+    # every stamp holds a state, sampled after its push and evict with a
+    # random delay the served window covers
     rng = np.random.default_rng(3)
     dt, dx, n = 0.01, 0.1, 11
     span = 0.2 + 2.0 * dt
@@ -166,53 +204,59 @@ def test_history_buffer_matches_reference_across_evictions():
     stamps = [-0.25]
     for _ in range(3 * capacity + 5):
         stamps.append(stamps[-1] + dt)
-    buf = HistoryBuffer(dt, span, Grid(n, dx * (n - 1)).weights, stamps)
+    taus = rng.random(len(stamps)) * np.minimum(
+        0.2, np.array(stamps) - stamps[0])
+    weights = Grid(n, dx * (n - 1)).weights
+    buf = HistoryBuffer(dt, span, weights, stamps, taus, 0)
     ref = RefHistory(dt, span, dx)
-    buf.push(rng.standard_normal(n))
-    ref.push(stamps[0], buf.sample(stamps[0]))
-    eps = 1e-9 * dt
-    for t in stamps[1:]:
+    starts = []  # the oldest served stamp, after each push and evict
+    for j, (t, tau) in enumerate(zip(stamps, taus)):
         snap = rng.standard_normal(n)
         buf.push(snap)
         buf.evict()
         ref.push(t, snap)
         ref.evict(t)
+        starts.append(ref.times[0])
 
-        assert np.array_equal(buf.times, np.asarray(ref.times))
+        assert np.array_equal(buf._stamps[buf._lo:buf._end],
+                              np.asarray(ref.times))
         assert len(buf._ring) == capacity
-        for ts, want in zip(ref.times, ref.snaps):
-            assert np.array_equal(buf.sample(ts), want)
-        for q in ref.times[0] + (ref.times[-1] - ref.times[0]) * rng.random(3):
-            assert np.array_equal(buf.sample(q), ref.sample(q))
-            assert buf.square_integral(buf.sample(q)) == pytest.approx(
-                ref.square_integral_at(q), rel=KERNEL_RTOL)
-        with pytest.raises(HistoryUnderrunError):
-            buf.sample(ref.times[0] - 2.0 * eps)
-        with pytest.raises(HistoryUnderrunError):
-            buf.sample(ref.times[-1] + 2.0 * eps)
+        if not j:  # the reference interpolates from two stamps on
+            continue
+        z = buf.sample(j)
+        assert np.array_equal(z, ref.sample(t - tau))
+        assert buf.square_integral(z) == pytest.approx(
+            ref.square_integral_at(t - tau), rel=KERNEL_RTOL)
+        got = buf.weighted_square_integral(j, 0.8, buf.square_integral(z))
+        assert got == pytest.approx(
+            ref.weighted_square_integral(t, tau, 0.8), rel=KERNEL_RTOL)
 
-        for tau in (0.05, 0.137, 0.2):
-            if t - tau < ref.times[0]:
-                continue
-            sq_lo = buf.square_integral(buf.sample(t - tau))
-            got = buf.weighted_square_integral(t, tau, 0.8, sq_lo)
-            assert got == pytest.approx(
-                ref.weighted_square_integral(t, tau, 0.8), rel=KERNEL_RTOL)
-        with pytest.raises(HistoryUnderrunError):
-            buf.weighted_square_integral(t, t - ref.times[0] + 2.0 * eps, 0.8,
-                                         0.0)
+    # a state whose sample falls before the stamps served then, or past
+    # the newest, is refused when the buffer is built, naming its step
+    eps = 1e-9 * dt
+    for j in (1, capacity, 3 * capacity):
+        for tau, message in ((stamps[j] - starts[j] + eps, "precedes"),
+                             (-eps, "is ahead of")):
+            bad = taus.copy()
+            bad[j] = tau
+            with pytest.raises(HistoryUnderrunError,
+                               match=rf"^query t=\S+ {message} .*"
+                                     rf"\(step {j}\)$"):
+                HistoryBuffer(dt, span, weights, stamps, bad, 0)
 
 
 def test_history_buffer_full_without_evictions():
-    # span 0.3 at dt 0.1: evicting after each push keeps at most 6 snapshots
-    buf = HistoryBuffer(0.1, 0.3, Grid(4, 0.75).weights,
-                        [0.1 * k for k in range(6)] + [10.0])
+    # span 0.3 at dt 0.1: evicting after each push keeps at most 6
+    # snapshots; each stamp's state samples its own stamp
+    stamps = [0.1 * k for k in range(6)] + [10.0]
+    buf = HistoryBuffer(0.1, 0.3, Grid(4, 0.75).weights, stamps,
+                        np.zeros(7), 0)
     for k in range(6):
         buf.push(np.full(4, float(k)))
     with pytest.raises(ConfigError, match="between evictions"):
         buf.push(np.zeros(4))
-    for k, t in enumerate(buf.times):
-        assert np.array_equal(buf.sample(t), np.full(4, float(k)))
+    for k in range(6):
+        assert np.array_equal(buf.sample(k), np.full(4, float(k)))
 
 
 @pytest.mark.parametrize("stepper", [step_explicit, step_implicit])

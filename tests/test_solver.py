@@ -44,9 +44,12 @@ def _scale(st):
     return max(float(np.max(np.abs(f))) for f in (st.v, st.vt, st.p, st.pt))
 
 
-def zero_history(grid, dt, times=(0.0,)):
-    """A zero history with stamps -k*dt, then times (a run's step times)."""
-    return init_history(grid, SPAN, np.zeros(grid.n), dt, times)
+def zero_history(grid, dt, table, lag=0):
+    """A zero history for the states of a profile table: stamps -k*dt, then
+    its t column; its tau column delays them, sampled lag pushes behind (0
+    explicit, 1 implicit)."""
+    return init_history(grid, SPAN, np.zeros(grid.n), dt, table[:, 0],
+                        table[:, 1], lag)
 
 
 class TestGrid:
@@ -114,52 +117,72 @@ class TestSpatialOperator:
 
 class TestHistoryBuffer:
     def test_constant_history(self):
+        # one state, at the last stamp 0.0, delayed by 0.37
         stamps = [-1.0 + 0.1 * k for k in range(11)]
-        buf = HistoryBuffer(0.1, 1.0, Grid(5, 0.04).weights, stamps)
+        buf = HistoryBuffer(0.1, 1.0, Grid(5, 0.04).weights, stamps, [0.37],
+                            0)
         for _ in stamps:
             buf.push(np.full(5, 3.0))
-        assert np.all(buf.sample(-0.37) == 3.0)
+        assert np.all(buf.sample(0) == 3.0)
 
     def test_midpoint_of_linear(self):
-        buf = HistoryBuffer(1.0, 2.0, Grid(5, 1.0).weights, [0.0, 1.0])
+        buf = HistoryBuffer(1.0, 2.0, Grid(5, 1.0).weights, [0.0, 1.0], [0.5],
+                            0)
         buf.push(np.zeros(5))
         buf.push(np.ones(5))
-        assert np.all(buf.sample(0.5) == 0.5)
+        assert np.all(buf.sample(0) == 0.5)
 
     def test_linear_in_time_exact(self):
+        # the last three stamps' states sample -1.77, -0.3 and -1.5
         stamps = [-2.0 + 0.1 * k for k in range(21)]
-        buf = HistoryBuffer(0.1, 2.0, Grid(5, 1.0).weights, stamps)
+        queries = np.array([-1.77, -0.3, -1.5])
+        buf = HistoryBuffer(0.1, 2.0, Grid(5, 1.0).weights, stamps,
+                            np.array(stamps[-3:]) - queries, 0)
         for s in stamps:
             buf.push(np.full(5, s))
-        for q in (-1.77, -0.3, -1.5):
-            assert np.max(np.abs(buf.sample(q) - q)) < 1e-12
+        for k, q in enumerate(queries):
+            assert np.max(np.abs(buf.sample(k) - q)) < 1e-12
 
     def test_exact_at_stored_stamps(self):
+        # t_k - tau_k is exact in binary and lands on stamp k - k % 4
         rng = np.random.default_rng(7)
-        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights,
-                            [0.1 * k for k in range(11)])
+        stamps = 0.125 * np.arange(11)
+        buf = HistoryBuffer(0.125, 2.0, Grid(5, 1.0).weights, stamps,
+                            0.125 * (np.arange(11) % 4), 0)
         snaps = [rng.standard_normal(5) for _ in range(11)]
         for snap in snaps:
             buf.push(snap)
-        for k, snap in enumerate(snaps):
-            assert np.array_equal(buf.sample(0.1 * k), snap)
+        for k in range(11):
+            assert np.array_equal(buf.sample(k), snaps[k - k % 4])
 
     def test_underrun(self):
-        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, [0.0, 0.1])
-        buf.push(np.zeros(5))
-        buf.push(np.zeros(5))
-        with pytest.raises(HistoryUnderrunError):
-            buf.sample(-0.5)
+        # refused when the buffer is built, naming the state's step
+        with pytest.raises(HistoryUnderrunError,
+                           match=r"^query t=-0.5 precedes history start 0; "
+                                 r"buffer span is too short for the "
+                                 r"configured delay \(step 1\)$"):
+            HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, [0.0, 0.1],
+                          [0.0, 0.6], 0)
+
+    def test_implicit_state_samples_before_its_push(self):
+        # state 1, at 0.2 with tau 0.05, samples 0.15: after its own push
+        # (lag 0) 0.2 is served; before it (lag 1) the newest is 0.1
+        args = (0.1, 1.0, Grid(5, 1.0).weights, [0.0, 0.1, 0.2], [0.05, 0.05])
+        HistoryBuffer(*args, 0)
+        with pytest.raises(HistoryUnderrunError,
+                           match=r"^query t=0.15 is ahead of newest snapshot "
+                                 r"0.1 \(step 1\)$"):
+            HistoryBuffer(*args, 1)
 
     def test_weighted_square_integral_constant(self):
         # vt = c: double integral = c^2 * L * (1 - e^{-lam tau}) / lam
         g = Grid(101, 1.0)
         dt = 0.01
-        buf = init_history(g, SPAN, np.full(g.n, 2.0), dt, [0.0])
         lam = 0.8
         tau = 0.5
-        sq_lo = buf.square_integral(buf.sample(-tau))
-        got = buf.weighted_square_integral(0.0, tau, lam, sq_lo)
+        buf = init_history(g, SPAN, np.full(g.n, 2.0), dt, [0.0], [tau], 0)
+        sq_lo = buf.square_integral(buf.sample(0))
+        got = buf.weighted_square_integral(0, lam, sq_lo)
         exact = 4.0 * 1.0 * (1.0 - math.exp(-lam * tau)) / lam
         assert abs(got - exact) / exact < 1e-4
 
@@ -170,46 +193,64 @@ class TestHistoryBuffer:
         with pytest.raises(ConfigError,
                            match="history timestamps must be strictly "
                                  "increasing"):
-            HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, stamps)
+            HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, stamps, [0.0], 0)
 
     def test_no_push_past_the_last_stamp(self):
-        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, [0.0, 0.1])
+        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, [0.0, 0.1], [0.0],
+                            0)
         buf.push(np.zeros(5))
         buf.push(np.ones(5))
         with pytest.raises(ConfigError, match="no stamp past its 2 pushed"):
             buf.push(np.full(5, 2.0))
-        assert buf.newest_time == 0.1
-        assert np.array_equal(buf.sample(0.1), np.ones(5))
+        assert np.array_equal(buf.sample(0), np.ones(5))
 
-    def test_times_read_only(self):
-        stamps = np.array([0.0, 0.1, 0.2])
-        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, stamps)
-        buf.push(np.zeros(5))
-        buf.push(np.ones(5))
-        with pytest.raises(ValueError, match="read-only"):
-            buf.times[0] = -1.0
-        stamps[0] = -1.0  # the buffer keeps its own stamps
-        assert buf.times.tolist() == [0.0, 0.1]
+    def test_keeps_its_own_stamps(self):
+        stamps = np.array([0.0, 1.0, 2.0])
+        buf = HistoryBuffer(1.0, 2.0, Grid(5, 1.0).weights, stamps, [0.5], 0)
+        stamps[:] = [-5.0, 0.0, 7.0]  # the buffer bracketed its own copy
+        for k in range(3):
+            buf.push(np.full(5, float(k)))
+        assert np.all(buf.sample(0) == 1.5)
+
+    def test_brackets_counted_before_allocation(self, monkeypatch):
+        # 30 stamps x 6 floats: 20 states' query, bracket, weight, window
+        # start and partial-cell flag, and every stamp's served window
+        monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 100)
+        with pytest.raises(ConfigError,
+                           match=r"^the history's bracket table needs 30 x 6 "
+                                 r"floats, more than the 100 a run may "
+                                 r"allocate$"):
+            HistoryBuffer(0.1, 0.2, Grid(3, 1.0).weights, 0.1 * np.arange(30),
+                          np.zeros(20), 0)
 
 
 class TestInitHistory:
     def test_zero(self):
         g = Grid(21, 1.0)
-        buf = zero_history(g, 0.05)
-        assert all(np.all(buf.sample(t) == 0.0) for t in buf.times)
+        for tau in (0.0, 0.05, 0.37, SPAN):
+            buf = init_history(g, SPAN, np.zeros(g.n), 0.05, [0.0], [tau], 0)
+            assert np.all(buf.sample(0) == 0.0)
 
     def test_constant_in_time(self):
+        # every delay the span serves samples vt0: exactly at a stamp, to
+        # roundoff between two
         g = Grid(21, 1.0)
         v1 = np.sin(math.pi * g.x / 2.0)
-        buf = init_history(g, SPAN, v1, 0.05, [0.0])
-        for t in buf.times:
-            assert np.array_equal(buf.sample(t), v1)
-        assert buf.newest_time == 0.0
+        for tau in (0.0, 0.05, 0.37, SPAN):
+            buf = init_history(g, SPAN, v1, 0.05, [0.0], [tau], 0)
+            assert np.max(np.abs(buf.sample(0) - v1)) <= 1e-15
+        assert np.array_equal(
+            init_history(g, SPAN, v1, 0.05, [0.0], [0.0], 0).sample(0), v1)
 
     def test_spans_delay(self):
+        # the stamps reach back past -span: tau = span is served, a delay
+        # past the first stamp, -k_max * dt = -0.65, is refused at step 0
         g = Grid(21, 1.0)
-        buf = zero_history(g, 0.05)
-        assert buf.times[0] <= -SPAN
+        init_history(g, SPAN, np.zeros(g.n), 0.05, [0.0], [SPAN], 0)
+        with pytest.raises(HistoryUnderrunError,
+                           match=r"^query t=-0.7 precedes history start "
+                                 r"-0.65; .* \(step 0\)$"):
+            init_history(g, SPAN, np.zeros(g.n), 0.05, [0.0], [0.7], 0)
 
     def test_nonfinite_initial_velocity_refused_by_plan(
             self, certified_scenario, monkeypatch):
@@ -241,7 +282,8 @@ class TestRunFloatBound:
         with pytest.raises(ConfigError, match=r"^the history ring needs \d+ "
                                               r"x 21 floats, more than the "
                                               r"100 a run may allocate$"):
-            init_history(Grid(21, 1.0), SPAN, np.zeros(21), 0.05, [0.0])
+            init_history(Grid(21, 1.0), SPAN, np.zeros(21), 0.05, [0.0],
+                         [0.5], 0)
 
     def test_history_refused_before_grid_arrays(self, certified_scenario,
                                                 monkeypatch):
@@ -334,12 +376,11 @@ class TestCflTimestep:
                          safety=0.0)
 
 
-def _start(v0, history, operator, table, explicit=True):
-    """run()'s initial state for v = v0 and v_t = p = p_t = 0, with tau(0)
-    from the profile table."""
+def _start(v0, history, operator, explicit=True):
+    """run()'s initial state for v = v0 and v_t = p = p_t = 0."""
     n = len(v0)
     return initial_state((v0, np.zeros(n), np.zeros(n), np.zeros(n)),
-                         history, operator, table[0, 1], explicit)
+                         history, operator, explicit)
 
 
 SINUSOID = DelayProfile(kind="sinusoid", mean=0.5, amplitude=0.1, omega=1.8,
@@ -424,8 +465,9 @@ class TestSteppers:
         weights = WeightProfiles(delta0=1.0, beta0=0.3, d2_kind="constant",
                                  d2_value=0.3)
         table = profile_table(NO_DELAY, weights, dt, 20)
-        buf = zero_history(g, dt, table[:, 0])
-        st = _start(np.zeros(g.n), buf, op, table, stepper is step_explicit)
+        explicit = stepper is step_explicit
+        buf = zero_history(g, dt, table, int(not explicit))
+        st = _start(np.zeros(g.n), buf, op, explicit)
         for k in range(20):
             st = stepper(st, buf, op, table, k, dt)
         for f in (st.v, st.vt, st.p, st.pt):
@@ -445,8 +487,8 @@ class TestSteppers:
         dt = 10 * period / n_steps
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, UNDAMPED, dt, n_steps)
-        buf = zero_history(g, dt, table[:, 0])
-        st = _start(v0.copy(), buf, op, table)
+        buf = zero_history(g, dt, table)
+        st = _start(v0.copy(), buf, op)
         for k in range(n_steps):
             st = step_explicit(st, buf, op, table, k, dt)
         assert np.linalg.norm(st.v - v0) / np.linalg.norm(v0) < 0.01
@@ -459,8 +501,8 @@ class TestSteppers:
         weights = WeightProfiles(delta0=1.0, beta0=0.0, d1_floor=1.0)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, weights, dt, 500)
-        buf = zero_history(g, dt, table[:, 0])
-        st = _start(v0, buf, op, table)
+        buf = zero_history(g, dt, table)
+        st = _start(v0, buf, op)
         e_prev = _core_energy(st.v, st.vt, st.p, st.pt, op).total
         for k in range(500):
             st = step_explicit(st, buf, op, table, k, dt)
@@ -474,8 +516,8 @@ class TestSteppers:
         dt = 10.0 * cfl_timestep(op, NO_DELAY)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, UNDAMPED, dt, 100)
-        buf = zero_history(g, dt, table[:, 0])
-        st = _start(v0, buf, op, table)
+        buf = zero_history(g, dt, table)
+        st = _start(v0, buf, op)
         with pytest.raises(DivergenceError):
             for k in range(100):
                 st = step_explicit(st, buf, op, table, k, dt)
@@ -487,8 +529,8 @@ class TestSteppers:
         dt = 10.0 * cfl_timestep(op, NO_DELAY)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, UNDAMPED, dt, 100)
-        buf = zero_history(g, dt, table[:, 0])
-        st = _start(v0, buf, op, table, explicit=False)
+        buf = zero_history(g, dt, table, 1)
+        st = _start(v0, buf, op, explicit=False)
         e0 = _core_energy(st.v, st.vt, st.p, st.pt, op).total
         for k in range(100):
             st = step_implicit(st, buf, op, table, k, dt)
@@ -502,8 +544,8 @@ class TestSteppers:
         dt = cfl_timestep(op, NO_DELAY)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, UNDAMPED, dt, 50)
-        buf = zero_history(g, dt, table[:, 0])
-        st = _start(v0, buf, op, table, explicit=False)
+        buf = zero_history(g, dt, table, 1)
+        st = _start(v0, buf, op, explicit=False)
         for k in range(50):
             st = step_implicit(st, buf, op, table, k, dt)
         scale = max(1.0, _scale(st))
@@ -523,8 +565,8 @@ class TestSteppers:
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(sc.delay, sc.weights, dt, 6)
         buf = init_history(g, sc.delay.tau_bar, np.zeros(g.n), dt,
-                           table[:, 0])
-        st = _start(v0, buf, op, table, explicit=False)
+                           table[:, 0], table[:, 1], 1)
+        st = _start(v0, buf, op, explicit=False)
         st = step_implicit(st, buf, op, table, 0, dt)
         diag, off = op.implicit_buffers
         for k in range(1, 5):
@@ -587,27 +629,30 @@ class TestSteppers:
             f[-1] = (4.0 * f[-2] - f[-3]) / 3.0
         table = profile_table(sc.delay, weights, dt, 1)
         buf = init_history(g, sc.delay.tau_bar, 0.3 * np.sin(x), dt,
-                           table[:, 0])
-        st = initial_state(fields, buf, op, table[0, 1], False)
-        t_new, tau_new, d1, _, d2 = table[1].tolist()
-        z = buf.sample(t_new - tau_new).copy()
+                           table[:, 0], table[:, 1], 1)
+        st = initial_state(fields, buf, op, False)
+        _, _, d1, _, d2 = table[1].tolist()
+        z = buf.sample(1).copy()
         new = step_implicit(st, buf, op, table, 0, dt)
         ref = np.concatenate(_refined_interleaved_step(st, z, op, dt, d1, d2))
         got = np.concatenate([new.v, new.p])
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_newest_history_matches_current_vt(self):
+        # with no delay, each explicit state samples its own stamp after
+        # its push: the newest snapshot, the state's v_t bitwise
         g = Grid(51, 1.0)
         op = SpatialOperator(BEAM, g)
         dt = cfl_timestep(op, NO_DELAY)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, UNDAMPED, dt, 25)
-        buf = zero_history(g, dt, table[:, 0])
-        st = _start(v0, buf, op, table)
+        buf = init_history(g, SPAN, np.zeros(g.n), dt, table[:, 0],
+                           np.zeros(26), 0)
+        st = _start(v0, buf, op)
         for k in range(25):
             st = step_explicit(st, buf, op, table, k, dt)
-            assert np.array_equal(buf.sample(buf.newest_time), st.vt)
-            assert buf.newest_time == st.t
+            assert np.array_equal(st.z, st.vt)
+            assert st.t == table[k + 1, 0]
 
     def test_implicit_delayed_sample_outlives_the_push(self,
                                                        certified_scenario,
@@ -626,20 +671,19 @@ class TestSteppers:
         # a history that differs between stamps, as init_history lays it out
         k_max = int(math.ceil((sc.delay.tau_bar + dt) / dt))
         stamps = np.r_[-np.arange(k_max, 0, -1) * dt, table[:, 0]]
-        buf = HistoryBuffer(dt, span, g.weights, stamps)
+        buf = HistoryBuffer(dt, span, g.weights, stamps, table[:, 1], 1)
         for s in stamps[:k_max + 1]:
             buf.push(np.sin(g.x + 3.0 * s))
         assert len(buf._ring) == rows
-        st = _start(np.sin(np.pi * g.x / 2.0), buf, op, table, False)
+        st = _start(np.sin(np.pi * g.x / 2.0), buf, op, False)
         sample, samples = buf.sample, []
-        monkeypatch.setattr(buf, "sample", lambda t_query: samples.append(
-            sample(t_query)) or samples[-1])
+        monkeypatch.setattr(buf, "sample", lambda k: samples.append(
+            sample(k)) or samples[-1])
         for k in range(n_steps):
             st = step_implicit(st, buf, op, table, k, dt)
-            tau_new = table[k + 1, 1]
             z = st.z
             assert len(samples) == k + 1 and samples[-1] is z
-            assert z.tobytes() == sample(st.t - tau_new).tobytes()
+            assert z.tobytes() == sample(k + 1).tobytes()
 
 
 class TestRun:
@@ -723,9 +767,9 @@ class TestRun:
         queries = []
         sample = HistoryBuffer.sample
 
-        def counted(self, t_query):
-            queries.append(t_query)
-            return sample(self, t_query)
+        def counted(self, k):
+            queries.append(k)
+            return sample(self, k)
 
         monkeypatch.setattr(HistoryBuffer, "sample", counted)
         sc = dataclasses.replace(certified_scenario, n=21, horizon=1.0,
@@ -733,7 +777,7 @@ class TestRun:
         traj = run(sc, collect_fields=False)
         n_steps = int(round(sc.horizon / traj.dt))
         assert len(traj) == n_steps // stride + 1 + (n_steps % stride > 0)
-        assert len(queries) == n_steps + 1
+        assert queries == list(range(n_steps + 1))
 
     @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
     def test_trajectory_does_not_keep_the_history(self, certified_scenario,
@@ -779,13 +823,17 @@ class TestRun:
     def test_nan_history_is_divergence(self, certified_scenario, monkeypatch,
                                        integrator):
         # the blow-up guard's finiteness test is the one check of a step
-        # whose delayed velocity, and so its solve, is not finite
+        # whose delayed velocity, and so its solve, is not finite; the NaN
+        # history makes the record's E(0) NaN too, so with multipliers plan
+        # refuses L(0), and only a run without them (beta0 past sqrt(1 - d)
+        # voids the certificate) reaches the step
         from piezobeam import solver
 
-        def nan_history(grid, span, vt0, dt, times):
+        def nan_history(grid, span, vt0, dt, times, taus, lag):
             k_max = int(math.ceil((span + dt) / dt))
             buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights,
-                                np.r_[-np.arange(k_max, 0, -1) * dt, times])
+                                np.r_[-np.arange(k_max, 0, -1) * dt, times],
+                                taus, lag)
             for _ in range(k_max + 1):
                 buf.push(np.full(grid.n, np.nan))
             return buf
@@ -793,42 +841,54 @@ class TestRun:
         monkeypatch.setattr(solver, "init_history", nan_history)
         sc = dataclasses.replace(certified_scenario, n=21, horizon=0.5,
                                  integrator=integrator)
+        with pytest.raises(ConfigError, match="^initial Lyapunov value nan "
+                                              "is not finite$"):
+            run(sc, collect_fields=False)
+        sc = dataclasses.replace(sc, weights=dataclasses.replace(
+            sc.weights, beta0=1.1))
+        assert not sc.certificate.valid
         with pytest.raises(DivergenceError, match="-> nan") as info:
             run(sc, collect_fields=False)
         assert info.value.step == 1
         assert info.value.trajectory.status == "diverged"
         assert len(info.value.trajectory) == 1
 
-    def test_history_underrun_keeps_filled_rows(self):
-        # the delay outgrows its declared tau_bar = 0.6, which sizes the
-        # history, so a record's delayed query underruns it mid-run
-        delay = DelayProfile(kind="table", table_t=(0, 1, 2),
-                             table_tau=(0.5, 0.5, 0.9), tau0=0.4, tau_bar=0.6,
-                             d=0.4)
+    # the delay outgrows its declared tau_bar = 0.6, which sizes the
+    # history: step 89 would sample t - tau(t) ~ 0.72 for the state it
+    # makes, before the stamps served then
+    UNDERRUN = DelayProfile(kind="table", table_t=(0, 1, 2),
+                            table_tau=(0.5, 0.5, 0.9), tau0=0.4, tau_bar=0.6,
+                            d=0.4)
+
+    def test_history_underrun_refused_at_set_up(self, monkeypatch):
+        # plan refuses the run, naming the step, before any step is taken:
+        # no partial trajectory exists
+        def refused(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setitem(solver.STEPPERS, "explicit", refused)
         sc = dataclasses.replace(load_scenario("damped-no-delay"), n=21,
-                                 horizon=2.0, delay=delay)
-        with pytest.raises(HistoryUnderrunError) as info:
+                                 horizon=2.0, delay=self.UNDERRUN)
+        with pytest.raises(HistoryUnderrunError,
+                           match=r"^query t=0\.7215.* precedes history "
+                                 r"start 0\.7230.*; buffer span is too short "
+                                 r"for the "
+                                 r"configured delay \(step 89\)$") as info:
             run(sc, collect_fields=False)
-        traj = info.value.trajectory
-        assert traj.status == "error"
-        # step 89 samples t - tau(t) ~ 0.72 for the state it makes, before
-        # the history start; output_stride 1, so rows 0..88 are kept
-        assert info.value.step == len(traj) == 89
-        assert str(info.value).endswith("(step 89)")
-        assert np.all(np.isfinite(traj.energies))
+        assert not hasattr(info.value, "trajectory")
+        with pytest.raises(HistoryUnderrunError, match=r"\(step 89\)$"):
+            solver.plan(sc)
 
     def test_strided_underrun_labelled_with_its_step(self):
-        # the state's delayed sample is taken by the step that makes it, so
-        # the label does not wait for the next step or record
-        delay = DelayProfile(kind="table", table_t=(0, 1, 2),
-                             table_tau=(0.5, 0.5, 0.9), tau0=0.4, tau_bar=0.6,
-                             d=0.4)
+        # the state's bracket is refused for the step that would make it,
+        # whatever the record stride
         sc = dataclasses.replace(load_scenario("damped-no-delay"), n=21,
-                                 horizon=2.0, delay=delay, output_stride=2)
-        with pytest.raises(HistoryUnderrunError) as info:
+                                 horizon=2.0, delay=self.UNDERRUN,
+                                 output_stride=2)
+        with pytest.raises(HistoryUnderrunError,
+                           match=r"\(step 89\)$") as info:
             run(sc, collect_fields=False)
-        assert info.value.step == 89
-        assert len(info.value.trajectory) == 45  # steps 0, 2, ..., 88
+        assert not hasattr(info.value, "trajectory")
 
     def test_history_sized_from_the_delays_stepped_with(self,
                                                        certified_scenario,
@@ -839,7 +899,7 @@ class TestRun:
 
         def tracked(*args):
             buf = init_history(*args)
-            stamps.append(len(buf.times))
+            stamps.append(len(buf._stamps))
             return buf
 
         monkeypatch.setattr(solver, "init_history", tracked)
@@ -867,11 +927,12 @@ class TestRun:
         traj = run(sc, collect_fields=False)
         n_steps = round(sc.horizon / traj.dt)
         table = profile_table(sc.delay, sc.weights, traj.dt, n_steps)
-        served = made[0].times
+        buf = made[0]
+        served = buf._stamps[buf._lo:buf._end]
         j = n_steps + 1 - np.count_nonzero(served >= 0)
         assert 0 < j < n_steps
         assert served[served >= 0].tobytes() == table[j:, 0].tobytes()
-        assert made[0].newest_time == traj.times[-1] == table[-1, 0]
+        assert served[-1] == traj.times[-1] == table[-1, 0]
 
     def test_status_independent_of_output_stride(self, certified_scenario):
         # delta2 = -3 voids the certificate (L is NaN) and the energy grows

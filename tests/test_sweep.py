@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,19 @@ def test_diverged_point_recorded_as_diverged_row():
     assert ok.h2 > 0
     assert all(math.isnan(x) for x in (diverged.h2, diverged.r_squared,
                                        diverged.energy_ratio))
+
+
+def test_nonfinite_initial_lyapunov_recorded_as_error_row():
+    # amplitude 1e153: E(0) is finite, L(0) = N E(0) + ... is not, so the
+    # set-up refuses the point, with no numpy warning, and the sweep goes on
+    spec = SweepSpec(_base(), axes=(("initial.amplitude", (1.0, 1e153)),),
+                     n=11, horizon=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, refused = execute(spec)
+    assert (ok.status, refused.status) == ("ok", "error")
+    assert refused.valid and refused.violated == [
+        "initial Lyapunov value inf is not finite"]
 
 
 def test_non_integer_axis_value_recorded_as_infeasible_row():
