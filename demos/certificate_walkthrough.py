@@ -22,7 +22,7 @@ print(f"  feasibility: beta0 < sqrt(1-d) = {math.sqrt(1 - delay.d):.3f}")
 print()
 
 report = validate_assumptions(delay, weights)
-print("sampled assumption margins (>= 0 passes)")
+print("assumption margins on all of t >= 0 (>= 0 passes)")
 for name, check in report.items():
     print(f"  {name:28s} {check.margin:+.3e}")
 print()

@@ -241,7 +241,8 @@ def lyapunov_equivalence(trajectory):
             "trajectory has no positive-energy samples; equivalence ratios "
             "are undefined")
     k1, k2, k3 = (trajectory.column(k)[pos] for k in ("K1", "K2", "K3"))
-    ratios = trajectory.multipliers.combine(e[pos], k1, k2, k3) / e[pos]
+    with np.errstate(all="ignore"):  # an L past the float range: b2 = inf
+        ratios = trajectory.multipliers.combine(e[pos], k1, k2, k3) / e[pos]
     return float(ratios.min()), float(ratios.max())
 
 

@@ -17,13 +17,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ProfileEvaluationError
-
 LAMBDA_MAX = 10.0  # kernel rate when beta0 = 0 leaves it unbounded
 # delay-energy weight: the midpoint of its admissible open interval
 # (beta0/sqrt(1-d), 2 - beta0/sqrt(1-d)), which is symmetric about 1
 XI_BAR = 1.0
-SAMPLES = 4096  # validate_assumptions' grid points over [0, horizon]
 
 
 def check_float_fields(obj):
@@ -111,13 +108,13 @@ class DelayProfile:
       table:     linear interpolation of (table_t, table_tau), kept as
                  tuples of floats, table_t strictly increasing; tau' is the
                  slope of the segment holding t (right-continuous, 0 outside
-                 the table), tau'' = 0
+                 the table)
 
     Every profile evaluates elementwise: an array t gives an array, a
     scalar t a numpy scalar.
 
-    Declared bounds (tau0, tau_bar, d) are what the certificate uses; they are
-    checked against the sampled profile by validate_assumptions.
+    Declared bounds (tau0, tau_bar, d) are what the certificate uses;
+    validate_assumptions checks them on all of t >= 0, at critical_times.
     """
 
     kind: str = "constant"
@@ -163,30 +160,21 @@ class DelayProfile:
             ([0.0], np.diff(self.table_tau) / np.diff(self.table_t), [0.0]))
         return slopes[np.searchsorted(self.table_t, t, side="right")]
 
-    def tau_second(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind != "sinusoid":
-            return np.zeros_like(t)[()]
-        return -self.amplitude * np.square(self.omega) * np.sin(self.omega * t)
-
-    def critical_times(self, horizon):
-        """Extrema of tau and tau' inside [0, horizon]: a table's vertices or
-        a sinusoid's analytic peaks over its first period, as they repeat."""
+    def critical_times(self):
+        """0 and where tau and tau' peak on all of t >= 0: a table's later
+        vertices (tau' is flat per segment) or a sinusoid's quarter periods."""
         if self.kind == "table":
             tt = np.asarray(self.table_t)
-            return tt[(tt >= 0.0) & (tt <= horizon)]
-        return _quarter_periods(
-            self.omega if self.kind == "sinusoid" else 0.0, horizon)
+            return np.r_[0.0, tt[tt > 0]]
+        return _quarter_periods(self.omega if self.kind == "sinusoid" else 0.0)
 
 
-def _quarter_periods(omega, horizon):
-    """Extrema of sin(omega t) and its slope over one period: 0, pi/2|omega|,
-    ..., 2 pi/|omega| inside [0, horizon]; none for omega = 0.  t = 0 is not
-    0 * step, which is nan when a subnormal omega makes the step inf."""
-    if omega == 0.0:
-        return np.array([])
-    pts = np.r_[0.0, math.pi / (2 * abs(omega)) * np.arange(1, 5)]
-    return pts[pts <= horizon]
+def _quarter_periods(omega):
+    """0 and k pi/2|omega|, k = 1..4, where sin(omega t) and its slope peak
+    over one period, as they repeat; none past the float range."""
+    step = math.pi / (2 * abs(omega)) if omega else math.inf
+    return np.array([0.0] + [k * step for k in range(1, 5)
+                             if k * step < math.inf])
 
 
 @dataclass(frozen=True)
@@ -229,13 +217,13 @@ class WeightProfiles:
 
     def delta1(self, t):
         t = np.asarray(t, dtype=float)
-        if self.d1_kind == "constant":
+        if self.d1_kind == "constant" or not self.d1_excess:  # not 0 * inf
             return np.full_like(t, self.d1_floor)[()]
         return self.d1_floor + self.d1_excess * np.exp(-self.d1_rate * t)
 
     def delta1_prime(self, t):
         t = np.asarray(t, dtype=float)
-        if self.d1_kind == "constant":
+        if self.d1_kind == "constant" or not self.d1_excess:
             return np.zeros_like(t)[()]
         return -self.d1_rate * self.d1_excess * np.exp(-self.d1_rate * t)
 
@@ -256,83 +244,86 @@ class WeightProfiles:
             - self.d2_omega * self.delta1(t) * np.sin(self.d2_omega * t)
         )
 
-    def critical_times(self, horizon):
-        """A cosine delta2's extrema over its first period, as they repeat."""
+    def critical_times(self):
+        """0 and a cosine delta2's quarter periods over its first period."""
         return _quarter_periods(
-            self.d2_omega if self.d2_kind == "cosine" else 0.0, horizon)
+            self.d2_omega if self.d2_kind == "cosine" else 0.0)
 
 
 class CheckResult(NamedTuple):
-    """Outcome of one sampled inequality: margin >= 0 means it holds."""
+    """Outcome of one inequality on all of t >= 0: margin >= 0 means it
+    holds.  worst_t is where the margin is reached: inf for a limit as
+    t -> inf, nan for a bound that no t reaches."""
 
     margin: float
     passed: bool
     worst_t: float
 
 
-def _worst(ts, margins):
-    """Smallest margin and the time where it occurs."""
-    margins = np.asarray(margins, dtype=float)
-    i = int(np.argmin(margins))
-    return float(margins[i]), float(np.asarray(ts)[i])
+def validate_assumptions(delay, weights):
+    """Every declared profile bound on all of t >= 0, in closed form.
 
-
-def validate_assumptions(delay, weights, horizon=40.0):
-    """Sample every declared profile bound over [0, horizon], on a grid of
-    SAMPLES points plus the critical times of the profile the bound reads.
-
-    Returns a dict from check name to CheckResult, one per inequality in a
-    fixed order; a check passes iff its sampled margin is >= -1e-12 (tiny
-    slack for profiles whose analytic extremum sits exactly on the declared
-    bound).
+    Returns a dict from check name to CheckResult, in a fixed order.  Each
+    built-in profile is constant, piecewise linear, periodic or monotone,
+    so a margin is its least value at the profile's critical_times.  Under
+    a varying delta1 (exp_floor), which is monotone, each weight check
+    takes its extreme at t = 0 or as t -> inf, but one: a cosine delta2 =
+    r delta1 cos(w t) takes the bound |delta2'| / delta1 <= |r| sqrt(sup
+    g^2 + w^2), g = delta1'/delta1, which no t reaches (worst_t nan).  The
+    bounds |q| <= M delta1 on q = delta1', delta2, delta2' have margin
+    (M delta1 - |q|) / delta1, or M delta1 - |q| where a constant delta1
+    is <= 0.  A check passes iff its margin is >= -1e-12 (nan fails), and
+    fails at -inf at t = 0 unless its scalar bounds hold: tau0 > 0, d < 1,
+    delta0 > 0, beta0 < sqrt(1 - d) and, for the bounds |q| <= M delta1,
+    a varying delta1 > 0 at every t.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be > 0")
-
-    grid = np.linspace(0.0, horizon, SAMPLES)
-    ts = np.unique(np.r_[grid, delay.critical_times(horizon)])
-    tw = np.unique(np.r_[grid, weights.critical_times(horizon)])
-
-    values = {"tau": delay.tau(ts), "tau'": delay.tau_prime(ts),
-              "tau''": delay.tau_second(ts), "delta1": weights.delta1(tw),
-              "delta1'": weights.delta1_prime(tw), "delta2": weights.delta2(tw),
-              "delta2'": weights.delta2_prime(tw)}
-    tau, taup, _, d1, d1p, d2, d2p = values.values()
-    for label, arr in values.items():
-        t_bad = (ts if label.startswith("tau") else tw)[~np.isfinite(arr)]
-        if len(t_bad):
-            raise ProfileEvaluationError(
-                f"{label} evaluated non-finite at t={t_bad[0]:.6g}")
-
-    tol = 1e-12
     checks = {}
 
-    def add(name, ts_arr, margins, holds=True):
+    def add(name, ts, margins, holds=True):
         # holds is the check's scalar bound: false fails it at margin -inf
-        m, wt = _worst(ts_arr, margins) if holds else (-math.inf, 0.0)
-        checks[name] = CheckResult(m, m >= -tol, wt)
+        i = int(np.argmin(margins))
+        m, wt = (float(margins[i]), float(ts[i])) if holds else (-math.inf, 0.0)
+        checks[name] = CheckResult(m, m >= -1e-12, wt)
 
-    add("delay_lower_bound", ts, tau - delay.tau0, delay.tau0 > 0)
-    add("delay_upper_bound", ts, delay.tau_bar - tau)
-    add("delay_slope_bound", ts, delay.d - taup, delay.d < 1)
-    # curvature has no declared bound; boundedness == finiteness (checked above)
-    checks["delay_curvature_bounded"] = CheckResult(math.inf, True, 0.0)
+    f, e, rate = weights.d1_floor, weights.d1_excess, weights.d1_rate
+    varies = weights.d1_kind == "exp_floor" and e != 0 and rate != 0
+    ts = delay.critical_times()
+    tw = np.zeros(1) if varies else weights.critical_times()
+    m1, beta0, m2 = weights.M1, weights.beta0, weights.M2
+    with np.errstate(all="ignore"):
+        tau = delay.tau(ts)
+        add("delay_lower_bound", ts, tau - delay.tau0, delay.tau0 > 0)
+        add("delay_upper_bound", ts, delay.tau_bar - tau)
+        add("delay_slope_bound", ts, delay.d - delay.tau_prime(ts), delay.d < 1)
 
-    add("damping_floor", tw, d1 - weights.delta0, weights.delta0 > 0)
-    add("damping_monotone", tw, -d1p)
-    # delta1 == 0 only occurs in deliberately undamped scenarios; the
-    # log-derivative bound is vacuous there
-    safe_d1 = np.where(d1 > 0, d1, 1.0)
-    add("damping_log_derivative", tw, weights.M1 - np.abs(d1p) / safe_d1)
-
-    feas = math.sqrt(1.0 - delay.d) - weights.beta0 if delay.d < 1 else -math.inf
-    m, wt = _worst(tw, weights.beta0 * d1 - np.abs(d2))
-    m = min(m, feas)
-    # beta0 must sit strictly below sqrt(1 - d) for the certificate interval
-    checks["delay_weight_ratio"] = CheckResult(m, m >= -tol and feas > 0, wt)
-
-    add("delay_weight_derivative", tw, weights.M2 * d1 - np.abs(d2p))
-
+        d1, d1p = weights.delta1(tw), weights.delta1_prime(tw)
+        margins = [d1 - weights.delta0, -d1p] + [
+            (m * d1 - np.abs(q)) / np.where(d1 > 0, d1, 1.0)
+            for m, q in ((m1, d1p), (beta0, weights.delta2(tw)),
+                         (m2, weights.delta2_prime(tw)))]
+        if varies:  # the limit t -> inf: delta1 -> f, or -> +-inf
+            d1_inf = f if rate > 0 else math.copysign(math.inf, e)
+            g_inf = abs(rate) if rate < 0 or f == 0 else 0.0  # |delta1'/delta1|
+            c = abs(weights.d2_value) if weights.d2_kind == "constant" else 0.0
+            limits = (d1_inf - weights.delta0,
+                      math.copysign(math.inf, rate * e) if rate < 0 else 0.0,
+                      m1 - g_inf,
+                      beta0 - (c / d1_inf if d1_inf else math.inf if c else 0.0),
+                      m2)
+            tw = np.append(tw, math.inf)
+            margins = [np.append(m, lim) for m, lim in zip(margins, limits)]
+        positive = not varies or (d1[0] > 0 and d1_inf >= 0)
+        feasible = delay.d < 1 and beta0 < math.sqrt(1.0 - delay.d)
+        for name, m, holds in zip(
+                ("damping_floor", "damping_monotone", "damping_log_derivative",
+                 "delay_weight_ratio", "delay_weight_derivative"), margins,
+                (weights.delta0 > 0, True, positive, positive and feasible,
+                 positive)):
+            add(name, tw, m, holds)
+        if varies and weights.d2_kind == "cosine":  # a bound no t reaches
+            g_sup = max(float(abs(d1p[0]) / d1[0]), g_inf)
+            bound = abs(weights.d2_ratio) * math.hypot(g_sup, weights.d2_omega)
+            add("delay_weight_derivative", [math.nan], [m2 - bound], positive)
     return checks
 
 
@@ -340,8 +331,8 @@ def validate_assumptions(delay, weights, horizon=40.0):
 class StabilityCertificate:
     """Decay certificate: delay-energy weight, kernel rate, and dissipation constants.
 
-    assumptions holds the sampled checks (validate_assumptions) it was built
-    on; a certificate is valid exactly when diagnostics is empty.
+    assumptions holds the checks on all of t >= 0 (validate_assumptions) it
+    was built on; a certificate is valid exactly when diagnostics is empty.
     """
 
     xi_bar: float
@@ -358,8 +349,9 @@ class StabilityCertificate:
         return min(self.c1, self.c2, self.c3)
 
 
-def build_certificate(delay, weights, horizon=40.0, xi_bar=None, lam=None):
-    """Assemble the full certificate: assumption checks, weight, rate, constants.
+def build_certificate(delay, weights, xi_bar=None, lam=None):
+    """Assemble the full certificate: assumption checks on all of t >= 0,
+    weight, rate, constants.
 
     xi_bar defaults to XI_BAR.  Feasibility is checked here, overrides
     included: 0 <= d < 1 always, and tau_bar > 0 and 0 <= beta0 < xi_bar *
@@ -368,11 +360,11 @@ def build_certificate(delay, weights, horizon=40.0, xi_bar=None, lam=None):
     beta0), or LAMBDA_MAX when beta0 = 0 leaves that rate unbounded.
 
     Infeasible configurations, and C1..C3 <= 0, yield an invalid certificate
-    whose diagnostics name the violated inequalities; nothing is raised
-    unless a profile evaluates non-finite.  C2 is inf when a given lam
-    puts exp(-lam * tau_bar) past the float range.
+    whose diagnostics name the violated inequalities; nothing is raised.
+    C2 is inf when a given lam puts exp(-lam * tau_bar) past the float
+    range.
     """
-    report = validate_assumptions(delay, weights, horizon=horizon)
+    report = validate_assumptions(delay, weights)
     diagnostics = [name for name, c in report.items() if not c.passed]
 
     beta0, d, tau_bar = weights.beta0, delay.d, delay.tau_bar

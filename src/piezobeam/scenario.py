@@ -105,13 +105,10 @@ class Scenario:
 
     @functools.cached_property
     def certificate(self):
-        """The scenario's decay certificate, built on first access."""
-        return build_certificate(
-            self.delay, self.weights,
-            horizon=max(self.horizon, 1.0),
-            xi_bar=self.xi_bar_override,
-            lam=self.lambda_override,
-        )
+        """The scenario's decay certificate, built on first access; its
+        assumptions hold on all of t >= 0, whatever the horizon."""
+        return build_certificate(self.delay, self.weights,
+                                 self.xi_bar_override, self.lambda_override)
 
     def to_dict(self):
         d = {"beam": _write(self.beam, BEAM_KEYS),

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import (ConfigError, DivergenceError, GridError,
-                     HistoryUnderrunError)
+                     HistoryUnderrunError, ProfileEvaluationError)
 from .scenario import initial_fields
 
 
@@ -555,7 +555,13 @@ def plan(scenario):
         raise ConfigError(f"time step {dt} squared is outside the float "
                           "range")
 
-    profiles = profile_table(scenario.delay, scenario.weights, dt, n_steps)
+    with np.errstate(all="ignore"):  # a non-finite entry is refused
+        profiles = profile_table(scenario.delay, scenario.weights, dt, n_steps)
+    if not np.isfinite(profiles).all():
+        k, col = np.argwhere(~np.isfinite(profiles))[0]
+        raise ProfileEvaluationError(
+            f"{('t', 'tau', 'delta1', 'delta1', 'delta2')[col]} evaluated "
+            f"non-finite at t={profiles[k, 0] + (col == 3) * 0.5 * dt:.6g}")
     tau_max = float(profiles[:, 1].max())
     try:  # the delay kernel's largest weight, as build_certificate's C2
         math.exp(-certificate.lam * tau_max)
@@ -604,20 +610,21 @@ def run(scenario, collect_fields=True):
                       [state] if collect_fields else [])
     filled = 1  # plan recorded the state at t = 0
     stepper = STEPPERS[scenario.integrator]
-    for k in range(1, n_steps + 1):
-        try:
-            state = stepper(state, history, operator, profiles, k - 1, dt)
-        except DivergenceError as exc:
-            traj.status = "diverged"
-            traj.data = data[:filled]
-            err = DivergenceError(f"{exc} (step {k})")
-            err.step, err.trajectory = k, traj
-            raise err from exc
-        if k % stride == 0 or k == n_steps:
-            data[filled] = diagnostics.energy(
-                state, history, operator, k, float(profiles[k, 2]),
-                certificate, multipliers)
-            filled += 1
-            if collect_fields and (k % field_stride == 0 or k == n_steps):
-                traj.fields.append(state)
+    with np.errstate(all="ignore"):  # the blow-up guard refuses inf and nan
+        for k in range(1, n_steps + 1):
+            try:
+                state = stepper(state, history, operator, profiles, k - 1, dt)
+            except DivergenceError as exc:
+                traj.status = "diverged"
+                traj.data = data[:filled]
+                err = DivergenceError(f"{exc} (step {k})")
+                err.step, err.trajectory = k, traj
+                raise err from exc
+            if k % stride == 0 or k == n_steps:
+                data[filled] = diagnostics.energy(
+                    state, history, operator, k, float(profiles[k, 2]),
+                    certificate, multipliers)
+                filled += 1
+                if collect_fields and (k % field_stride == 0 or k == n_steps):
+                    traj.fields.append(state)
     return traj

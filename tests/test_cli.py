@@ -151,17 +151,22 @@ class TestCheck:
 
     def test_check_lists_every_assumption_in_order(self, capsys):
         names = ["delay_lower_bound", "delay_upper_bound", "delay_slope_bound",
-                 "delay_curvature_bounded", "damping_floor",
-                 "damping_monotone", "damping_log_derivative",
-                 "delay_weight_ratio", "delay_weight_derivative"]
+                 "damping_floor", "damping_monotone",
+                 "damping_log_derivative", "delay_weight_ratio",
+                 "delay_weight_derivative"]
         sc = piezobeam.load_scenario("certified-decay")
         assert list(piezobeam.validate_assumptions(sc.delay, sc.weights)) \
             == names
         assert main(["check", "--config", "certified-decay"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "assumption checks:"
-        assert [line.split(":")[0].strip() for line in lines[1:10]] == names
-        assert all(line.endswith(" [pass]") for line in lines[1:10])
+        assert [line.split(":")[0].strip() for line in lines[1:9]] == names
+        assert all(line.endswith(" [pass]") for line in lines[1:9])
+        # delta1 = 1 + 0.5 exp(-t/4) reaches delta0 = 1 only in the limit,
+        # and the cosine delta2's derivative check is a bound no t reaches
+        assert lines[4] == "  damping_floor: margin=0 at t=inf [pass]"
+        assert lines[8].endswith(" at t=nan [pass]")
+        assert lines[9].startswith("certificate: ")
         assert main(["check", "--config", "undamped"]) == EXIT_INFEASIBLE
         assert ("  damping_floor: margin=-inf at t=0 [FAIL]"
                 in capsys.readouterr().out.splitlines())
@@ -251,10 +256,15 @@ class TestCheck:
         # E(0) is finite, N times it is not
         ({"initial.amplitude": 1e153}, None, EXIT_USAGE,
          "initial Lyapunov value inf is not finite\n"),
+        # delta1 = 1 + 0.5 exp(2000 t) overflows inside the run, which the
+        # certificate, on all of t >= 0 and finite, no longer refuses
+        ({"weights.delta1.rate_per_s": -2000.0}, None, EXIT_VERIFICATION,
+         "delta1 evaluated non-finite at t=0.367647\n"),
     ], ids=["grid-spacing", "dt-squared", "profile-table", "lambda", "ring",
             "gamma", "rho", "delta1", "poincare", "record", "initial-energy",
             "tau-bar-0", "steps-horizon", "steps-cfl", "steps-delay",
-            "step-underflow", "delay-past-history", "initial-lyapunov"])
+            "step-underflow", "delay-past-history", "initial-lyapunov",
+            "profile-non-finite"])
     def test_refuses_what_simulate_refuses(self, tmp_path, capsys,
                                            monkeypatch, patch, max_floats,
                                            code, message):
@@ -382,6 +392,27 @@ class TestSimulate:
             with open(os.path.join(outs[1], name), "rb") as fh:
                 second = fh.read()
             assert first == second, name
+
+    def test_overflow_near_float_range_diverges_without_warning(
+            self, tmp_path, capsys):
+        # L(0) = 5e307 and a step past the CFL bound: the guard's energy
+        # overflows at step 7, and the record's L and the equivalence ratio
+        # b2 before it; the guard refuses the run, with no numpy warning
+        cfg = load_config("certified-decay")
+        cfg["initial"]["amplitude"] = 4.755e151
+        cfg["numerics"].update(n=51, dt_s=0.1, horizon_s=5.0, output_stride=1)
+        out = str(tmp_path / "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                         "--out", out]) == EXIT_DIVERGED
+        assert capsys.readouterr().err == (
+            "divergence: energy blow-up guard tripped during explicit step "
+            "(1.295e+304 -> inf); time step too large (step 7)\n")
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh)
+        assert summary["status"] == "diverged"
+        assert summary["equivalence"]["b2"] is None
 
     def test_slope_bound_1_with_both_overrides_runs_invalid(self, tmp_path):
         out = str(tmp_path / "out")

@@ -4,6 +4,7 @@ Hand-evaluated oracle values are written out explicitly so a reviewer can
 reproduce them with a pocket calculator.
 """
 
+import dataclasses
 import math
 import time
 
@@ -19,9 +20,30 @@ from piezobeam import (
     build_certificate,
     validate_assumptions,
 )
-from piezobeam import params
-from piezobeam.errors import ProfileEvaluationError
 from piezobeam.params import XI_BAR
+from piezobeam.scenario import Scenario, load_config
+
+CHECKS = ("delay_lower_bound", "delay_upper_bound", "delay_slope_bound",
+          "damping_floor", "damping_monotone", "damping_log_derivative",
+          "delay_weight_ratio", "delay_weight_derivative")
+
+
+def _sampled_margins(delay, weights, t):
+    """Each check's margin at the times t, from the profiles themselves:
+    a bound |q| <= M delta1 per unit delta1 where delta1 > 0, as is
+    elsewhere."""
+    d1 = weights.delta1(t)
+
+    def per_unit_delta1(m, q):
+        return (m * d1 - np.abs(q)) / np.where(d1 > 0, d1, 1.0)
+
+    return dict(zip(CHECKS, (
+        delay.tau(t) - delay.tau0, delay.tau_bar - delay.tau(t),
+        delay.d - delay.tau_prime(t), d1 - weights.delta0,
+        -weights.delta1_prime(t),
+        per_unit_delta1(weights.M1, weights.delta1_prime(t)),
+        per_unit_delta1(weights.beta0, weights.delta2(t)),
+        per_unit_delta1(weights.M2, weights.delta2_prime(t)))))
 
 
 def test_beam_params_alpha1():
@@ -93,13 +115,17 @@ class TestValidateAssumptions:
         assert rep["damping_log_derivative"].passed
 
     @pytest.mark.parametrize("samples", [2, 3, 17, 4096])
-    def test_safe_preset_passes_any_density(self, samples, certified_scenario,
-                                            monkeypatch):
-        # the critical times carry the extrema, not the sampling grid
-        monkeypatch.setattr(params, "SAMPLES", samples)
-        rep = validate_assumptions(certified_scenario.delay,
-                                   certified_scenario.weights)
+    def test_safe_preset_passes_any_density(self, samples, certified_scenario):
+        # the critical times and limits carry the extrema: no grid over
+        # [0, 40], however dense, finds a margin below the closed form's
+        delay, weights = certified_scenario.delay, certified_scenario.weights
+        rep = validate_assumptions(delay, weights)
         assert all(c.passed for c in rep.values())
+        sampled = _sampled_margins(delay, weights,
+                                   np.linspace(0.0, 40.0, samples))
+        for name in CHECKS:
+            assert rep[name].margin <= sampled[name].min(), name
+
 
 
 def _cert(beta0, d, tau_bar=0.6, delta0=1.0, **overrides):
@@ -320,38 +346,132 @@ def _finite_profiles(draw):
 @given(profiles=_finite_profiles(), xi_bar=st.none() | FINITE,
        lam=st.none() | FINITE)
 @settings(max_examples=300, deadline=None)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 # once an np.arange of 1e155 critical times, then omega**2's OverflowError
 @example(profiles=(DelayProfile(kind="sinusoid", omega=1.4e154),
                    WeightProfiles()), xi_bar=None, lam=None)
+# a profile past the float range, at t = 0 or at a quarter period
+@example(profiles=(DelayProfile(kind="sinusoid", mean=1e308, amplitude=1e308,
+                                omega=1.0),
+                   WeightProfiles(d1_kind="exp_floor", d1_floor=1e308,
+                                  d1_excess=1e308, d1_rate=1.0)),
+         xi_bar=None, lam=None)
+# the limit t -> inf at rate 0 (0 * inf), rate < 0 and a zero excess
+@example(profiles=(DelayProfile(), WeightProfiles(
+    d1_kind="exp_floor", d1_excess=-2.0, d1_rate=-1.0, d2_kind="cosine",
+    d2_ratio=0.5, d2_omega=1.0)), xi_bar=None, lam=None)
 def test_build_certificate_never_raises_on_finite_fields(profiles, xi_bar,
                                                          lam):
+    # no exception and no numpy warning: a value past the float range is
+    # a failing margin, never an error; plan refuses it for a run
     delay, weights = profiles
-    try:
-        cert = build_certificate(delay, weights, xi_bar=xi_bar, lam=lam)
-    except ProfileEvaluationError:
-        # the one documented error: a profile evaluated to inf or nan,
-        # which profiles that return their own fields never do
-        assert not (delay.kind == weights.d1_kind == "constant"
-                    and weights.d2_kind != "cosine")
-        return
+    cert = build_certificate(delay, weights, xi_bar=xi_bar, lam=lam)
+    assert list(cert.assumptions) == list(CHECKS)
     assert cert.valid == (cert.diagnostics == ())
     assert not cert.valid or cert.c > 0
+    for c in cert.assumptions.values():
+        assert c.passed == (c.margin >= -1e-12)
+
+
+@st.composite
+def _builtin_profiles(draw):
+    """Delay and weight profiles of every built-in kind, on moderate
+    values: each kind's zero cases (omega, rate or excess 0) included, and
+    no nonzero value below 1e-6 in size, so that the dense oracle's delta1
+    stays a normal float up to t = 200."""
+    real = lambda lo, hi: st.one_of(st.just(0.0), st.floats(lo, hi).filter(
+        lambda v: abs(v) >= 1e-6))
+    kind = draw(st.sampled_from(["constant", "sinusoid", "table"]))
+    table = {}
+    if kind == "table":
+        ts = sorted(draw(st.lists(st.floats(-5.0, 50.0), min_size=2,
+                                  max_size=5, unique=True)))
+        table = {"table_t": ts, "table_tau": draw(st.lists(
+            st.floats(-1.0, 2.0), min_size=len(ts), max_size=len(ts)))}
+    delay = DelayProfile(
+        kind=kind, **table, tau0=draw(st.floats(-0.5, 1.0)),
+        tau_bar=draw(st.floats(0.0, 2.0)), d=draw(st.floats(-0.5, 1.5)),
+        mean=draw(st.floats(-1.0, 2.0)), amplitude=draw(real(-1.0, 1.0)),
+        omega=draw(real(-10.0, 10.0)))
+    weights = WeightProfiles(
+        delta0=draw(st.floats(-0.5, 2.0)), beta0=draw(st.floats(0.0, 1.5)),
+        M1=draw(st.floats(-0.5, 2.0)), M2=draw(st.floats(-0.5, 2.0)),
+        d1_kind=draw(st.sampled_from(["constant", "exp_floor"])),
+        d2_kind=draw(st.sampled_from(["zero", "constant", "cosine"])),
+        d1_floor=draw(real(-1.0, 2.0)), d1_excess=draw(real(-1.0, 1.0)),
+        d1_rate=draw(real(-0.3, 1.0)), d2_value=draw(real(-1.0, 1.0)),
+        d2_ratio=draw(real(-1.0, 1.0)), d2_omega=draw(real(-5.0, 5.0)))
+    return delay, weights
+
+
+# up to t = 200, where exp(-rate t) is still a normal float
+DENSE = np.linspace(0.0, 200.0, 100001)
+
+
+@given(profiles=_builtin_profiles())
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_form_margins_bound_every_sampled_margin(profiles):
+    # each margin is the least over all of t >= 0, so no dense grid finds
+    # one below it; where it names a finite time, it is the margin there
+    delay, weights = profiles
+    rep = validate_assumptions(delay, weights)
+    assert list(rep) == list(CHECKS)
+    with np.errstate(all="ignore"):  # a growing delta1, a steep table
+        sampled = _sampled_margins(delay, weights, DENSE)
+        at = {name: _sampled_margins(delay, weights, c.worst_t)[name]
+              for name, c in rep.items() if math.isfinite(c.worst_t)}
+    for name in CHECKS:
+        got, samples = rep[name].margin, sampled[name]
+        assert not math.isnan(got), name
+        low = float(np.min(samples[np.isfinite(samples)], initial=math.inf))
+        assert got <= low + 1e-12 * max(1.0, abs(low)), name
+        if name in at and math.isfinite(got):
+            assert got == pytest.approx(float(at[name]), rel=1e-12,
+                                        abs=1e-12), name
+
+
+@pytest.mark.parametrize("horizon", [1.0, 40.0, 60.0, 1e6])
+@pytest.mark.parametrize("patch,check", [
+    # delta1 falls below delta0 after t = 43.6
+    ({"weights": {"M1": 0.13, "delta1": {
+        "kind": "exp_floor", "floor": 0.99999, "excess": 0.5,
+        "rate_per_s": 0.25}}}, "damping_floor"),
+    # tau falls below tau0 after t = 40
+    ({"delay": {"kind": "table", "times_s": [0.0, 30.0, 45.0],
+                "values_s": [0.5, 0.5, 0.35]},
+      "weights": {"delta1": {"kind": "constant", "value": 1.0},
+                  "delta2": {"kind": "constant", "value": 0.3}}},
+     "delay_lower_bound"),
+], ids=["exp-floor", "table"])
+def test_bounds_failing_past_the_horizon_fail_at_every_horizon(
+        horizon, patch, check):
+    cfg = load_config("certified-decay")
+    for section, values in patch.items():
+        cfg[section] = {**cfg[section], **values}
+    if "delay" in patch:
+        del cfg["delay"]["mean_s"], cfg["delay"]["amplitude_s"]
+        del cfg["delay"]["omega_rad_per_s"]
+    sc = dataclasses.replace(Scenario.from_dict(cfg), horizon=horizon)
+    cert = sc.certificate
+    assert not cert.valid
+    assert cert.diagnostics == (check,)
+    assert cert.assumptions[check].margin < 0
 
 
 def test_subnormal_omega_sinusoid_has_critical_time_zero():
     # pi / (2 omega) is inf, a step that np.arange cannot size
     delay = DelayProfile(kind="sinusoid", mean=0.5, amplitude=0.1,
                          omega=5e-324, tau0=0.4, tau_bar=0.6)
-    assert delay.critical_times(40.0).tolist() == [0.0]
+    assert delay.critical_times().tolist() == [0.0]
     assert build_certificate(delay, WeightProfiles()).valid
 
 
 def test_fast_sinusoid_critical_times_span_one_period():
-    # about 2.5e8 peaks lie in [0, 40]; the first period's repeat them all
+    # the peaks repeat without end; the first period's stand for them all
     delay = DelayProfile(kind="sinusoid", mean=0.5, amplitude=0.1,
                          omega=1e7, tau0=0.4, tau_bar=0.6)
-    crit = delay.critical_times(40.0)
+    crit = delay.critical_times()
     assert crit.tolist() == [k * (math.pi / 2e7) for k in range(5)]
     start = time.perf_counter()
     cert = build_certificate(delay, WeightProfiles())
@@ -382,12 +502,12 @@ def test_weight_checks_ignore_the_delays_critical_times():
 
 
 def test_cosine_delay_weight_critical_times_span_one_period():
-    assert CERTIFIED_WEIGHTS.critical_times(40.0).tolist() == [
+    # no horizon cuts the period short: 2 pi is past the old 2.0 s
+    assert CERTIFIED_WEIGHTS.critical_times().tolist() == [
         k * (math.pi / 2.0) for k in range(5)]
-    assert CERTIFIED_WEIGHTS.critical_times(2.0).tolist() == [0.0, math.pi / 2]
     for weights in (WeightProfiles(), WeightProfiles(d2_kind="constant"),
                     WeightProfiles(d2_kind="cosine", d2_omega=0.0)):
-        assert weights.critical_times(40.0).size == 0
+        assert weights.critical_times().tolist() == [0.0]
 
 
 def test_delay_profile_table_round_trip():
@@ -411,9 +531,25 @@ def test_weight_profiles_cosine_derivative():
         assert abs(fd2 - w.delta2_prime(t)) < 1e-7
 
 
+def test_exp_floor_without_excess_is_constant():
+    # 0 * exp(-rate t) is nan once the exponential overflows: a zero excess
+    # leaves delta1 = floor at every t, so a slow cosine delta2's quarter
+    # periods, past t = 2,839, read finite values
+    weights = WeightProfiles(delta0=1.0, beta0=0.3, M1=0.1, M2=0.35,
+                             d1_kind="exp_floor", d1_floor=1.0,
+                             d1_excess=0.0, d1_rate=-0.25, d2_kind="cosine",
+                             d2_ratio=0.3, d2_omega=1e-3)
+    assert weights.delta1(4000.0) == 1.0
+    assert weights.delta1_prime(4000.0) == 0.0
+    cert = build_certificate(DelayProfile(), weights)
+    assert cert.valid
+    assert cert.assumptions["delay_weight_derivative"].worst_t == (
+        math.pi / 2e-3)
+
+
 def test_table_delay_vertex_sampled():
-    # the vertex t=20 falls between the 4096 uniform samples on [0, 40], and
-    # tau exceeds tau_bar only there
+    # tau exceeds tau_bar only near the vertex t=20, which is a critical
+    # time
     delay = DelayProfile(kind="table", table_t=[0.0, 20.0, 40.0],
                          table_tau=[0.5, 0.6 + 1e-7, 0.5],
                          tau0=0.4, tau_bar=0.6, d=0.19)
@@ -435,12 +571,17 @@ def test_table_delay_slope_per_segment():
     assert delay.tau_prime(10.0) == pytest.approx(0.4)
     assert np.array_equal(delay.tau_prime([-1.0, 9.0, 11.0, 21.0, 30.0]),
                           np.zeros(5))
-    assert np.array_equal(delay.tau_second([0.0, 10.0, 10.5]), np.zeros(3))
-    cert = build_certificate(delay, WeightProfiles(), horizon=21.0)
+    assert delay.critical_times().tolist() == [0.0, 10.0, 11.0, 21.0]
+    cert = build_certificate(delay, WeightProfiles())
     assert not cert.valid
     slope = cert.assumptions["delay_slope_bound"]
     assert slope.margin == pytest.approx(-0.02)
     assert slope.worst_t == 10.0
+    # a table that starts after t = 0 holds its first value there
+    late = dataclasses.replace(delay, table_t=(5.0, 10.0, 11.0, 21.0))
+    assert late.critical_times().tolist() == [0.0, 5.0, 10.0, 11.0, 21.0]
+    assert build_certificate(late, WeightProfiles()).assumptions[
+        "delay_slope_bound"].worst_t == 10.0
 
 
 def test_table_delay_times_must_increase():
