@@ -36,8 +36,16 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _open_out(path):
+    """path opened for writing: an unwritable one is a usage error."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    with _open_out(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -78,7 +86,10 @@ def _finite_or_null(obj):
 
 
 def _write_outputs(traj, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir}: {exc.strerror}") from exc
     rows = (map(_fmt, row) for row in traj.data[:, :-1].tolist())
     _write_csv(os.path.join(out_dir, "trajectory.csv"), COLUMNS[:-1], rows)
     x = traj.grid.x
@@ -116,7 +127,7 @@ def _write_outputs(traj, out_dir):
                         "worst_t": dis.worst_t, "tolerance": dis.tolerance,
                         "passed": dis.passed},
     }
-    with open(os.path.join(out_dir, "summary.json"), "w", newline="\n") as fh:
+    with _open_out(os.path.join(out_dir, "summary.json")) as fh:
         json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")
@@ -128,9 +139,7 @@ def cmd_simulate(args):
     try:
         traj = run(scenario)
     except DivergenceError as exc:
-        traj = getattr(exc, "trajectory", None)
-        if traj is not None:
-            _write_outputs(traj, args.out)
+        _write_outputs(exc.trajectory, args.out)
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     summary = _write_outputs(traj, args.out)
@@ -143,11 +152,8 @@ def cmd_simulate(args):
 
 
 def cmd_sweep(args):
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    cfg = load_config(args.config)
-    spec = SweepSpec.from_dict(cfg)
-    records = execute(spec, workers=args.threads)
+    spec = SweepSpec.from_dict(load_config(args.config))
+    records = execute(spec)
     header = tuple(path for path, _ in spec.axes) + (
         "valid", "status", "H2", "r_squared", "energy_ratio", "violated")
     rows = []
@@ -247,8 +253,6 @@ def build_parser():
     p = sub.add_parser("sweep", help="run a parameter sweep and write a CSV table")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="number of worker processes (default: 1, serial)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="summarize a simulate output directory")

@@ -3,8 +3,7 @@
 The certificate machinery turns declared profile bounds (delay floor/ceiling,
 delay slope bound, damping floor, delayed-to-instantaneous gain ratio) into the
 three dissipation constants whose minimum bounds the energy decay per unit
-damping.  Everything here is immutable after construction and safe to share
-across parallel workers.
+damping.  Everything here is immutable after construction.
 """
 
 from __future__ import annotations
@@ -138,7 +137,8 @@ class DelayProfile:
                 2 <= len(self.table_t) == len(self.table_tau)):
             raise ValueError("table delay profile needs at least 2 samples "
                              "and one value per time")
-        if self.kind == "table" and not np.all(np.diff(self.table_t) > 0):
+        if self.kind == "table" and not np.all(
+                np.greater(self.table_t[1:], self.table_t[:-1])):
             raise ValueError("table delay times must be strictly increasing")
 
     def tau(self, t):

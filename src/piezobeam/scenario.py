@@ -227,10 +227,12 @@ def load_config(path_or_name):
             f"{name}.json").read_text()
         return json.loads(text)
     try:
-        with open(name) as fh:
+        with open(name, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {name}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {name}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {name}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {name}: {exc}") from exc
 

@@ -130,13 +130,6 @@ def _run_one(item):
     return rec
 
 
-def execute(spec, workers=1):
-    """Run every grid point, in up to one worker process per point when
-    workers > 1; aggregate order matches expansion order."""
-    items = expand(spec)
-    workers = min(workers, len(items))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_one, items))
-    return [_run_one(item) for item in items]
+def execute(spec):
+    """Run every grid point; records keep expansion order."""
+    return [_run_one(item) for item in expand(spec)]

@@ -632,6 +632,19 @@ class TestSimulate:
             assert summary["certificate"]["C"] is None
         assert main(["report", "--dir", out]) == EXIT_VERIFICATION
 
+    @pytest.mark.parametrize("dt_s", [None, 0.1], ids=["ok", "diverged"])
+    def test_out_over_a_file_exits_1(self, tmp_path, capsys, dt_s):
+        out = tmp_path / "out"
+        out.write_text("kept\n")
+        cfg = _quick_cfg(n=51, horizon_s=5.0, dt_s=dt_s)
+        code = main(["simulate", "--config", _write_cfg(tmp_path, cfg),
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: File exists\n"
+        assert out.read_text() == "kept\n"
+
     def test_divergent_run_exits_4_with_partial_output(self, tmp_path):
         # force an unstable explicit step with a huge dt override
         cfg = _quick_cfg(horizon_s=5.0)
@@ -700,17 +713,18 @@ class TestSweepCommand:
         with open(out1, "rb") as fh1, open(out2, "rb") as fh2:
             assert fh1.read() == fh2.read()
 
-    def test_threads_set_workers_and_config_key_ignored(self, tmp_path):
-        # a "workers" key is an unknown key now; --threads sets the pool size
+    def test_workers_config_key_ignored(self, tmp_path):
+        # a sweep config's top level is not checked: "workers" changes nothing
         sweep_cfg = {"base": load_config("certified-decay"),
                      "axes": [{"path": "weights.beta0", "values": [0.2, 0.3]}],
-                     "n": 11, "horizon_s": 0.5, "workers": 2.5}
-        cfg_path = _write_cfg(tmp_path, sweep_cfg, "sweep.json")
+                     "n": 11, "horizon_s": 0.5}
         blobs = []
-        for i, threads in enumerate(([], ["--threads", "2"])):
+        for i, extra in enumerate(({}, {"workers": 2.5})):
+            cfg_path = _write_cfg(tmp_path, {**sweep_cfg, **extra},
+                                  f"sweep{i}.json")
             out = str(tmp_path / f"sweep{i}.csv")
-            assert main(["sweep", "--config", cfg_path, "--out", out,
-                         *threads]) == EXIT_OK
+            assert main(["sweep", "--config", cfg_path, "--out",
+                         out]) == EXIT_OK
             with open(out, "rb") as fh:
                 blobs.append(fh.read())
         assert blobs[0] == blobs[1]
@@ -858,18 +872,20 @@ class TestSweepCommand:
         assert "error: sweep n / horizon_s:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_1_exits_1(self, tmp_path, capsys, threads):
+    def test_out_in_missing_dir_exits_1(self, tmp_path, capsys):
         sweep_cfg = {"base": load_config("certified-decay"),
                      "axes": [{"path": "weights.beta0", "values": [0.3]}],
                      "n": 11, "horizon_s": 0.5}
-        out = tmp_path / "sweep.csv"
+        out = tmp_path / "missing" / "sweep.csv"
         code = main(["sweep", "--config",
                      _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
-                     "--out", str(out), "--threads", threads])
+                     "--out", str(out)])
         assert code == EXIT_USAGE
-        assert "--threads must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {out}: "
+                                "No such file or directory\n")
+        assert not out.parent.exists()
 
     def test_non_number_axis_values_written_as_json(self, tmp_path):
         sweep_cfg = {"base": load_config("certified-decay"),
@@ -970,10 +986,8 @@ LAZY_MODULES = ("scipy", "scipy.linalg", "concurrent.futures.process")
     (["sweep", "--config", "{sweep}", "--out", "{csv}"], ()),
     (["report", "--dir", "{report}"], ()),
     (["simulate", "--config", "{implicit}", "--out", "{out}"], ("scipy",)),
-    (["sweep", "--config", "{sweep}", "--out", "{csv}", "--threads", "2"],
-     ("concurrent.futures.process",)),
 ], ids=["check", "explicit-simulate", "serial-sweep", "report",
-        "implicit-simulate", "parallel-sweep"])
+        "implicit-simulate"])
 def test_scipy_and_process_pool_load_only_when_used(lazy_import_inputs, argv,
                                                     loaded):
     # a fresh interpreter: this one has scipy loaded by the test modules
@@ -1008,3 +1022,35 @@ class TestUsage:
     def test_seedless_with_value_rejected(self):
         assert main(["--seedless=true", "check", "--config",
                      "certified-decay"]) == EXIT_USAGE
+
+    def test_threads_flag_rejected(self, tmp_path, capsys):
+        # every sweep point runs in this process; the flag chose a pool
+        sweep_cfg = {"base": load_config("certified-decay"),
+                     "axes": [{"path": "weights.beta0", "values": [0.3]}],
+                     "n": 11, "horizon_s": 0.5}
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", str(out), "--threads", "2"]) == EXIT_USAGE
+        assert ("unrecognized arguments: --threads 2"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check", "simulate", "sweep"])
+    @pytest.mark.parametrize("config", ["directory", "not utf-8"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, command,
+                                       config):
+        path = tmp_path / "cfg.json"
+        if config == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\x00")
+        argv = [command, "--config", str(path)]
+        if command != "check":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read config {path}: ")
+        assert captured.err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "out")

@@ -591,6 +591,14 @@ def test_table_delay_times_must_increase():
                      tau0=0.4, tau_bar=1.0, d=0.38)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_table_delay_times_spanning_past_float_range_accepted():
+    # their difference overflows; the order check compares, never subtracts
+    delay = DelayProfile(kind="table", table_t=[-1.7e308, 1.7e308],
+                         table_tau=[0.5, 0.5])
+    assert delay.table_t == (-1.7e308, 1.7e308)
+
+
 def test_table_delay_lengths_must_match():
     with pytest.raises(ValueError, match="one value per time"):
         DelayProfile(kind="table", table_t=[0, 10, 20], table_tau=[0.5, 0.5],

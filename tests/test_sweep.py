@@ -1,6 +1,5 @@
-"""Sweep expansion, classification, determinism, and parallel equivalence."""
+"""Sweep expansion, classification, and determinism."""
 
-import concurrent.futures
 import math
 import warnings
 
@@ -149,44 +148,11 @@ class TestExecute:
         assert list(map(_key, execute(small_spec))) == list(map(_key,
                                                                 small_records))
 
-    def test_parallel_matches_serial(self, small_spec, small_records):
-        par = execute(small_spec, workers=2)
-        assert list(map(_key, par)) == list(map(_key, small_records))
-
     def test_matches_standalone_certificate(self, small_spec, small_records):
         from piezobeam import Scenario
         for rec, (_, cfg) in zip(small_records, expand(small_spec)):
             cert = Scenario.from_dict(cfg).certificate
             assert cert.valid == rec.valid
-
-
-@pytest.mark.parametrize("n_points, pools", [(1, []), (2, [2]), (3, [3])])
-def test_pool_never_exceeds_point_count(monkeypatch, n_points, pools):
-    # a fork-started pool forks all max_workers at the first submit, so
-    # --threads 5000 on a few points must not ask for 5000 processes; the
-    # fake pool runs in this process and records the size it was given
-    seen = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # execute imports the pool from concurrent.futures when workers > 1
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    spec = SweepSpec(_base(), axes=(("weights.beta0", (0.3, 0.5, 0.7)[
-        :n_points]),), n=11, horizon=0.5)
-    records = execute(spec, workers=5000)
-    assert seen == pools
-    assert [r.status for r in records] == ["ok"] * n_points
 
 
 def test_point_builds_one_certificate(monkeypatch):
