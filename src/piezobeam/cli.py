@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
 import numbers
@@ -136,6 +137,10 @@ def _write_outputs(traj, out_dir):
 
 def cmd_simulate(args):
     scenario = Scenario.from_dict(load_config(args.config))
+    # refused before the run, as makedirs would, but making no directory
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"cannot write {args.out}: "
+                          f"{os.strerror(errno.EEXIST)}")
     try:
         traj = run(scenario)
     except DivergenceError as exc:
@@ -153,6 +158,11 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     spec = SweepSpec.from_dict(load_config(args.config))
+    # refused before any point runs, as _write_csv's open would
+    parent = os.path.dirname(args.out) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise ConfigError(f"cannot write {args.out}: {os.strerror(code)}")
     records = execute(spec)
     header = tuple(path for path, _ in spec.axes) + (
         "valid", "status", "H2", "r_squared", "energy_ratio", "violated")

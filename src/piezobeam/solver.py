@@ -2,20 +2,22 @@
 
 Spatial layout: uniform grid on [0, L], Dirichlet at x=0 for both fields,
 zero-slope (Neumann) closure at x=L.  The delayed velocity v_t(x, t - tau(t))
-is realized by a history ring on the run's stamps (-k*dt, each holding the
-initial velocity, then the step times) with linear interpolation, not by
-discretizing the auxiliary transport variable on a second axis.  The Grid
-owns the spacing and the read-only trapezoid weight vector of every spatial
-integral, the history's included; the SpatialOperator owns the 2x2
-coefficient matrix of its stencil and wave speed; both steppers end in one
-tail (blow-up guard, push, evict).  A state is built whole: its delay-free
-energy parts (the guard's and the record's), its delayed velocity
-v_t(t - tau(t)), sampled once per state, and an explicit step's
-acceleration (the next step's first) sit beside its fields.  plan() sets a
-run up whole, through its history and its state at t = 0, with every
-refusal made before the first step, a delayed sample outside the history
-included (the history brackets each state's sample when it is built);
-run() only steps and records.  All read plan()'s profile_table.
+is realized by a history ring on the run's stamps (-k*dt back to the
+earliest delayed sample, each holding the initial velocity, then the step
+times) with linear interpolation, not by discretizing the auxiliary
+transport variable on a second axis.  The Grid owns the spacing and the
+read-only trapezoid weight vector of every spatial integral, the history's
+included; the SpatialOperator owns the 2x2 coefficient matrix of its
+stencil and wave speed; both steppers end in one tail (blow-up guard,
+evict, push).  A state is built whole: its delay-free energy parts (the
+guard's and the record's), its delayed velocity v_t(t - tau(t)), sampled
+once per state, and an explicit step's acceleration (the next step's
+first) sit beside its fields.  plan() sets a run up whole, through its
+history and its state at t = 0, with every refusal made before the first
+step, a delayed sample ahead of the newest snapshot included (the history
+brackets each state's sample, and sizes its pre-history and ring from
+those brackets, when it is built); run() only steps and records.  All read
+plan()'s profile_table.
 No state changes, so the trajectory keeps the recorded states themselves as
 its field snapshots, with the run's Grid beside them.
 
@@ -121,7 +123,7 @@ MAX_RUN_FLOATS = 2**27
 def _check_run_floats(rows, cols, what):
     if rows * cols > MAX_RUN_FLOATS:
         raise ConfigError(
-            f"{what} needs {rows} x {cols} floats, more than the "
+            f"{what} needs {rows:.0f} x {cols} floats, more than the "
             f"{MAX_RUN_FLOATS} a run may allocate")
 
 
@@ -174,46 +176,52 @@ class SpatialOperator:
 
 class HistoryBuffer:
     """v_t snapshots at the run's stamps, every delayed sample bracketed
-    once, when the buffer is built.
+    once, and the ring sized from those brackets, when the buffer is built.
 
     weights (Grid.weights) sets the snapshot length and is the quadrature of
-    every int v_t^2.  Push j stores the snapshot at stamps[j] in ring row
-    j % cap, and its int v_t^2 at sq[j].  The run's states sit at the last
-    len(taus) stamps: state k samples t_k - taus[k] once the pushes reach
-    t_{max(k - lag, 0)} (lag 0: an explicit state samples after its own
-    push, 1: an implicit one before it).  Its bracket, the last stamp at or
-    before that time and a weight, is refused here unless it lies among the
-    stamps evict serves then: those after newest - span - dt/2, and one
-    before them.  Its delay window starts at the first stamp past
+    every int v_t^2.  State k, at times[k], samples times[k] - taus[k] once
+    the pushes reach times[max(k - lag, 0)] (lag 0: an explicit state
+    samples after its own push, 1: an implicit one before it); a sample
+    ahead of that newest stamp is refused here.  The stamps are times[0] -
+    m*dt for the fewest m >= 0 that reach the earliest sample, then times.
+    Push j stores the snapshot at stamps[j] in ring row j % cap, and its
+    int v_t^2 at sq[j].  A sample's bracket is the last stamp at or before
+    it and a weight; its delay window starts at the first stamp past
     t_k - taus[k] - 1e-9 dt, with a partial cell before it if that stamp is
     past t_k - taus[k] + 1e-9 dt.  The delayed velocity is the state's.
+    After push j the buffer serves the stamps from the oldest bracket of
+    the states sampled after it on; cap is the most it serves after any
+    push, and evict serves the next push's stamps before it is made.
     """
 
-    def __init__(self, dt, span, weights, stamps, taus, lag):
-        self._cap = self.check_rows(dt, span, len(weights))
+    def __init__(self, dt, weights, times, taus, lag):
+        t = np.array(times, dtype=float)
+        if not np.all(t[1:] > t[:-1]):
+            raise ConfigError("history timestamps must be strictly increasing")
+        query = t - taus
+        q_min = float(query.min())
+        # fewest stamps t[0] - m*dt reaching q_min: a ceiling, +-1 for rounding
+        m = np.ceil(max(0.0, (t[0] - q_min) / dt)) + np.array([-1.0, 0, 1])
+        m = m[(m >= 0) & (t[0] - m * dt <= q_min)].min()
         # per state a query, bracket, weight, window start and partial-cell
         # flag; per stamp the oldest stamp served after its push
-        _check_run_floats(len(stamps), 6, "the history's bracket table")
-        s = np.array(stamps, dtype=float)
-        if not np.all(s[1:] > s[:-1]):
-            raise ConfigError("history timestamps must be strictly increasing")
-        self._first = len(s) - len(taus)  # state k's stamp
-        query = s[self._first:] - taus
+        _check_run_floats(m + len(t), 6, "the history's bracket table")
+        self._first = int(m)  # state k's stamp is k + _first
+        s = np.concatenate((t[0] - np.arange(self._first, 0, -1) * dt, t))
         index = s.searchsorted(query, side="right") - 1
-        # evict's oldest served stamp after each push
-        self._served = np.maximum(0, np.minimum(
-            np.arange(len(s)) - 1,
-            s.searchsorted(s - span - 0.5 * dt, side="right") - 1))
-        newest = self._first + np.maximum(np.arange(len(taus)) - lag, 0)
-        bad = ~((index >= self._served[newest]) & (query <= s[newest]))
-        if bad.any():
-            k = int(bad.argmax())
-            q, lo, hi = query[k], s[self._served[newest[k]]], s[newest[k]]
+        newest = self._first + np.maximum(np.arange(len(t)) - lag, 0)
+        ahead = query > s[newest]
+        if ahead.any():
+            k = int(ahead.argmax())
             raise HistoryUnderrunError(
-                f"query t={q:.9g} is ahead of newest snapshot {hi:.9g} "
-                f"(step {k})" if q > hi else
-                f"query t={q:.9g} precedes history start {lo:.9g}; buffer "
-                f"span is too short for the configured delay (step {k})")
+                f"query t={query[k]:.9g} is ahead of newest snapshot "
+                f"{s[newest[k]]:.9g} (step {k})")
+        # the oldest bracket of the states sampled after each push
+        served = np.arange(len(s))
+        np.minimum.at(served, newest, index)
+        self._served = np.minimum.accumulate(served[::-1])[::-1]
+        self._cap = int(np.max(np.arange(len(s)) - self._served)) + 1
+        _check_run_floats(self._cap, len(weights), "the history ring")
         self._stamps, self._query, self._index = s, query, index
         self._frac = (query - s[index]) / np.append(np.diff(s), np.inf)[index]
         self._start = s.searchsorted(query - 1e-9 * dt)
@@ -223,39 +231,26 @@ class HistoryBuffer:
         self._sq = np.empty(len(s))
         self._lo = self._end = 0  # oldest served stamp; one past the newest
 
-    @staticmethod
-    def check_rows(dt, span, n):
-        """The ring's row count for snapshots of n floats; a ConfigError for
-        dt <= 0 or past MAX_RUN_FLOATS: evict keeps the stamps newer than
-        span + dt/2 and one before them; one more arrives between evictions."""
-        if not dt > 0:
-            raise ConfigError("history dt must be > 0")
-        rows = int((span + 0.5 * dt) / dt + 1e-6) + 3
-        _check_run_floats(rows, n, "the history ring")
-        return rows
-
     def square_integral(self, row):
         """Trapezoid of row squared: int v_t^2 dx of a snapshot or sample."""
         return float(np.dot(row * self._w, row))
 
-    def push(self, vt, sq_integral=None):
-        """Store the snapshot at the next stamp; sq_integral is its int v_t^2
-        if known."""
+    def push(self, vt, sq_integral):
+        """Store the snapshot at the next stamp, whose int v_t^2 is
+        sq_integral."""
         j = self._end
         if j == len(self._stamps):
             raise ConfigError(f"history has no stamp past its {j} pushed")
         if j - self._lo == self._cap:
             raise ConfigError(f"history holds at most {self._cap} snapshots "
                               "between evictions")
-        row = self._ring[j % self._cap]
-        row[:] = vt
-        self._sq[j] = (self.square_integral(row) if sq_integral is None
-                       else sq_integral)
+        self._ring[j % self._cap] = vt
+        self._sq[j] = sq_integral
         self._end = j + 1
 
     def evict(self):
-        """Serve only the stamps after newest - span - dt/2, and one before."""
-        self._lo = int(self._served[self._end - 1])
+        """Serve only the stamps that samples after the next push read."""
+        self._lo = int(self._served[self._end])
 
     def sample(self, k):
         """State k's delayed velocity, linear in time and elementwise in x,
@@ -285,23 +280,14 @@ class HistoryBuffer:
         return total
 
 
-def init_history(grid, span, vt0, dt, times, taus, lag):
-    """A history buffer for states at times with delays taus (the profile
-    table's t and tau columns) and sample lag (HistoryBuffer), every stamp
-    before times[0] holding vt0, the initial velocity extended back in time.
-
-    The stamps are s_k = -k*dt down past -span, the longest delay served
-    (>= 0), then times; vt0's int v_t^2 is computed once for all its
-    snapshots.
-    """
-    HistoryBuffer.check_rows(dt, span + 2.0 * dt, grid.n)  # before the stamps
-    k_max = int(math.ceil((span + dt) / dt))
-    stamps = np.concatenate((-np.arange(k_max, 0, -1) * dt, times))
-    buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights, stamps, taus, lag)
-    sq = buf.square_integral(vt0)
-    for _ in range(k_max + 1):
-        buf.push(vt0, sq)
-    return buf
+def init_history(history, vt0):
+    """history with vt0, the initial velocity extended back in time, pushed
+    at every stamp up to the first state's; vt0's int v_t^2 is computed
+    once for all its snapshots."""
+    sq = history.square_integral(vt0)
+    for _ in range(history._first + 1):
+        history.push(vt0, sq)
+    return history
 
 
 def cfl_timestep(operator, delay, safety=0.5):
@@ -333,8 +319,9 @@ def _core_energy(v, vt, p, pt, operator):
 
 def _finish_step(state, fields, history, operator, label):
     """Step tail: the energy of the new fields (v, v_t, p, p_t), the
-    blow-up guard on it, then the push of their v_t to the history, at its
-    next stamp, and the evict; returns that energy, the new state's core."""
+    blow-up guard on it, then the evict and the push of their v_t to the
+    history, at its next stamp; returns that energy, the new state's
+    core."""
     e_before = state.core.total
     core = _core_energy(*fields, operator)
     if not math.isfinite(core.total) or (
@@ -342,8 +329,8 @@ def _finish_step(state, fields, history, operator, label):
         raise DivergenceError(
             f"energy blow-up guard tripped during {label} "
             f"({e_before:.3e} -> {core.total:.3e}); time step too large")
-    history.push(fields[1], core.int_vt2)
     history.evict()
+    history.push(fields[1], core.int_vt2)
     return core
 
 
@@ -570,10 +557,10 @@ def plan(scenario):
             f"certificate lambda {certificate.lam} puts the delay kernel "
             f"weight exp(-lambda tau) past the float range at tau = "
             f"{tau_max}") from None
-    # the longest tau stepped with, capped by tau_bar: a larger one underruns
-    span = max(0.0, min(scenario.delay.tau_bar, tau_max))
-    # init_history's ring, refused before any array of n floats is made
-    HistoryBuffer.check_rows(dt, span + 2.0 * dt, grid.n)
+    explicit = scenario.integrator == "explicit"
+    # the history, its ring refused before any array of n floats is made
+    history = HistoryBuffer(dt, grid.weights, profiles[:, 0], profiles[:, 1],
+                            int(not explicit))
     multipliers = (diagnostics.select_multipliers(
         scenario.beam, scenario.weights, certificate)
         if certificate.valid else None)
@@ -581,12 +568,10 @@ def plan(scenario):
     n_rows = n_steps // stride + 1 + (n_steps % stride > 0)
     _check_run_floats(n_rows, len(COLUMNS), "the record")
     fields = initial_fields(scenario, grid.x)
-    explicit = scenario.integrator == "explicit"
     data = np.empty((n_rows, len(COLUMNS)))
     with np.errstate(all="ignore"):  # a non-finite E(0) or L(0): see below
-        history = init_history(grid, span, fields[1], dt, profiles[:, 0],
-                               profiles[:, 1], int(not explicit))
-        state = initial_state(fields, history, operator, explicit)
+        state = initial_state(fields, init_history(history, fields[1]),
+                              operator, explicit)
         data[0] = diagnostics.energy(state, history, operator, 0,
                                      float(profiles[0, 2]), certificate,
                                      multipliers)

@@ -95,9 +95,11 @@ def expand(spec):
         cfg = copy.deepcopy(spec.base)
         for (path, _), value in zip(spec.axes, combo):
             _set_path(cfg, path, value)
-        cfg.setdefault("numerics", {})
-        cfg["numerics"]["n"] = spec.n
-        cfg["numerics"]["horizon_s"] = spec.horizon
+        numerics = cfg.setdefault("numerics", {})
+        if not isinstance(numerics, dict):
+            raise SweepSpecError(f"base numerics must be an object, got "
+                                 f"{numerics!r}")
+        numerics.update(n=spec.n, horizon_s=spec.horizon)
         scenarios.append((combo, cfg))
     return scenarios
 

@@ -19,8 +19,12 @@ from piezobeam.cli import (
     main,
 )
 import piezobeam
-from piezobeam import solver
+from piezobeam import cli, solver
 from piezobeam.scenario import load_config
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("the run or sweep was started")
 
 
 def _write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -81,12 +85,13 @@ class TestCheck:
         assert f"  violated: need 0 <= d < 1, got d={d}\n" in out
         assert "valid: False" in out
 
-    # a tau_bar_s of 0 voids the certificate too, but its history cannot
-    # serve the delay at t = 0, so the set-up refuses it first (exit 3; see
-    # test_refuses_what_simulate_refuses)
+    # tau_bar bounds the delay in the certificate only: the run's history
+    # reaches back to every delayed sample whatever its tau_bar
     @pytest.mark.parametrize("section,key,value,reason", [
         ("certificate", "lambda", -1.0,
-         "dissipation_constant_C3_nonpositive")])
+         "dissipation_constant_C3_nonpositive"),
+        pytest.param("delay", "tau_bar_s", 0.0, "delay_upper_bound",
+                     id="tau-bar-0")])
     def test_nonpositive_tau_bar_or_lambda_exits_2(self, tmp_path, capsys,
                                                    section, key, value,
                                                    reason):
@@ -219,8 +224,10 @@ class TestCheck:
          "the profile table needs "),
         ({"certificate.lambda": -3000.0}, None, EXIT_USAGE,
          "certificate lambda -3000.0 puts the delay kernel weight"),
-        ({"numerics.dt_s": 5e-4}, 10_000, EXIT_USAGE,
-         "the history ring needs "),
+        # the 2001 stamps' brackets (12,006 floats) fit, the 1158-row ring
+        # does not
+        ({"numerics.dt_s": 5e-4}, 12_100, EXIT_USAGE,
+         "the history ring needs 1158 x 11 floats"),
         ({"beam.gamma": 0.0}, None, EXIT_VERIFICATION,
          "multiplier search needs gamma > 0"),
         ({"beam.rho": 1e200}, None, EXIT_VERIFICATION,
@@ -235,8 +242,6 @@ class TestCheck:
          "the record needs 1000 x 14 floats"),
         ({"initial.amplitude": 1e200}, None, EXIT_USAGE,
          "initial energy inf is not finite\n"),
-        ({"delay.tau_bar_s": 0.0}, None, EXIT_VERIFICATION,
-         "query t=-0.5 precedes history start "),
         ({"numerics.horizon_s": 1e300, "numerics.dt_s": 1e-10}, None,
          EXIT_USAGE, "time step 1e-10 makes the step count over horizon_s "
          "1e+300 past the float range\n"),
@@ -247,12 +252,11 @@ class TestCheck:
          "time step 2.5e-311 makes the step count "),
         ({"numerics.cfl_safety": 5e-324}, None, EXIT_USAGE,
          "time step 0.0 makes the step count "),
-        # tau swings to 1.1, past tau_bar_s 0.6: step 6's delayed sample
-        # falls before the history's first stamp
+        # tau swings from 1.1 down to -0.1: step 75's delayed sample lies
+        # ahead of the newest snapshot
         ({"delay.amplitude_s": 0.6, "numerics.horizon_s": 5.0}, None,
-         EXIT_VERIFICATION, "query t=-0.511131633 precedes history start "
-         "-0.49382716; buffer span is too short for the configured delay "
-         "(step 6)\n"),
+         EXIT_VERIFICATION, "query t=2.32766638 is ahead of newest snapshot "
+         "2.31481481 (step 75)\n"),
         # E(0) is finite, N times it is not
         ({"initial.amplitude": 1e153}, None, EXIT_USAGE,
          "initial Lyapunov value inf is not finite\n"),
@@ -262,7 +266,7 @@ class TestCheck:
          "delta1 evaluated non-finite at t=0.367647\n"),
     ], ids=["grid-spacing", "dt-squared", "profile-table", "lambda", "ring",
             "gamma", "rho", "delta1", "poincare", "record", "initial-energy",
-            "tau-bar-0", "steps-horizon", "steps-cfl", "steps-delay",
+            "steps-horizon", "steps-cfl", "steps-delay",
             "step-underflow", "delay-past-history", "initial-lyapunov",
             "profile-non-finite"])
     def test_refuses_what_simulate_refuses(self, tmp_path, capsys,
@@ -633,7 +637,10 @@ class TestSimulate:
         assert main(["report", "--dir", out]) == EXIT_VERIFICATION
 
     @pytest.mark.parametrize("dt_s", [None, 0.1], ids=["ok", "diverged"])
-    def test_out_over_a_file_exits_1(self, tmp_path, capsys, dt_s):
+    def test_out_over_a_file_exits_1(self, tmp_path, capsys, monkeypatch,
+                                     dt_s):
+        # refused before the run starts
+        monkeypatch.setattr(cli, "run", _refused)
         out = tmp_path / "out"
         out.write_text("kept\n")
         cfg = _quick_cfg(n=51, horizon_s=5.0, dt_s=dt_s)
@@ -658,16 +665,19 @@ class TestSimulate:
             assert json.load(fh)["status"] == "diverged"
 
     @pytest.mark.parametrize("tau_bar", [0.0, -1.0])
-    def test_nonpositive_tau_bar_underruns_exits_3(self, tmp_path, capsys,
-                                                   tau_bar):
-        # no history before t = 0 serves the delay tau(t) ~ 0.5
+    def test_nonpositive_tau_bar_runs(self, tmp_path, capsys, tau_bar):
+        # tau_bar voids the certificate, and the run, whose history reaches
+        # back to tau(0) = 0.5, writes an invalid one
         cfg = _quick_cfg(horizon_s=0.1)
         cfg["delay"]["tau_bar_s"] = tau_bar
+        out = str(tmp_path / "out")
         code = main(["simulate", "--config", _write_cfg(tmp_path, cfg),
-                     "--out", str(tmp_path / "out")])
-        assert code == EXIT_VERIFICATION
-        err = capsys.readouterr().err
-        assert err.startswith("error: query t=") and "Traceback" not in err
+                     "--out", out])
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        with open(os.path.join(out, "summary.json")) as fh:
+            summary = json.load(fh)
+        assert summary["status"] == "ok"
+        assert not summary["certificate"]["valid"]
 
     def test_negative_implicit_diagonal_exits_4(self, tmp_path, capsys):
         # implicit-fine numerics on a coarse grid; delta1 < -rho/dt
@@ -758,6 +768,25 @@ class TestSweepCommand:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("numerics", [[], 3, None],
+                             ids=["list", "number", "null"])
+    def test_base_numerics_not_an_object_exits_1(self, tmp_path, capsys,
+                                                  numerics):
+        # the sweep writes its n and horizon_s into the base's numerics
+        base = load_config("certified-decay")
+        base["numerics"] = numerics
+        sweep_cfg = {"base": base,
+                     "axes": [{"path": "weights.beta0", "values": [0.3]}],
+                     "n": 11, "horizon_s": 0.5}
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config",
+                     _write_cfg(tmp_path, sweep_cfg, "sweep.json"),
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: base numerics must be an "
+                                       f"object, got {numerics!r}\n")
+        assert not out.exists()
+
     def test_slope_bound_from_1_with_both_overrides_is_infeasible_row(
             self, tmp_path):
         sweep_cfg = {"base": _overridden_cfg(0.19),
@@ -836,7 +865,7 @@ class TestSweepCommand:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [row[2] for row in rows] == ["ok", "error"]
-        assert rows[1][-1].startswith("the history ring needs ")
+        assert rows[1][-1].startswith("the history's bracket table needs ")
 
     @pytest.mark.parametrize("path,values,reason", [
         ("delay.tau_bar_s", [0.6, 0.0], "need tau_bar > 0, got 0.0"),
@@ -872,7 +901,9 @@ class TestSweepCommand:
         assert "error: sweep n / horizon_s:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_out_in_missing_dir_exits_1(self, tmp_path, capsys):
+    def test_out_in_missing_dir_exits_1(self, tmp_path, capsys, monkeypatch):
+        # refused before any point runs
+        monkeypatch.setattr(cli, "execute", _refused)
         sweep_cfg = {"base": load_config("certified-decay"),
                      "axes": [{"path": "weights.beta0", "values": [0.3]}],
                      "n": 11, "horizon_s": 0.5}

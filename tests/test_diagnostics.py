@@ -12,6 +12,7 @@ from piezobeam import (
     BeamParams,
     DelayProfile,
     Grid,
+    HistoryBuffer,
     SimState,
     SpatialOperator,
     StabilityCertificate,
@@ -40,7 +41,6 @@ from piezobeam.solver import COLUMNS, Trajectory, initial_state
 
 BEAM = BeamParams(rho=1.0, alpha=2.0, gamma=1.0, mu=1.0, beta=1.0, length=1.0)
 NO_DELAY = DelayProfile(kind="constant", mean=0.5, tau0=0.4, tau_bar=0.6)
-SPAN = NO_DELAY.tau_bar  # a history span serving NO_DELAY
 NULL_CERT = StabilityCertificate(0.0, 0.0, 0.0, 0.0, 0.0, valid=False)
 
 
@@ -53,7 +53,8 @@ def _state(x, v=None, vt=None, p=None, pt=None):
 
 def _hist(grid, vt0, dt=0.01):
     """A history for one state, at t = 0 with NO_DELAY's tau = 0.5."""
-    return init_history(grid, SPAN, vt0, dt, [0.0], [0.5], 0)
+    return init_history(HistoryBuffer(dt, grid.weights, [0.0], [0.5], 0),
+                        vt0)
 
 
 def _zero_hist(grid):

@@ -2,24 +2,24 @@
 column-wise certificate checks with reference implementations.
 
 The reference functions below are the plain ``np.trapezoid`` / ``np.diff``
-formulas for the energy parts and K1-K3, a deque-of-arrays history buffer
-with the same eviction and delay-kernel rules that brackets each query as it
-comes (a floor, clamps and a tolerance), and per-record loops for the
-dissipation check, the equivalence ratios and the decay fit.  The package
-computes the same quantities as dot products with one trapezoid weight
-vector, keeps its history in preallocated contiguous storage, brackets every
-delayed sample once, by comparison with the stamps, when it builds the
-history, and runs the checks as array expressions over the trajectory's
-columns.  Away from a stamp both brackets are the same, so samples and check
-results agree bitwise; within rounding of a stamp the floor may take the
-cell below with a weight of about 1, so samples agree to roundoff.
+formulas for the energy parts and K1-K3, a list-of-arrays history that keeps
+every snapshot, brackets each query as it comes (a floor, clamps and a
+tolerance) and finds the stamps a sample reads by a scan, and per-record
+loops for the dissipation check, the equivalence ratios and the decay fit.
+The package computes the same quantities as dot products with one trapezoid
+weight vector, keeps its history in a preallocated ring sized from the
+samples the run takes, brackets every delayed sample once, by comparison
+with the stamps, when it builds the history, and runs the checks as array
+expressions over the trajectory's columns.  Away from a stamp both
+brackets are the same, so samples and check results agree bitwise; within
+rounding of a stamp the floor may take the cell below with a weight of
+about 1, so samples agree to roundoff.
 Quadrature sums run in a different order, so integrals agree to a float64
 roundoff tolerance.
 """
 
 import dataclasses
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -36,9 +36,11 @@ from piezobeam import (
     step_explicit,
     step_implicit,
 )
-from piezobeam import diagnostics, solver
+from piezobeam import (DelayProfile, Scenario, WeightProfiles, diagnostics,
+                       solver)
 from piezobeam.diagnostics import DecayFit, DissipationReport, Multipliers
-from piezobeam.errors import ConfigError, HistoryUnderrunError
+from piezobeam.errors import ConfigError
+from piezobeam.scenario import load_config
 
 E_RTOL = 1e-12
 K_ATOL = 1e-12  # times max(E(0), 1)
@@ -70,11 +72,14 @@ def ref_lyapunov(state, params, dx):
 
 
 class RefHistory:
-    """Deque-of-arrays history buffer: one array per snapshot."""
+    """List-of-arrays history: one array per snapshot, every one kept; it
+    serves the stamps from lo, the oldest that a sample still to come
+    reads, to the newest, and brackets a query among them."""
 
-    def __init__(self, dt, span, dx):
-        self.dt, self.span, self.dx = dt, span, dx
-        self.times, self.snaps, self.sq_integrals = deque(), deque(), deque()
+    def __init__(self, dt, dx):
+        self.dt, self.dx = dt, dx
+        self.times, self.snaps, self.sq_integrals = [], [], []
+        self.lo = 0
 
     def push(self, t, vt):
         snap = np.array(vt, dtype=float, copy=True)
@@ -82,16 +87,15 @@ class RefHistory:
         self.snaps.append(snap)
         self.sq_integrals.append(float(np.trapezoid(snap**2, dx=self.dx)))
 
-    def evict(self, t_now):
-        cutoff = t_now - self.span - 0.5 * self.dt
-        while len(self.times) > 2 and self.times[1] <= cutoff:
-            self.times.popleft()
-            self.snaps.popleft()
-            self.sq_integrals.popleft()
+    def serve(self, queries):
+        """Serve the stamps from the last at or before the earliest of
+        queries, the samples still to come, found by a scan."""
+        q = min(queries, default=self.times[-1])
+        self.lo = max(i for i, t in enumerate(self.times) if t <= q)
 
     def sample(self, t_query):
-        t0 = self.times[0]
-        i = int(math.floor((t_query - t0) / self.dt))
+        t0 = self.times[self.lo]
+        i = self.lo + int(math.floor((t_query - t0) / self.dt))
         i = max(0, min(i, len(self.times) - 2))
         w = (t_query - self.times[i]) / (self.times[i + 1] - self.times[i])
         w = min(max(w, 0.0), 1.0)
@@ -133,15 +137,14 @@ def test_run_matches_reference(certified_scenario):
     assert cert.valid
 
     # replay the run's steps from its own set-up, mirroring every snapshot
-    # into the reference: the pre-history is the initial velocity, and the
-    # span is plan's, the longest tau capped by tau_bar, plus 2 dt
+    # into the reference: the pre-history is the initial velocity
     op, dt, _, table, _, _, history, state = solver.plan(sc)
     assert dt == traj.dt
     dx = op.grid.dx
-    span = max(0.0, min(sc.delay.tau_bar, float(table[:, 1].max())))
-    ref = RefHistory(dt, span + 2.0 * dt, dx)
+    ref = RefHistory(dt, dx)
     for t in history._stamps[:history._end]:
         ref.push(t, state.vt)
+    queries = table[:, 0] - table[:, 1]
 
     e_ref = []
     k_err = []
@@ -150,7 +153,7 @@ def test_run_matches_reference(certified_scenario):
         if k:
             state = step_explicit(state, history, op, table, k - 1, dt)
             ref.push(state.t, state.vt)
-            ref.evict(state.t)
+        ref.serve(queries[k:])
         assert t == state.t
         e_ref.append(ref_energy_total(state, ref, sc.beam, cert, sc.delay,
                                       sc.weights, dx))
@@ -169,94 +172,124 @@ def test_near_stamp_samples_match_reference(certified_scenario, integrator):
     # tau = 0.5 at dt = 1/30: every t_k - tau lies within rounding of the
     # stamp 15 steps back, where the reference's floor may take the cell
     # below with a weight of about 1; an explicit state samples after its
-    # push and evict, an implicit one before them
+    # evict and push, an implicit one before them
     delay = dataclasses.replace(certified_scenario.delay, kind="constant",
                                 mean=0.5)
     sc = dataclasses.replace(certified_scenario, n=11, horizon=3.0,
                              dt=1.0 / 30.0, delay=delay,
                              integrator=integrator)
     op, dt, n_steps, table, _, _, history, state = solver.plan(sc)
-    ref = RefHistory(dt, 0.5 + 2.0 * dt, op.grid.dx)
+    ref = RefHistory(dt, op.grid.dx)
     for t in history._stamps[:history._end]:
         ref.push(t, state.vt)
+    queries = table[:, 0] - table[:, 1]
+    ref.serve(queries)
     stepper = {"explicit": step_explicit, "implicit": step_implicit}
+    lag = int(integrator == "implicit")
     for k in range(n_steps + 1):
         if k:
             state = stepper[integrator](state, history, op, table, k - 1, dt)
-        if k and integrator == "explicit":
+        if k and not lag:
             ref.push(state.t, state.vt)
-            ref.evict(state.t)
-        want = ref.sample(state.t - table[k, 1])
+            ref.serve(queries[k:])
+        want = ref.sample(queries[k])
         assert np.max(np.abs(state.z - want)) <= 1e-15 * np.max(np.abs(want))
-        if k and integrator == "implicit":
+        if k and lag:
             ref.push(state.t, state.vt)
-            ref.evict(state.t)
+            ref.serve(queries[k + 1:])
     assert n_steps == 90
 
 
+# constant, sinusoid and table delays; the last two rise past their tau_bar
+# of 0.6, to 0.8 and 0.9
+DELAYS = (DelayProfile(kind="constant", mean=0.5, tau0=0.4, tau_bar=0.6),
+          DelayProfile(kind="sinusoid", mean=0.5, amplitude=0.3, omega=1.8,
+                       tau0=0.2, tau_bar=0.6, d=0.54),
+          DelayProfile(kind="table", table_t=(0, 1, 2),
+                       table_tau=(0.5, 0.5, 0.9), tau0=0.4, tau_bar=0.6,
+                       d=0.4))
+
+
 def test_history_buffer_matches_reference_across_evictions():
-    # every stamp holds a state, sampled after its push and evict with a
-    # random delay the served window covers
+    # every stamp holds a random snapshot; the run's states sample as its
+    # steps do: the pre-history pushed, each step's push after an evict,
+    # a state with lag 0 sampling after its own push, with lag 1 before it
     rng = np.random.default_rng(3)
-    dt, dx, n = 0.01, 0.1, 11
-    span = 0.2 + 2.0 * dt
-    capacity = HistoryBuffer.check_rows(dt, span, n)
-    stamps = [-0.25]
-    for _ in range(3 * capacity + 5):
-        stamps.append(stamps[-1] + dt)
-    taus = rng.random(len(stamps)) * np.minimum(
-        0.2, np.array(stamps) - stamps[0])
-    weights = Grid(n, dx * (n - 1)).weights
-    buf = HistoryBuffer(dt, span, weights, stamps, taus, 0)
-    ref = RefHistory(dt, span, dx)
-    starts = []  # the oldest served stamp, after each push and evict
-    for j, (t, tau) in enumerate(zip(stamps, taus)):
-        snap = rng.standard_normal(n)
-        buf.push(snap)
-        buf.evict()
-        ref.push(t, snap)
-        ref.evict(t)
-        starts.append(ref.times[0])
+    dt, n, lam = 0.01, 11, 0.8
+    weights = Grid(n, 1.0).weights
+    for delay in DELAYS:
+        table = solver.profile_table(delay, WeightProfiles(), dt, 300)
+        times, taus = table[:, 0], table[:, 1]
+        # the fewest stamps -m*dt that reach back to the earliest sample
+        m = 0
+        while -m * dt > min(times - taus):
+            m += 1
+        for lag in (0, 1):
+            buf = HistoryBuffer(dt, weights, times, taus, lag)
+            assert buf._stamps.tobytes() == np.r_[
+                -np.arange(m, 0, -1) * dt, times].tobytes()
+            ref = RefHistory(dt, 0.1)
+            queries = times - taus
+            windows, samples = [], {}
 
-        assert np.array_equal(buf._stamps[buf._lo:buf._end],
-                              np.asarray(ref.times))
-        assert len(buf._ring) == capacity
-        if not j:  # the reference interpolates from two stamps on
-            continue
-        z = buf.sample(j)
-        assert np.array_equal(z, ref.sample(t - tau))
-        assert buf.square_integral(z) == pytest.approx(
-            ref.square_integral_at(t - tau), rel=KERNEL_RTOL)
-        got = buf.weighted_square_integral(j, 0.8, buf.square_integral(z))
-        assert got == pytest.approx(
-            ref.weighted_square_integral(t, tau, 0.8), rel=KERNEL_RTOL)
+            def take(k):
+                z = buf.sample(k)
+                want = ref.sample(queries[k])
+                assert np.max(np.abs(z - want)) <= 1e-15 * np.max(np.abs(want))
+                samples[k] = z
 
-    # a state whose sample falls before the stamps served then, or past
-    # the newest, is refused when the buffer is built, naming its step
-    eps = 1e-9 * dt
-    for j in (1, capacity, 3 * capacity):
-        for tau, message in ((stamps[j] - starts[j] + eps, "precedes"),
-                             (-eps, "is ahead of")):
-            bad = taus.copy()
-            bad[j] = tau
-            with pytest.raises(HistoryUnderrunError,
-                               match=rf"^query t=\S+ {message} .*"
-                                     rf"\(step {j}\)$"):
-                HistoryBuffer(dt, span, weights, stamps, bad, 0)
+            for j, s in enumerate(buf._stamps):
+                k = j - m  # the state at this stamp
+                if k > 0:
+                    if lag:
+                        take(k)
+                    buf.evict()
+                snap = rng.standard_normal(n)
+                buf.push(snap, buf.square_integral(snap))
+                ref.push(s, snap)
+                if k >= 0:  # the samples after this push
+                    ref.serve(queries[k + lag if k else 0:])
+                    windows.append(len(ref.times) - 1 - ref.lo)
+                if k == 0 or k > 0 and not lag:
+                    take(k)
+                if k >= 0:
+                    got = buf.weighted_square_integral(
+                        k, lam, buf.square_integral(samples[k]))
+                    assert got == pytest.approx(ref.weighted_square_integral(
+                        times[k], taus[k], lam), rel=KERNEL_RTOL)
+            # the samples above match, so no push overwrote a row that a
+            # later sample read; with one row fewer, the push that the
+            # widest window follows would have
+            assert len(samples) == len(times)
+            assert len(buf._ring) == max(windows) + 1
 
 
 def test_history_buffer_full_without_evictions():
-    # span 0.3 at dt 0.1: evicting after each push keeps at most 6
-    # snapshots; each stamp's state samples its own stamp
-    stamps = [0.1 * k for k in range(6)] + [10.0]
-    buf = HistoryBuffer(0.1, 0.3, Grid(4, 0.75).weights, stamps,
-                        np.zeros(7), 0)
-    for k in range(6):
-        buf.push(np.full(4, float(k)))
-    with pytest.raises(ConfigError, match="between evictions"):
-        buf.push(np.zeros(4))
-    for k in range(6):
-        assert np.array_equal(buf.sample(k), np.full(4, float(k)))
+    # tau 0.3 at dt 0.1: each state reads 3 stamps back, so the ring holds
+    # 4 rows, and a fifth push with no eviction is refused
+    buf = HistoryBuffer(0.1, Grid(4, 0.75).weights, 0.1 * np.arange(7),
+                        np.full(7, 0.3), 0)
+    assert len(buf._ring) == 4
+    for k in range(4):
+        buf.push(np.full(4, float(k)), 4.0 * k * k)
+    with pytest.raises(ConfigError, match="holds at most 4 snapshots "
+                                          "between evictions"):
+        buf.push(np.zeros(4), 0.0)
+    assert np.max(np.abs(buf.sample(0))) < 1e-15  # -3 * 0.1 < -0.3
+
+
+@pytest.mark.parametrize("numerics,rows", [
+    ({"n": 101, "horizon_s": 20.0}, 196),
+    ({"integrator": "implicit", "n": 1601, "dt_s": 0.005}, 120)],
+    ids=["beta0-sweep", "implicit-fine"])
+def test_ring_rows_on_benchmark_physics(numerics, rows):
+    # certified-decay's delay reaches 0.6: the ring holds the rows from its
+    # oldest read to the newest push (sized from tau_bar, it held 199 and
+    # 125)
+    cfg = load_config("certified-decay")
+    cfg["numerics"].update(numerics)
+    history = solver.plan(Scenario.from_dict(cfg))[6]
+    assert len(history._ring) == rows
 
 
 @pytest.mark.parametrize("stepper", [step_explicit, step_implicit])

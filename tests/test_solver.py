@@ -36,7 +36,6 @@ from piezobeam.errors import (
 
 BEAM = BeamParams(rho=1.0, alpha=2.0, gamma=1.0, mu=1.0, beta=1.0, length=1.0)
 NO_DELAY = DelayProfile(kind="constant", mean=0.5, tau0=0.4, tau_bar=0.6)
-SPAN = NO_DELAY.tau_bar  # a history span serving NO_DELAY
 UNDAMPED = WeightProfiles(delta0=0.0, d1_floor=0.0)
 
 
@@ -44,12 +43,25 @@ def _scale(st):
     return max(float(np.max(np.abs(f))) for f in (st.v, st.vt, st.p, st.pt))
 
 
+def history(grid, vt0, dt, times, taus, lag=0):
+    """init_history's buffer for states at times delayed by taus, sampled
+    lag pushes behind (0 explicit, 1 implicit), vt0 at every stamp up to
+    times[0]."""
+    return init_history(HistoryBuffer(dt, grid.weights, times, taus, lag),
+                        vt0)
+
+
 def zero_history(grid, dt, table, lag=0):
     """A zero history for the states of a profile table: stamps -k*dt, then
-    its t column; its tau column delays them, sampled lag pushes behind (0
-    explicit, 1 implicit)."""
-    return init_history(grid, SPAN, np.zeros(grid.n), dt, table[:, 0],
-                        table[:, 1], lag)
+    its t column; its tau column delays them."""
+    return history(grid, np.zeros(grid.n), dt, table[:, 0], table[:, 1], lag)
+
+
+def push_all(buf, snaps):
+    """Push each snapshot as a step does: evict, then push."""
+    for snap in snaps:
+        buf.evict()
+        buf.push(snap, buf.square_integral(snap))
 
 
 class TestGrid:
@@ -117,61 +129,60 @@ class TestSpatialOperator:
 
 class TestHistoryBuffer:
     def test_constant_history(self):
-        # one state, at the last stamp 0.0, delayed by 0.37
-        stamps = [-1.0 + 0.1 * k for k in range(11)]
-        buf = HistoryBuffer(0.1, 1.0, Grid(5, 0.04).weights, stamps, [0.37],
-                            0)
-        for _ in stamps:
-            buf.push(np.full(5, 3.0))
+        # one state, at 0.0, delayed by 0.37: stamps -0.4 ... 0.0
+        buf = HistoryBuffer(0.1, Grid(5, 0.04).weights, [0.0], [0.37], 0)
+        push_all(buf, [np.full(5, 3.0)] * 5)
         assert np.all(buf.sample(0) == 3.0)
 
     def test_midpoint_of_linear(self):
-        buf = HistoryBuffer(1.0, 2.0, Grid(5, 1.0).weights, [0.0, 1.0], [0.5],
-                            0)
-        buf.push(np.zeros(5))
-        buf.push(np.ones(5))
-        assert np.all(buf.sample(0) == 0.5)
+        buf = HistoryBuffer(1.0, Grid(5, 1.0).weights, [0.0, 1.0],
+                            [0.0, 0.5], 0)
+        push_all(buf, [np.zeros(5), np.ones(5)])
+        assert np.all(buf.sample(1) == 0.5)
 
     def test_linear_in_time_exact(self):
-        # the last three stamps' states sample -1.77, -0.3 and -1.5
-        stamps = [-2.0 + 0.1 * k for k in range(21)]
+        # states at 0.0, 0.1 and 0.2 sample -1.77, -0.3 and -1.5, from the
+        # stamps -1.8 ... 0.2
+        times = np.array([0.0, 0.1, 0.2])
         queries = np.array([-1.77, -0.3, -1.5])
-        buf = HistoryBuffer(0.1, 2.0, Grid(5, 1.0).weights, stamps,
-                            np.array(stamps[-3:]) - queries, 0)
-        for s in stamps:
-            buf.push(np.full(5, s))
-        for k, q in enumerate(queries):
+        buf = HistoryBuffer(0.1, Grid(5, 1.0).weights, times,
+                            times - queries, 0)
+        assert len(buf._stamps) == 21
+        push_all(buf, [np.full(5, s) for s in buf._stamps[:buf._first]])
+        for k, q in enumerate(queries):  # each after its own push
+            push_all(buf, [np.full(5, times[k])])
             assert np.max(np.abs(buf.sample(k) - q)) < 1e-12
 
     def test_exact_at_stored_stamps(self):
         # t_k - tau_k is exact in binary and lands on stamp k - k % 4
         rng = np.random.default_rng(7)
         stamps = 0.125 * np.arange(11)
-        buf = HistoryBuffer(0.125, 2.0, Grid(5, 1.0).weights, stamps,
+        buf = HistoryBuffer(0.125, Grid(5, 1.0).weights, stamps,
                             0.125 * (np.arange(11) % 4), 0)
         snaps = [rng.standard_normal(5) for _ in range(11)]
-        for snap in snaps:
-            buf.push(snap)
-        for k in range(11):
+        for k in range(11):  # each after its own push
+            push_all(buf, snaps[k:k + 1])
             assert np.array_equal(buf.sample(k), snaps[k - k % 4])
 
     def test_underrun(self):
-        # refused when the buffer is built, naming the state's step
-        with pytest.raises(HistoryUnderrunError,
-                           match=r"^query t=-0.5 precedes history start 0; "
-                                 r"buffer span is too short for the "
-                                 r"configured delay \(step 1\)$"):
-            HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, [0.0, 0.1],
-                          [0.0, 0.6], 0)
-
-    def test_implicit_state_samples_before_its_push(self):
-        # state 1, at 0.2 with tau 0.05, samples 0.15: after its own push
-        # (lag 0) 0.2 is served; before it (lag 1) the newest is 0.1
-        args = (0.1, 1.0, Grid(5, 1.0).weights, [0.0, 0.1, 0.2], [0.05, 0.05])
-        HistoryBuffer(*args, 0)
+        # a delay of any length is served; the one sample refused, when
+        # the buffer is built and naming the state's step, is one ahead of
+        # the newest snapshot: here a negative delay
+        weights = Grid(5, 1.0).weights
+        HistoryBuffer(0.1, weights, [0.0, 0.1], [0.0, 60.0], 0)
         with pytest.raises(HistoryUnderrunError,
                            match=r"^query t=0.15 is ahead of newest snapshot "
                                  r"0.1 \(step 1\)$"):
+            HistoryBuffer(0.1, weights, [0.0, 0.1], [0.0, -0.05], 0)
+
+    def test_implicit_state_samples_before_its_push(self):
+        # state 2, at 0.2 with tau 0.05, samples 0.15: after its own push
+        # (lag 0) 0.2 is served; before it (lag 1) the newest is 0.1
+        args = (0.1, Grid(5, 1.0).weights, [0.0, 0.1, 0.2], [0.0, 0.1, 0.05])
+        HistoryBuffer(*args, 0)
+        with pytest.raises(HistoryUnderrunError,
+                           match=r"^query t=0.15 is ahead of newest snapshot "
+                                 r"0.1 \(step 2\)$"):
             HistoryBuffer(*args, 1)
 
     def test_weighted_square_integral_constant(self):
@@ -180,7 +191,7 @@ class TestHistoryBuffer:
         dt = 0.01
         lam = 0.8
         tau = 0.5
-        buf = init_history(g, SPAN, np.full(g.n, 2.0), dt, [0.0], [tau], 0)
+        buf = history(g, np.full(g.n, 2.0), dt, [0.0], [tau])
         sq_lo = buf.square_integral(buf.sample(0))
         got = buf.weighted_square_integral(0, lam, sq_lo)
         exact = 4.0 * 1.0 * (1.0 - math.exp(-lam * tau)) / lam
@@ -193,64 +204,66 @@ class TestHistoryBuffer:
         with pytest.raises(ConfigError,
                            match="history timestamps must be strictly "
                                  "increasing"):
-            HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, stamps, [0.0], 0)
+            HistoryBuffer(0.1, Grid(5, 1.0).weights, stamps,
+                          np.zeros(len(stamps)), 0)
 
     def test_no_push_past_the_last_stamp(self):
-        buf = HistoryBuffer(0.1, 1.0, Grid(5, 1.0).weights, [0.0, 0.1], [0.0],
-                            0)
-        buf.push(np.zeros(5))
-        buf.push(np.ones(5))
+        buf = HistoryBuffer(0.1, Grid(5, 1.0).weights, [0.0, 0.1],
+                            [0.0, 0.0], 0)
+        push_all(buf, [np.zeros(5), np.ones(5)])
         with pytest.raises(ConfigError, match="no stamp past its 2 pushed"):
-            buf.push(np.full(5, 2.0))
-        assert np.array_equal(buf.sample(0), np.ones(5))
+            buf.push(np.full(5, 2.0), 20.0)
+        assert np.array_equal(buf.sample(1), np.ones(5))
 
     def test_keeps_its_own_stamps(self):
-        stamps = np.array([0.0, 1.0, 2.0])
-        buf = HistoryBuffer(1.0, 2.0, Grid(5, 1.0).weights, stamps, [0.5], 0)
-        stamps[:] = [-5.0, 0.0, 7.0]  # the buffer bracketed its own copy
-        for k in range(3):
-            buf.push(np.full(5, float(k)))
-        assert np.all(buf.sample(0) == 1.5)
+        times = np.array([0.0, 1.0, 2.0])
+        buf = HistoryBuffer(1.0, Grid(5, 1.0).weights, times,
+                            [0.0, 0.0, 0.5], 0)
+        times[:] = [-5.0, 0.0, 7.0]  # the buffer bracketed its own copy
+        push_all(buf, [np.full(5, float(k)) for k in range(3)])
+        assert np.all(buf.sample(2) == 1.5)
 
     def test_brackets_counted_before_allocation(self, monkeypatch):
-        # 30 stamps x 6 floats: 20 states' query, bracket, weight, window
+        # 20 states delayed by 1.0 at dt 0.1 take 10 stamps before them:
+        # 30 stamps x 6 floats, the states' query, bracket, weight, window
         # start and partial-cell flag, and every stamp's served window
         monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 100)
         with pytest.raises(ConfigError,
                            match=r"^the history's bracket table needs 30 x 6 "
                                  r"floats, more than the 100 a run may "
                                  r"allocate$"):
-            HistoryBuffer(0.1, 0.2, Grid(3, 1.0).weights, 0.1 * np.arange(30),
-                          np.zeros(20), 0)
+            HistoryBuffer(0.1, Grid(3, 1.0).weights, 0.1 * np.arange(20),
+                          np.ones(20), 0)
 
 
 class TestInitHistory:
     def test_zero(self):
         g = Grid(21, 1.0)
-        for tau in (0.0, 0.05, 0.37, SPAN):
-            buf = init_history(g, SPAN, np.zeros(g.n), 0.05, [0.0], [tau], 0)
+        for tau in (0.0, 0.05, 0.37, 0.6):
+            buf = history(g, np.zeros(g.n), 0.05, [0.0], [tau])
             assert np.all(buf.sample(0) == 0.0)
 
     def test_constant_in_time(self):
-        # every delay the span serves samples vt0: exactly at a stamp, to
-        # roundoff between two
+        # every delay samples vt0: exactly at a stamp, to roundoff between
+        # two
         g = Grid(21, 1.0)
         v1 = np.sin(math.pi * g.x / 2.0)
-        for tau in (0.0, 0.05, 0.37, SPAN):
-            buf = init_history(g, SPAN, v1, 0.05, [0.0], [tau], 0)
+        for tau in (0.0, 0.05, 0.37, 0.6):
+            buf = history(g, v1, 0.05, [0.0], [tau])
             assert np.max(np.abs(buf.sample(0) - v1)) <= 1e-15
         assert np.array_equal(
-            init_history(g, SPAN, v1, 0.05, [0.0], [0.0], 0).sample(0), v1)
+            history(g, v1, 0.05, [0.0], [0.0]).sample(0), v1)
 
     def test_spans_delay(self):
-        # the stamps reach back past -span: tau = span is served, a delay
-        # past the first stamp, -k_max * dt = -0.65, is refused at step 0
+        # the stamps reach back to the earliest sample and no further: tau
+        # 0.7 at dt 0.05 takes the 14 stamps -14 * 0.05 ... -0.05, tau 0 none;
+        # a delay past any tau_bar, 100, is served as well
         g = Grid(21, 1.0)
-        init_history(g, SPAN, np.zeros(g.n), 0.05, [0.0], [SPAN], 0)
-        with pytest.raises(HistoryUnderrunError,
-                           match=r"^query t=-0.7 precedes history start "
-                                 r"-0.65; .* \(step 0\)$"):
-            init_history(g, SPAN, np.zeros(g.n), 0.05, [0.0], [0.7], 0)
+        buf = history(g, np.zeros(g.n), 0.05, [0.0], [0.7])
+        assert len(buf._stamps) == 15 and buf._stamps[0] == -14 * 0.05
+        assert len(history(g, np.zeros(g.n), 0.05, [0.0], [0.0])._stamps) == 1
+        buf = history(g, np.ones(g.n), 0.05, [0.0, 0.05], [0.0, 100.0])
+        assert len(buf._stamps) == 2001 and np.all(buf.sample(1) == 1.0)
 
     def test_nonfinite_initial_velocity_refused_by_plan(
             self, certified_scenario, monkeypatch):
@@ -271,19 +284,17 @@ class TestInitHistory:
 
 class TestRunFloatBound:
     def test_history_refused_before_g0(self, monkeypatch):
-        # the ring is refused before init_history makes its buffer
+        # the ring is refused before it is allocated: its 11 stamps x 6
+        # floats of brackets fit, its 11 rows x 21 floats do not
         monkeypatch.setattr(solver, "MAX_RUN_FLOATS", 100)
-
-        class Unbuilt(HistoryBuffer):
-            def __init__(self, *args):
-                raise AssertionError("history buffer built")
-
-        monkeypatch.setattr(solver, "HistoryBuffer", Unbuilt)
-        with pytest.raises(ConfigError, match=r"^the history ring needs \d+ "
+        empty, allocated = np.empty, []
+        monkeypatch.setattr(np, "empty", lambda shape, *args, **kwargs: (
+            allocated.append(shape) or empty(shape, *args, **kwargs)))
+        with pytest.raises(ConfigError, match=r"^the history ring needs 11 "
                                               r"x 21 floats, more than the "
                                               r"100 a run may allocate$"):
-            init_history(Grid(21, 1.0), SPAN, np.zeros(21), 0.05, [0.0],
-                         [0.5], 0)
+            HistoryBuffer(0.05, Grid(21, 1.0).weights, [0.0], [0.5], 0)
+        assert allocated == []
 
     def test_history_refused_before_grid_arrays(self, certified_scenario,
                                                 monkeypatch):
@@ -564,8 +575,7 @@ class TestSteppers:
         dt = 0.01
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(sc.delay, sc.weights, dt, 6)
-        buf = init_history(g, sc.delay.tau_bar, np.zeros(g.n), dt,
-                           table[:, 0], table[:, 1], 1)
+        buf = zero_history(g, dt, table, 1)
         st = _start(v0, buf, op, explicit=False)
         st = step_implicit(st, buf, op, table, 0, dt)
         diag, off = op.implicit_buffers
@@ -628,8 +638,7 @@ class TestSteppers:
         for f in fields:  # the discrete zero slope the step imposes
             f[-1] = (4.0 * f[-2] - f[-3]) / 3.0
         table = profile_table(sc.delay, weights, dt, 1)
-        buf = init_history(g, sc.delay.tau_bar, 0.3 * np.sin(x), dt,
-                           table[:, 0], table[:, 1], 1)
+        buf = history(g, 0.3 * np.sin(x), dt, table[:, 0], table[:, 1], 1)
         st = initial_state(fields, buf, op, False)
         _, _, d1, _, d2 = table[1].tolist()
         z = buf.sample(1).copy()
@@ -646,8 +655,7 @@ class TestSteppers:
         dt = cfl_timestep(op, NO_DELAY)
         v0 = np.sin(math.pi * g.x / 2.0)
         table = profile_table(NO_DELAY, UNDAMPED, dt, 25)
-        buf = init_history(g, SPAN, np.zeros(g.n), dt, table[:, 0],
-                           np.zeros(26), 0)
+        buf = history(g, np.zeros(g.n), dt, table[:, 0], np.zeros(26))
         st = _start(v0, buf, op)
         for k in range(25):
             st = step_explicit(st, buf, op, table, k, dt)
@@ -664,26 +672,26 @@ class TestSteppers:
         g = Grid(21, sc.beam.length)
         op = SpatialOperator(sc.beam, g)
         dt = 0.01
-        span = sc.delay.tau_bar + 2.0 * dt
-        rows = HistoryBuffer.check_rows(dt, span, g.n)
-        n_steps = 4 * rows  # the ring wraps 4 times
+        n_steps = 250
         table = profile_table(sc.delay, sc.weights, dt, n_steps)
-        # a history that differs between stamps, as init_history lays it out
-        k_max = int(math.ceil((sc.delay.tau_bar + dt) / dt))
-        stamps = np.r_[-np.arange(k_max, 0, -1) * dt, table[:, 0]]
-        buf = HistoryBuffer(dt, span, g.weights, stamps, table[:, 1], 1)
-        for s in stamps[:k_max + 1]:
-            buf.push(np.sin(g.x + 3.0 * s))
-        assert len(buf._ring) == rows
+        buf = HistoryBuffer(dt, g.weights, table[:, 0], table[:, 1], 1)
+        # a history that differs between stamps, up to the first state's
+        push_all(buf, [np.sin(g.x + 3.0 * s)
+                       for s in buf._stamps[:buf._first + 1]])
+        assert n_steps >= 4 * len(buf._ring)  # the ring wraps 4 times
         st = _start(np.sin(np.pi * g.x / 2.0), buf, op, False)
         sample, samples = buf.sample, []
-        monkeypatch.setattr(buf, "sample", lambda k: samples.append(
-            sample(k)) or samples[-1])
+
+        def recorded(k):
+            z = sample(k)
+            samples.append((z, z.tobytes()))
+            return z
+
+        monkeypatch.setattr(buf, "sample", recorded)
         for k in range(n_steps):
             st = step_implicit(st, buf, op, table, k, dt)
-            z = st.z
-            assert len(samples) == k + 1 and samples[-1] is z
-            assert z.tobytes() == sample(k + 1).tobytes()
+            assert len(samples) == k + 1 and samples[-1][0] is st.z
+        assert all(z.tobytes() == taken for z, taken in samples)
 
 
 class TestRun:
@@ -829,16 +837,8 @@ class TestRun:
         # voids the certificate) reaches the step
         from piezobeam import solver
 
-        def nan_history(grid, span, vt0, dt, times, taus, lag):
-            k_max = int(math.ceil((span + dt) / dt))
-            buf = HistoryBuffer(dt, span + 2.0 * dt, grid.weights,
-                                np.r_[-np.arange(k_max, 0, -1) * dt, times],
-                                taus, lag)
-            for _ in range(k_max + 1):
-                buf.push(np.full(grid.n, np.nan))
-            return buf
-
-        monkeypatch.setattr(solver, "init_history", nan_history)
+        monkeypatch.setattr(solver, "init_history", lambda buf, vt0: (
+            init_history(buf, np.full_like(vt0, np.nan))))
         sc = dataclasses.replace(certified_scenario, n=21, horizon=0.5,
                                  integrator=integrator)
         with pytest.raises(ConfigError, match="^initial Lyapunov value nan "
@@ -853,12 +853,12 @@ class TestRun:
         assert info.value.trajectory.status == "diverged"
         assert len(info.value.trajectory) == 1
 
-    # the delay outgrows its declared tau_bar = 0.6, which sizes the
-    # history: step 89 would sample t - tau(t) ~ 0.72 for the state it
-    # makes, before the stamps served then
+    # the delay falls below 0 after t = 1.83: step 120 would sample
+    # t - tau(t) ~ 1.854 for the state it makes, ahead of the newest
+    # snapshot, 1.846
     UNDERRUN = DelayProfile(kind="table", table_t=(0, 1, 2),
-                            table_tau=(0.5, 0.5, 0.9), tau0=0.4, tau_bar=0.6,
-                            d=0.4)
+                            table_tau=(0.5, 0.5, -0.1), tau0=0.4, tau_bar=0.6,
+                            d=0.6)
 
     def test_history_underrun_refused_at_set_up(self, monkeypatch):
         # plan refuses the run, naming the step, before any step is taken:
@@ -870,13 +870,12 @@ class TestRun:
         sc = dataclasses.replace(load_scenario("damped-no-delay"), n=21,
                                  horizon=2.0, delay=self.UNDERRUN)
         with pytest.raises(HistoryUnderrunError,
-                           match=r"^query t=0\.7215.* precedes history "
-                                 r"start 0\.7230.*; buffer span is too short "
-                                 r"for the "
-                                 r"configured delay \(step 89\)$") as info:
+                           match=r"^query t=1\.85384615 is ahead of newest "
+                                 r"snapshot 1\.84615385 \(step 120\)$"
+                           ) as info:
             run(sc, collect_fields=False)
         assert not hasattr(info.value, "trajectory")
-        with pytest.raises(HistoryUnderrunError, match=r"\(step 89\)$"):
+        with pytest.raises(HistoryUnderrunError, match=r"\(step 120\)$"):
             solver.plan(sc)
 
     def test_strided_underrun_labelled_with_its_step(self):
@@ -886,9 +885,31 @@ class TestRun:
                                  horizon=2.0, delay=self.UNDERRUN,
                                  output_stride=2)
         with pytest.raises(HistoryUnderrunError,
-                           match=r"\(step 89\)$") as info:
+                           match=r"\(step 120\)$") as info:
             run(sc, collect_fields=False)
         assert not hasattr(info.value, "trajectory")
+
+    def test_delay_past_tau_bar_runs(self):
+        # tau(t) rises to 0.9, past its declared tau_bar = 0.6: a hypothesis
+        # of the decay certificate, which it voids, not of the run, whose
+        # history reaches back to every sample; each state's delayed
+        # velocity interpolates the run's own v_t, and the initial velocity
+        # before t = 0
+        delay = dataclasses.replace(self.UNDERRUN, table_tau=(0.5, 0.5, 0.9),
+                                    d=0.4)
+        sc = dataclasses.replace(load_scenario("damped-no-delay"), n=21,
+                                 horizon=2.0, delay=delay, field_stride=1)
+        assert not sc.certificate.assumptions["delay_upper_bound"].passed
+        traj = run(sc)
+        assert traj.status == "ok" and len(traj) == 131
+        t = np.array([st.t for st in traj.fields])
+        vts = np.array([st.vt for st in traj.fields])
+        for st, q in zip(traj.fields, t - delay.tau(t)):
+            i = min(max(int(np.searchsorted(t, q, side="right")) - 1, 0), 129)
+            w = max(q - t[i], 0.0) / (t[i + 1] - t[i])
+            want = (1.0 - w) * vts[i] + w * vts[i + 1]
+            assert np.max(np.abs(st.z - want)) <= 1e-12 * np.max(np.abs(vts))
+        assert np.max(np.abs(traj.fields[-1].z)) > 0
 
     def test_history_sized_from_the_delays_stepped_with(self,
                                                        certified_scenario,
@@ -913,8 +934,8 @@ class TestRun:
     @pytest.mark.parametrize("integrator", ["explicit", "implicit"])
     def test_served_stamps_are_the_profile_tables(self, certified_scenario,
                                                   monkeypatch, integrator):
-        # the history's stamps from 0 on are the run's own step times: after
-        # the last step, every served stamp >= 0 is bitwise the table's t
+        # the history's stamps from 0 on are the run's own step times,
+        # bitwise the table's t
         made = []
 
         def tracked(*args):
@@ -928,11 +949,10 @@ class TestRun:
         n_steps = round(sc.horizon / traj.dt)
         table = profile_table(sc.delay, sc.weights, traj.dt, n_steps)
         buf = made[0]
-        served = buf._stamps[buf._lo:buf._end]
-        j = n_steps + 1 - np.count_nonzero(served >= 0)
-        assert 0 < j < n_steps
-        assert served[served >= 0].tobytes() == table[j:, 0].tobytes()
-        assert served[-1] == traj.times[-1] == table[-1, 0]
+        assert buf._stamps[buf._first:].tobytes() == table[:, 0].tobytes()
+        # after the last step it serves a suffix of them
+        assert buf._first < buf._lo < buf._end == len(buf._stamps)
+        assert buf._stamps[-1] == traj.times[-1]
 
     def test_status_independent_of_output_stride(self, certified_scenario):
         # delta2 = -3 voids the certificate (L is NaN) and the energy grows
