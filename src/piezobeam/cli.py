@@ -137,10 +137,16 @@ def _write_outputs(traj, out_dir):
 
 def cmd_simulate(args):
     scenario = Scenario.from_dict(load_config(args.config))
-    # refused before the run, as makedirs would, but making no directory
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ConfigError(f"cannot write {args.out}: "
-                          f"{os.strerror(errno.EEXIST)}")
+    # refused before the run, as makedirs would, but making no directory:
+    # an empty --out, or one whose nearest existing ancestor, itself
+    # included, is not a directory
+    head = args.out
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if not args.out or head and not os.path.isdir(head):
+        code = (errno.ENOENT if not args.out else
+                errno.EEXIST if head == args.out else errno.ENOTDIR)
+        raise ConfigError(f"cannot write {args.out}: {os.strerror(code)}")
     try:
         traj = run(scenario)
     except DivergenceError as exc:
@@ -158,10 +164,13 @@ def cmd_simulate(args):
 
 def cmd_sweep(args):
     spec = SweepSpec.from_dict(load_config(args.config))
-    # refused before any point runs, as _write_csv's open would
+    # refused before any point runs, as _write_csv's open would: an empty
+    # --out, a directory, or one whose parent is not a directory
     parent = os.path.dirname(args.out) or "."
-    if not os.path.isdir(parent):
-        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    if not args.out or os.path.isdir(args.out) or not os.path.isdir(parent):
+        code = (errno.EISDIR if os.path.isdir(args.out)
+                else errno.ENOTDIR if args.out and os.path.exists(parent)
+                else errno.ENOENT)
         raise ConfigError(f"cannot write {args.out}: {os.strerror(code)}")
     records = execute(spec)
     header = tuple(path for path, _ in spec.axes) + (

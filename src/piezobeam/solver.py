@@ -153,12 +153,6 @@ class SpatialOperator:
         self.grid = grid
         self._rows = params.coefficients.tolist()  # floats, read per apply
 
-    @cached_property
-    def implicit_buffers(self):
-        """step_implicit's (diag, off), refilled by _implicit_matrix."""
-        n = self.grid.n
-        return np.empty((2, n - 2)), np.empty((2, max(n - 3, 1)))
-
     def second_difference(self, u):
         dx2 = self.grid.dx**2
         out = np.empty_like(u)
@@ -405,20 +399,20 @@ def _load_flapack(directory):
 
 def _implicit_matrix(operator, dt, d1):
     """step_implicit's system for delta1 = d1: diagonals (diag[i], off[i])
-    of P (I + m_i D), refilled in place, and T = A0^{-1/2} R.
+    of P (I + m_i D), new arrays on each call, and T = A0^{-1/2} R.
 
     P = diag(1, ..., 1, 3/2) symmetrises D, whose last row is (2/3,
-    -2/3)/dx^2.  The buffers are the operator's implicit_buffers, filled
-    from m_i; off keeps max(n - 3, 1) entries, as the LAPACK wrapper rejects
-    an empty one.
+    -2/3)/dx^2.  Both bands are filled from m_i, and dptsv overwrites them;
+    off keeps max(n - 3, 1) entries, as the LAPACK wrapper rejects an empty
+    one.
     S = A0^{-1/2} A1 A0^{-1/2} (s11 = -alpha/a, s22 = -beta/c, s12 =
     gamma beta/sqrt(a c)) is negative definite like A1 (det A1 = beta
     alpha1 > 0), so m_i < 0 and P (I + m_i D) is positive definite.  theta =
     atan2(2 s12, s11 - s22)/2 gives S = R diag(m1, m2) R^T for any gamma,
     0 included; m1 = det S / m2 avoids the closed form's cancellation.
     """
-    pr = operator.params
-    diag, off = operator.implicit_buffers
+    pr, n = operator.params, operator.grid.n
+    diag, off = np.empty((2, n - 2)), np.empty((2, max(n - 3, 1)))
 
     a, c = pr.rho / dt**2 + d1 / dt, pr.mu / dt**2
     if not a > 0:  # delta1 <= -rho/dt: A0 has no real square root
@@ -484,7 +478,7 @@ COLUMNS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Recorded diagnostics: one row of data per record, columns as COLUMNS;
     grid is the run's Grid, and fields holds the recorded SimStates whose
@@ -591,8 +585,7 @@ def run(scenario, collect_fields=True):
      state) = plan(scenario)
     certificate = scenario.certificate
     stride, field_stride = scenario.output_stride, scenario.field_stride
-    traj = Trajectory(certificate, multipliers, dt, operator.grid, data,
-                      [state] if collect_fields else [])
+    fields = [state] if collect_fields else []
     filled = 1  # plan recorded the state at t = 0
     stepper = STEPPERS[scenario.integrator]
     with np.errstate(all="ignore"):  # the blow-up guard refuses inf and nan
@@ -600,10 +593,10 @@ def run(scenario, collect_fields=True):
             try:
                 state = stepper(state, history, operator, profiles, k - 1, dt)
             except DivergenceError as exc:
-                traj.status = "diverged"
-                traj.data = data[:filled]
                 err = DivergenceError(f"{exc} (step {k})")
-                err.step, err.trajectory = k, traj
+                err.step, err.trajectory = k, Trajectory(
+                    certificate, multipliers, dt, operator.grid,
+                    data[:filled], fields, "diverged")
                 raise err from exc
             if k % stride == 0 or k == n_steps:
                 data[filled] = diagnostics.energy(
@@ -611,5 +604,5 @@ def run(scenario, collect_fields=True):
                     certificate, multipliers)
                 filled += 1
                 if collect_fields and (k % field_stride == 0 or k == n_steps):
-                    traj.fields.append(state)
-    return traj
+                    fields.append(state)
+    return Trajectory(certificate, multipliers, dt, operator.grid, data, fields)

@@ -67,7 +67,7 @@ class SweepSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepRecord:
     values: tuple
     valid: bool
@@ -104,8 +104,7 @@ def expand(spec):
     return scenarios
 
 
-def _run_one(item):
-    combo, cfg = item
+def _run_one(combo, cfg):
     try:
         scenario = Scenario.from_dict(cfg)
         certificate = scenario.certificate
@@ -120,18 +119,16 @@ def _run_one(item):
         return SweepRecord(combo, True, status="diverged")
     except PiezobeamError as exc:
         return SweepRecord(combo, True, [str(exc)], status="error")
-    rec = SweepRecord(combo, True)
     e = traj.energies
-    rec.energy_ratio = float(e[-1] / e[0]) if e[0] > 0 else math.nan
+    ratio = float(e[-1] / e[0]) if e[0] > 0 else math.nan
     try:
         fit = fit_decay_rate(traj)
-        rec.h2 = fit.h2
-        rec.r_squared = fit.r_squared
     except InsufficientDataError:
-        pass
-    return rec
+        return SweepRecord(combo, True, energy_ratio=ratio)
+    return SweepRecord(combo, True, h2=fit.h2, r_squared=fit.r_squared,
+                       energy_ratio=ratio)
 
 
 def execute(spec):
     """Run every grid point; records keep expansion order."""
-    return [_run_one(item) for item in expand(spec)]
+    return [_run_one(*point) for point in expand(spec)]

@@ -652,6 +652,31 @@ class TestSimulate:
         assert captured.err == f"error: cannot write {out}: File exists\n"
         assert out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("out,reason", [
+        ("afile/sub", "Not a directory"), ("", "No such file or directory"),
+    ], ids=["below a file", "empty"])
+    def test_unwritable_out_refused_before_the_run(
+            self, tmp_path, capsys, monkeypatch, out, reason):
+        # the nearest existing ancestor is checked, and nothing is made
+        monkeypatch.setattr(cli, "run", _refused)
+        monkeypatch.chdir(tmp_path)
+        cfg = _write_cfg(tmp_path, _quick_cfg(n=51, horizon_s=5.0))
+        (tmp_path / "afile").write_text("kept\n")
+        made = sorted(os.listdir(tmp_path))
+        assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert sorted(os.listdir(tmp_path)) == made
+        assert (tmp_path / "afile").read_text() == "kept\n"
+
+    def test_out_below_missing_directories_is_made(self, tmp_path):
+        out = tmp_path / "a" / "b" / "out"
+        assert main(["simulate", "--config",
+                     _write_cfg(tmp_path, _quick_cfg(n=11, horizon_s=0.5)),
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "summary.json").exists()
+
     def test_divergent_run_exits_4_with_partial_output(self, tmp_path):
         # force an unstable explicit step with a huge dt override
         cfg = _quick_cfg(horizon_s=5.0)
@@ -918,6 +943,26 @@ class TestSweepCommand:
                                 "No such file or directory\n")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("out,reason", [
+        ("adir", "Is a directory"), ("", "No such file or directory"),
+    ], ids=["directory", "empty"])
+    def test_unwritable_out_refused_before_any_point(
+            self, tmp_path, capsys, monkeypatch, out, reason):
+        monkeypatch.setattr(cli, "execute", _refused)
+        monkeypatch.chdir(tmp_path)
+        sweep_cfg = {"base": load_config("certified-decay"),
+                     "axes": [{"path": "weights.beta0", "values": [0.3]}],
+                     "n": 11, "horizon_s": 0.5}
+        cfg = _write_cfg(tmp_path, sweep_cfg, "sweep.json")
+        (tmp_path / "adir").mkdir()
+        made = sorted(os.listdir(tmp_path))
+        assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert sorted(os.listdir(tmp_path)) == made
+        assert not os.listdir(tmp_path / "adir")
+
     def test_non_number_axis_values_written_as_json(self, tmp_path):
         sweep_cfg = {"base": load_config("certified-decay"),
                      "axes": [{"path": "weights.beta0",
@@ -976,6 +1021,18 @@ class TestReport:
         assert main(["report", "--dir", out]) == EXIT_VERIFICATION
         assert ("dissipation: FAILED (0 pairs)"
                 in capsys.readouterr().out.splitlines())
+
+    def test_dissipation_violations_fail(self, sim_dir, tmp_path, capsys):
+        with open(os.path.join(sim_dir, "summary.json")) as fh:
+            summary = json.load(fh)
+        summary["dissipation"].update(n_violations=2, passed=False)
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        (tmp_path / "trajectory.csv").write_text("")
+        assert main(["report", "--dir", str(tmp_path)]) == EXIT_VERIFICATION
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3] == "dissipation: FAILED"
+        assert [line.endswith(" PASS") for line in lines] == [
+            False, True, True, False]
 
     @pytest.mark.parametrize("text", [
         "{not json", "[]",

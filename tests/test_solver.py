@@ -565,9 +565,9 @@ class TestSteppers:
             assert abs(slope) <= 1e-8 * scale
 
     def test_implicit_band_matches_fresh_build(self, certified_scenario):
-        # the operator caches its two diagonal buffers once; each step
-        # refills them in place however delta1 varies, so LAPACK's in-place
-        # factorisation of the buffers never reaches the next step
+        # after five steps, whose delta1 varies and whose solves factorise
+        # their bands in place, the operator's system for the next delta1
+        # is the one a fresh operator builds
         from piezobeam.solver import _implicit_matrix
         sc = certified_scenario
         g = Grid(51, sc.beam.length)
@@ -577,20 +577,16 @@ class TestSteppers:
         table = profile_table(sc.delay, sc.weights, dt, 6)
         buf = zero_history(g, dt, table, 1)
         st = _start(v0, buf, op, explicit=False)
-        st = step_implicit(st, buf, op, table, 0, dt)
-        diag, off = op.implicit_buffers
-        for k in range(1, 5):
+        for k in range(5):
             st = step_implicit(st, buf, op, table, k, dt)
         d1 = float(table[6, 2])  # delta1 at the sixth step's time
-        got = _implicit_matrix(op, dt, d1)
-        fresh = SpatialOperator(sc.beam, g)
-        expected = _implicit_matrix(fresh, dt, d1)
+        diag, off, tm = _implicit_matrix(op, dt, d1)
+        expected = _implicit_matrix(SpatialOperator(sc.beam, g), dt, d1)
         assert d1 != sc.weights.delta1(0.0)
-        assert got[0] is diag and got[1] is off
         assert diag.shape == (2, g.n - 2) and off.shape == (2, g.n - 3)
         assert np.array_equal(diag, expected[0])
         assert np.array_equal(off, expected[1])
-        assert np.array_equal(got[2], expected[2])
+        assert np.array_equal(tm, expected[2])
         # each row i is P + m_i P D, one m_i < 0 per field, and P D's
         # off-diagonal is 1/dx^2 throughout
         dx2 = g.dx**2
@@ -612,6 +608,25 @@ class TestSteppers:
         pdu[1:] += u[1:-2] / dx2
         d2u = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx2
         assert np.allclose(pdu, p * d2u, rtol=1e-12, atol=1e-9)
+
+    def test_implicit_bands_are_new_on_each_call(self, certified_scenario):
+        # dptsv overwrites the bands it factorises, so each call returns its
+        # own: factorising one call's leaves the next call's as built
+        from piezobeam.solver import _implicit_matrix
+        sc = certified_scenario
+        op = SpatialOperator(sc.beam, Grid(51, sc.beam.length))
+        first = _implicit_matrix(op, 0.01, 1.0)
+        second = _implicit_matrix(op, 0.01, 1.5)
+        for a, b in zip(first[:2], second[:2]):
+            assert not np.shares_memory(a, b)
+        for i in range(2):
+            *_, info = solver.solve_banded(first[0][i], first[1][i],
+                                           np.ones(op.grid.n - 2))
+            assert info == 0
+        expected = _implicit_matrix(SpatialOperator(sc.beam, op.grid), 0.01,
+                                    1.5)
+        for got, want in zip(second, expected):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("beam,weights,n", [
         (None, None, 51),
@@ -806,6 +821,20 @@ class TestRun:
         traj = run(sc)
         gc.collect()
         assert len(traj.fields) == len(traj) and made[0]() is None
+
+    def test_trajectory_is_frozen(self, certified_scenario):
+        # run() builds each trajectory whole, the diverged one included
+        traj = run(dataclasses.replace(certified_scenario, n=11, horizon=0.1))
+        with pytest.raises(DivergenceError) as info:
+            run(dataclasses.replace(certified_scenario, horizon=5.0, n=51,
+                                    dt=0.1))
+        for traj, status in ((traj, "ok"), (info.value.trajectory,
+                                            "diverged")):
+            assert traj.status == status
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                traj.status = "ok"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                traj.data = traj.data[:1]
 
     def test_recorded_state_cannot_be_reassigned(self, certified_scenario):
         # a snapshot is the run's own state, so no field may be rebound

@@ -1,5 +1,6 @@
 """Sweep expansion, classification, and determinism."""
 
+import dataclasses
 import math
 import warnings
 
@@ -144,6 +145,12 @@ class TestExecute:
         assert rec.valid
         assert rec.energy_ratio < 1.0
 
+    def test_records_are_frozen(self, small_records):
+        # each point's record is built in one call
+        for rec in small_records:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                rec.h2 = 0.0
+
     def test_deterministic_repeat(self, small_spec, small_records):
         assert list(map(_key, execute(small_spec))) == list(map(_key,
                                                                 small_records))
@@ -153,6 +160,14 @@ class TestExecute:
         for rec, (_, cfg) in zip(small_records, expand(small_spec)):
             cert = Scenario.from_dict(cfg).certificate
             assert cert.valid == rec.valid
+
+
+def test_point_too_short_for_the_fit_keeps_its_energy_ratio():
+    # one record: no decay fit, but the row is ok and has its E(T)/E(0)
+    (rec,) = execute(SweepSpec(_base(), axes=(("weights.beta0", (0.3,)),),
+                               n=11, horizon=0.0))
+    assert (rec.status, rec.valid, rec.energy_ratio) == ("ok", True, 1.0)
+    assert math.isnan(rec.h2) and math.isnan(rec.r_squared)
 
 
 def test_point_builds_one_certificate(monkeypatch):
